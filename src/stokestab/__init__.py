@@ -10,6 +10,7 @@ from .mesh import (
     Mesh,
     MeshMetrics,
     MeshError,
+    StokestabError,
     load_msh,
     save_msh,
     save_vtk,

@@ -9,7 +9,7 @@ import sys
 from .fespace import FECombo
 from .infsup import infsup_constant, local_nullspace
 from .macroelement import build_macroelements, structure_report
-from .mesh import (MeshError, gen_extruded_tet, gen_perturbed,
+from .mesh import (StokestabError, gen_extruded_tet, gen_perturbed,
                    gen_quad_macro, gen_structured_cube, gen_structured_tri,
                    gen_zigzag, load_msh, save_msh, save_vtk, write_csv)
 from .scenarios import SCENARIOS, run_scenario
@@ -239,7 +239,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MeshError, KeyError, ValueError, OSError) as exc:
+    except (StokestabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .mesh import TRIANGLE, TETRAHEDRON, QUADRILATERAL
+from .mesh import StokestabError, TRIANGLE, TETRAHEDRON, QUADRILATERAL
 
 P0, P1, P1B, P2, Q1, Q2 = "p0", "p1", "p1b", "p2", "q1", "q2"
 _KNOWN = {P0, P1, P1B, P2, Q1, Q2}
@@ -26,7 +26,7 @@ CONTINUITY = {P0: "discontinuous", P1: "C0", P1B: "C0", P2: "C0",
               Q1: "C0", Q2: "C0"}
 
 
-class FESpaceError(Exception):
+class FESpaceError(StokestabError):
     pass
 
 
@@ -326,18 +326,9 @@ class DofMap:
         if use_vertices:
             cols.append(mesh.cells)
             coords.append(mesh.vertices)
-        edge_index = None
         if use_edges:
             edges = mesh.edges()
-            edge_index = {tuple(e): k for k, e in enumerate(map(tuple, edges))}
-            local_edges = {TRIANGLE: [(0, 1), (1, 2), (2, 0)],
-                           QUADRILATERAL: [(0, 1), (1, 2), (2, 3), (3, 0)]}[kind]
-            ecols = np.empty((nc, len(local_edges)), dtype=np.int64)
-            for ci, cell in enumerate(mesh.cells):
-                for k, (i, j) in enumerate(local_edges):
-                    key = tuple(sorted((int(cell[i]), int(cell[j]))))
-                    ecols[ci, k] = nv + edge_index[key]
-            cols.append(ecols)
+            cols.append(nv + mesh.cell_edges)
             coords.append(0.5 * (mesh.vertices[edges[:, 0]]
                                  + mesh.vertices[edges[:, 1]]))
         if use_cells:
@@ -356,12 +347,9 @@ class DofMap:
             if use_vertices:
                 bmask[:nv] = vb
             if use_edges:
-                bset = {tuple(sorted(f)) for f, _ in mesh.boundary_facets
-                        if len(f) == 2}
-                if kind == TRIANGLE or kind == QUADRILATERAL:
-                    for key, k in edge_index.items():
-                        if key in bset:
-                            bmask[nv + k] = True
+                bf = np.array([f for f, _ in mesh.boundary_facets],
+                              dtype=np.int64).reshape(-1, 2)
+                bmask[nv + mesh.edge_index(bf[:, 0], bf[:, 1])] = True
         self.boundary_mask = bmask
 
     @property

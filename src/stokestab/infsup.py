@@ -23,9 +23,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import FECombo, build_dofmap, P1, P1B, P2, Q1, Q2
+from .fespace import FECombo, FESpaceError, build_dofmap, P1, P1B, P2, Q1, Q2
 from .macroelement import predict_regularity
-from .mesh import Mesh, TRIANGLE, TETRAHEDRON, QUADRILATERAL
+from .mesh import Mesh, MeshError, TRIANGLE, TETRAHEDRON, QUADRILATERAL
 from .stokes import assemble, operator_matrix, StokesError
 
 
@@ -65,7 +65,7 @@ def _local_divergence(macro, combo):
     """Pressure x interior-velocity pairing matrix on the star."""
     sub = star_submesh(macro)
     if combo.dim != sub.dim:
-        raise ValueError(f"combo {combo} does not match a {sub.dim}D macro")
+        raise FESpaceError(f"combo {combo} does not match a {sub.dim}D macro")
     qdeg = _LOCAL_QDEG[sub.cell_kind]
     p_dm = build_dofmap(sub, combo.pressure)
     blocks = []
@@ -190,7 +190,7 @@ def analytic_singular_pressure(macro, combo, tol=1e-10, alignment_tol=1e-9):
     vel = tuple(combo.velocity)
     if macro.dim == 2 and macro.mesh.cell_kind == QUADRILATERAL:
         if vel != (Q2, Q1) or combo.pressure != Q1:
-            raise ValueError(f"unsupported quad combo {combo}")
+            raise FESpaceError(f"unsupported quad combo {combo}")
         return _q_macro_pressure(macro)
     if macro.dim == 2:
         verdict = predict_regularity(macro, combo, tol=tol,
@@ -221,7 +221,7 @@ def analytic_singular_pressure(macro, combo, tol=1e-10, alignment_tol=1e-9):
             normal[c_ax] = np.cos(dirs[0])
             return _split_profile(macro, normal)
         return None
-    raise ValueError(f"unsupported macro dimension {macro.dim}")
+    raise MeshError(f"unsupported macro dimension {macro.dim}")
 
 
 def _q_macro_pressure(macro):

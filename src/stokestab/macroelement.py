@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fespace import FECombo, P1, P1B, P2
-from .mesh import TRIANGLE, TETRAHEDRON
+from .fespace import FECombo, FESpaceError, P1, P1B, P2
+from .mesh import MeshError, TRIANGLE
 
 
 @dataclass
@@ -97,14 +97,7 @@ def build_macroelements(mesh):
     covered by vertex-centered macro-elements.
     """
     interior = mesh.interior_vertices()
-    star = {int(v): [] for v in interior}
-    covered = np.zeros(mesh.num_cells, dtype=bool)
-    for ci, cell in enumerate(mesh.cells):
-        for v in cell:
-            lst = star.get(int(v))
-            if lst is not None:
-                lst.append(ci)
-                covered[ci] = True
+    covered = (~mesh.boundary_vertex_mask()[mesh.cells]).any(axis=1)
     if not covered.all():
         bad = np.flatnonzero(~covered).tolist()
         warnings.warn(
@@ -114,36 +107,23 @@ def build_macroelements(mesh):
         warnings.warn("mesh has no interior vertices; no macro-elements built")
         return []
 
+    measures = mesh.cell_measures()
     macros = []
-    for q0 in interior:
-        cids = star[int(q0)]
+    for q0 in map(int, interior):
+        cids = mesh.cells_of(q0)
         if mesh.cell_kind == TRIANGLE:
-            macros.append(_build_macro_2d(mesh, int(q0), cids))
-        elif mesh.cell_kind == TETRAHEDRON:
-            vols = mesh.cell_measures()[cids]
-            ring = sorted({int(v) for ci in cids for v in mesh.cells[ci]}
-                          - {int(q0)})
-            macros.append(MacroElement(mesh, int(q0), np.array(ring),
-                                       np.array(cids), None, vols))
+            macros.append(_build_macro_2d(mesh, q0, cids, measures))
         else:
-            ring = sorted({int(v) for ci in cids for v in mesh.cells[ci]}
-                          - {int(q0)})
-            macros.append(MacroElement(mesh, int(q0), np.array(ring),
-                                       np.array(cids), None,
-                                       mesh.cell_measures()[cids]))
+            ring = np.setdiff1d(mesh.cells[cids], [q0])
+            macros.append(MacroElement(mesh, q0, ring, cids, None,
+                                       measures[cids]))
     return macros
 
 
-def _build_macro_2d(mesh, q0, cids):
-    p0 = mesh.vertices[q0]
-    ring = sorted({int(v) for ci in cids for v in mesh.cells[ci]} - {q0})
-    rel = mesh.vertices[ring] - p0
-    ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2 * np.pi)
-    order = np.lexsort((ring, ang))  # ccw from smallest angle, ties by index
-    ring = np.array(ring)[order]
-    ang = ang[order]
+def _build_macro_2d(mesh, q0, cids, measures):
+    ring, ang = mesh.ccw_ring(q0)
     if len(ring) != len(cids):
-        raise ValueError(
+        raise MeshError(
             f"vertex {q0}: star has {len(cids)} cells but {len(ring)} ring "
             "vertices; not a valid interior vertex star")
 
@@ -154,12 +134,11 @@ def _build_macro_2d(mesh, q0, cids):
         key = frozenset((q0, int(ring[k]), int(ring[(k + 1) % n])))
         ci = bycell.get(key)
         if ci is None:
-            raise ValueError(
+            raise MeshError(
                 f"vertex {q0}: ring vertices {ring[k]} and {ring[(k + 1) % n]} "
                 "bound no common cell of the star")
         ordered[k] = ci
-    areas = mesh.cell_measures()[ordered]
-    return MacroElement(mesh, q0, ring, ordered, ang, areas)
+    return MacroElement(mesh, q0, ring, ordered, ang, measures[ordered])
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +160,7 @@ def classify_2d(macro, alignment_tol=1e-9):
     exception allowed.
     """
     if macro.dim != 2:
-        raise ValueError("classify_2d needs a 2D macro-element")
+        raise MeshError("classify_2d needs a 2D macro-element")
     tol = alignment_tol * macro.diameter()
     off_y = np.abs(_aligned_offsets(macro, "y"))
     off_x = np.abs(_aligned_offsets(macro, "x"))
@@ -210,14 +189,14 @@ def s_condition(macro, axis="y"):
     is replaced by the tangent (angles measured from the y-semiaxis).
     """
     if macro.dim != 2:
-        raise ValueError("s_condition needs a 2D macro-element")
+        raise MeshError("s_condition needs a 2D macro-element")
     ang = macro.angles
     if axis == "y":
         trig_num, trig_den = np.cos(ang), np.sin(ang)
     else:
         trig_num, trig_den = np.sin(ang), np.cos(ang)
     if np.any(np.abs(trig_den) < 1e-14):
-        raise ValueError(
+        raise MeshError(
             "macro has a spoke aligned with the splitting axis; the aligned "
             "cases must be handled before evaluating the sum")
     cot = trig_num / trig_den
@@ -256,7 +235,7 @@ def predict_regularity(macro, combo, tol=1e-10, alignment_tol=1e-9):
     if isinstance(combo, str):
         combo = FECombo.parse(combo)
     if macro.dim != 2 or combo.pressure != P1 or combo.dim != 2:
-        raise ValueError(f"unsupported combo {combo} for 2D prediction")
+        raise FESpaceError(f"unsupported combo {combo} for 2D prediction")
     vel = tuple(combo.velocity)
     tolabs = alignment_tol * macro.diameter()
     if vel in _BUBBLE_COMBOS:
@@ -279,7 +258,7 @@ def predict_regularity(macro, combo, tol=1e-10, alignment_tol=1e-9):
         if abs(s) <= tol * s_scale(macro):
             return RegularityVerdict("singular", "even-nV-S-zero", s_value=s)
         return RegularityVerdict("regular", "even-nV-S-nonzero", s_value=s)
-    raise ValueError(f"unsupported combo {combo} for 2D prediction")
+    raise FESpaceError(f"unsupported combo {combo} for 2D prediction")
 
 
 # ----------------------------------------------------------------------
@@ -294,7 +273,7 @@ def structure_report(mesh, combos=(), alignment_tol=1e-9, tol=1e-10):
     column per requested combination.  Meant to be written as CSV.
     """
     if mesh.cell_kind != TRIANGLE:
-        raise ValueError("the structure report covers 2D triangular meshes")
+        raise MeshError("the structure report covers 2D triangular meshes")
     combos = [FECombo.parse(c) if isinstance(c, str) else c for c in combos]
     header = ["vertex", "n_v", "x_structured", "y_structured",
               "aligned_x", "aligned_y", "min_sin", "min_cos", "abs_s_scaled"]
@@ -318,18 +297,16 @@ def structure_report(mesh, combos=(), alignment_tol=1e-9, tol=1e-10):
 
 
 def _interior_faces(macro):
-    """Faces shared by two star tets; every one contains q0."""
+    """Faces shared by two star tets, in order of first appearance over the
+    star cells; every one contains q0."""
     mesh = macro.mesh
-    fmap = {}
-    for ci in macro.cells:
-        verts = [int(v) for v in mesh.cells[ci]]
-        for f in mesh.cell_facets(verts):
-            fmap.setdefault(f, []).append(int(ci))
-    faces = []
-    for f, cs in fmap.items():
-        if len(cs) == 2:
-            assert macro.center in f
-            faces.append((f, cs))
+    fs = mesh.cell_facets[macro.cells].ravel()
+    _, first = np.unique(fs, return_index=True)
+    fs = fs[np.sort(first)]
+    pairs = mesh.facet_cells[fs]
+    inner = np.isin(pairs, macro.cells).all(axis=1)
+    faces = list(zip(mesh.facets[fs[inner]].tolist(), pairs[inner].tolist()))
+    assert all(macro.center in f for f, _ in faces)
     return faces
 
 
@@ -436,7 +413,7 @@ def classify_3d(macro, alignment_tol=1e-9):
     """Structure flags for a tet star: axis-plane splits and the vertical
     (z-axis) semi-plane count."""
     if macro.dim != 3:
-        raise ValueError("classify_3d needs a 3D macro-element")
+        raise MeshError("classify_3d needs a 3D macro-element")
     tol = alignment_tol * macro.diameter()
     count, aligned, _ = _semi_planes(macro, 2, alignment_tol)
     return StructureFlags(
@@ -459,11 +436,11 @@ def predict_regularity_3d(macro, combo, alignment_tol=1e-9):
     if isinstance(combo, str):
         combo = FECombo.parse(combo)
     if macro.dim != 3 or combo.pressure != P1 or combo.dim != 3:
-        raise ValueError(f"unsupported combo {combo} for 3D prediction")
+        raise FESpaceError(f"unsupported combo {combo} for 3D prediction")
     vel = tuple(combo.velocity)
     n_bub = sum(1 for t in vel if t == P1B)
     if sorted(vel) not in ([P1, P1B, P1B], [P1, P1, P1B]):
-        raise ValueError(f"unsupported combo {combo} for 3D prediction")
+        raise FESpaceError(f"unsupported combo {combo} for 3D prediction")
     tol = alignment_tol * macro.diameter()
     if n_bub == 2:
         axis = vel.index(P1)

@@ -9,7 +9,9 @@ objects.
 from __future__ import annotations
 
 import csv
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,13 +25,106 @@ _CELL_SIZES = {TRIANGLE: 3, TETRAHEDRON: 4, QUADRILATERAL: 4}
 BOTTOM, RIGHT, TOP, LEFT = 1, 2, 3, 4
 
 
-class MeshError(Exception):
+class StokestabError(ValueError):
+    """Base class of the library's errors: input it cannot handle, from a
+    mesh, a space combination or a problem set-up."""
+
+
+class MeshError(StokestabError):
     """Raised for parse errors, nonconforming meshes and bad generator input."""
 
 
 def _cross2(u, v):
     """z-component of the cross product for stacks of 2D vectors."""
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _signed_measures(vertices, cells):
+    """Triangle areas, quadrilateral areas (shoelace) or tet volumes, positive
+    for counterclockwise or right-handed vertex order."""
+    p = vertices[cells]
+    if cells.shape[1] == 3:
+        return 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    if vertices.shape[1] == 2:
+        x, y = p[:, :, 0], p[:, :, 1]
+        s = x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y
+        return 0.5 * s.sum(axis=1)
+    u, v, w = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]
+    return np.einsum("ij,ij->i", np.cross(u, v), w) / 6.0
+
+
+# local vertex tuples of the edges and facets of one cell
+_LOCAL_EDGES = {
+    TRIANGLE: np.array([(0, 1), (1, 2), (2, 0)]),
+    QUADRILATERAL: np.array([(0, 1), (1, 2), (2, 3), (3, 0)]),
+    TETRAHEDRON: np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+}
+_LOCAL_FACETS = {**_LOCAL_EDGES, TETRAHEDRON: np.array(
+    [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])}
+
+_Topology = namedtuple("_Topology", "rows keys cell_index cells counts first")
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays if len(arrays) > 1 else arrays[0]
+
+
+def _keys(rows, n):
+    """One integer per row of sorted vertex ids (its base-n digits), so that
+    key order is lexicographic row order."""
+    if n ** rows.shape[1] >= 2 ** 63:
+        raise MeshError(f"{n} vertices overflow the 64-bit facet keys")
+    key = rows[:, 0]
+    for j in range(1, rows.shape[1]):
+        key = key * n + rows[:, j]
+    return key
+
+
+def _lookup(keys, query):
+    """Position of each query key in the sorted unique keys, -1 if absent."""
+    pos = np.searchsorted(keys, query)
+    return np.where(np.append(keys, -1)[pos] == query, pos, -1)
+
+
+def _group(cells, local, n):
+    """Unique vertex tuples among the cells' local tuples (edges or facets):
+    the tuples and their keys in lexicographic order, the (cells, local)
+    array of tuple indices, the first two cells holding each tuple (-1 for
+    none), its number of holders and its first (cell, local) slot."""
+    k = len(local)
+    slots = np.sort(cells[:, local].reshape(-1, local.shape[1]), axis=1)
+    keys = _keys(slots, n)
+    perm = np.argsort(keys, kind="stable")
+    sk = keys[perm]
+    new = np.ones(len(sk), dtype=bool)
+    np.not_equal(sk[1:], sk[:-1], out=new[1:])
+    start = np.flatnonzero(new)
+    index = np.empty(len(sk), dtype=np.int64)
+    index[perm] = np.cumsum(new) - 1
+    counts = np.bincount(index, minlength=len(start))
+    pairs = np.full((len(start), 2), -1, dtype=np.int64)
+    pairs[:, 0] = perm[start] // k
+    shared = counts > 1
+    pairs[shared, 1] = perm[start[shared] + 1] // k
+    return _Topology(*_frozen(slots[perm[start]], sk[start],
+                              index.reshape(len(cells), k), pairs),
+                     counts, perm[start])
+
+
+def _csr(rows, cols, n):
+    """(offsets, cols) of the pairs grouped by row, cols ascending in a row."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    return _frozen(offsets, cols[np.lexsort((cols, rows))])
+
+
+def require_triangles(mesh, caller):
+    """Raise MeshError unless `mesh` is made of triangles."""
+    if mesh.cell_kind != TRIANGLE:
+        raise MeshError(f"{caller} expects a triangular mesh, "
+                        f"got a {mesh.cell_kind} mesh")
 
 
 class Mesh:
@@ -40,34 +135,45 @@ class Mesh:
     dim : 2 or 3
     cell_kind : one of 'triangle', 'tetrahedron', 'quadrilateral'
     vertices : (n, dim) float array
-    cells : (m, k) int array, k = 3 (tri) or 4 (tet/quad)
+    cells : (m, k) int array, k = 3 (tri) or 4 (tet/quad); copied and
+        reordered to positive orientation
     boundary_facets : optional list of (vertex tuple, tag); derived from the
-        cell graph (facets incident to exactly one cell, tag 0) when omitted.
+        cell graph (facets incident to exactly one cell, tag 0, in order of
+        first appearance over the oriented cells) when omitted.
+
+    Topology, derived from the oriented cells, is cached and read-only:
+    `edges()`, `cell_edges`, `facets`, `cell_facets`, `facet_cells` and the
+    CSR incidences `vertex_cells`, `vertex_neighbours`; `cells_of`,
+    `neighbours`, `edge_index`, `ccw_ring` and `safe_move` read it.
     """
 
-    def __init__(self, dim, cell_kind, vertices, cells, boundary_facets=None,
-                 orient=True, check=True):
+    def __init__(self, dim, cell_kind, vertices, cells, boundary_facets=None):
         if cell_kind not in _CELL_SIZES:
             raise MeshError(f"unknown cell kind {cell_kind!r}")
-        vertices = np.asarray(vertices, dtype=float).reshape(-1, dim)
-        cells = np.asarray(cells, dtype=np.int64).reshape(-1, _CELL_SIZES[cell_kind])
+        try:
+            vertices = np.array(vertices, dtype=float).reshape(-1, dim)
+            cells = np.array(cells, dtype=np.int64).reshape(
+                -1, _CELL_SIZES[cell_kind])
+        except ValueError as exc:
+            raise MeshError(f"malformed vertex or cell array: {exc}") from None
         if cells.size and (cells.min() < 0 or cells.max() >= len(vertices)):
             raise MeshError("cell vertex index out of range")
         self.dim = int(dim)
         self.cell_kind = cell_kind
         self.vertices = vertices
         self.cells = cells
-        if orient:
-            self._orient()
-        if boundary_facets is None:
-            boundary_facets = [(f, 0) for f in self._derive_boundary_facets()]
-        self.boundary_facets = [(tuple(int(v) for v in f), int(t))
-                                for f, t in boundary_facets]
-        if check:
-            self._check_conforming()
-        self.vertices.setflags(write=False)
-        self.cells.setflags(write=False)
-        self._edge_cache = None
+        self._orient()
+        _frozen(self.vertices, self.cells)
+        given = boundary_facets is not None
+        if given:
+            self.boundary_facets = [(tuple(int(v) for v in f), int(t))
+                                    for f, t in boundary_facets]
+        else:
+            t = self._facet_topology
+            b = np.flatnonzero(t.counts == 1)
+            self.boundary_facets = [(tuple(f), 0) for f in
+                                    t.rows[b[np.argsort(t.first[b])]].tolist()]
+        self._check_conforming(check_boundary=given)
 
     # -- basic queries -------------------------------------------------
 
@@ -79,41 +185,111 @@ class Mesh:
     def num_cells(self):
         return len(self.cells)
 
-    def cell_facets(self, cell):
-        """Facets (edges in 2D, faces for tets) of one cell, as sorted tuples."""
-        c = [int(v) for v in cell]
-        if self.cell_kind == TRIANGLE:
-            pairs = [(c[0], c[1]), (c[1], c[2]), (c[2], c[0])]
-        elif self.cell_kind == QUADRILATERAL:
-            pairs = [(c[0], c[1]), (c[1], c[2]), (c[2], c[3]), (c[3], c[0])]
-        else:
-            pairs = [(c[0], c[1], c[2]), (c[0], c[1], c[3]),
-                     (c[0], c[2], c[3]), (c[1], c[2], c[3])]
-        return [tuple(sorted(p)) for p in pairs]
+    # -- topology --------------------------------------------------------
 
-    def facet_map(self):
-        """Map sorted facet tuple -> list of incident cell indices."""
-        fmap = {}
-        for ci, cell in enumerate(self.cells):
-            for f in self.cell_facets(cell):
-                fmap.setdefault(f, []).append(ci)
-        return fmap
+    @cached_property
+    def _facet_topology(self):
+        return _group(self.cells, _LOCAL_FACETS[self.cell_kind],
+                      self.num_vertices)
+
+    @cached_property
+    def _edge_topology(self):
+        if self.dim == 2:  # the facets are the edges
+            return self._facet_topology
+        return _group(self.cells, _LOCAL_EDGES[self.cell_kind],
+                      self.num_vertices)
 
     def edges(self):
         """Unique mesh edges as a lexicographically sorted (e, 2) int array."""
-        if self._edge_cache is None:
-            pairs = set()
-            for cell in self.cells:
-                c = [int(v) for v in cell]
-                n = len(c)
-                if self.cell_kind == TETRAHEDRON:
-                    idx = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-                else:
-                    idx = [(i, (i + 1) % n) for i in range(n)]
-                for i, j in idx:
-                    pairs.add(tuple(sorted((c[i], c[j]))))
-            self._edge_cache = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-        return self._edge_cache
+        return self._edge_topology.rows
+
+    @property
+    def cell_edges(self):
+        """(m, k) index into edges() of each cell's local edges: (0,1),
+        (1,2), (2,0) on triangles, the sides (0,1), (1,2), (2,3), (3,0) on
+        quadrilaterals, the pairs i < j in lexicographic order on tets."""
+        return self._edge_topology.cell_index
+
+    @property
+    def facets(self):
+        """Unique facets as lexicographically sorted rows of sorted vertex
+        ids: the edges() array in 2D, triangles on tet meshes."""
+        return self._facet_topology.rows
+
+    @property
+    def cell_facets(self):
+        """(m, f) index into facets of each cell's local facets: its local
+        edges in 2D, faces (0,1,2), (0,1,3), (0,2,3), (1,2,3) on tets."""
+        return self._facet_topology.cell_index
+
+    @property
+    def facet_cells(self):
+        """(f, 2) cells of each facet, ascending; -1 for none beyond the
+        first on boundary facets."""
+        return self._facet_topology.cells
+
+    @cached_property
+    def vertex_cells(self):
+        """CSR vertex -> cell incidence (offsets, cells): the cells at
+        vertex v, ascending, are cells[offsets[v]:offsets[v + 1]]."""
+        m, k = self.cells.shape
+        return _csr(self.cells.ravel(), np.repeat(np.arange(m), k),
+                    self.num_vertices)
+
+    @cached_property
+    def vertex_neighbours(self):
+        """CSR vertex -> edge-neighbour incidence (offsets, vertices),
+        neighbours ascending."""
+        e = self.edges()
+        return _csr(np.concatenate([e[:, 0], e[:, 1]]),
+                    np.concatenate([e[:, 1], e[:, 0]]), self.num_vertices)
+
+    def cells_of(self, v):
+        offsets, cells = self.vertex_cells
+        return cells[offsets[v]:offsets[v + 1]]
+
+    def neighbours(self, v):
+        offsets, nbrs = self.vertex_neighbours
+        return nbrs[offsets[v]:offsets[v + 1]]
+
+    def edge_index(self, a, b):
+        """Index into edges() of the edge joining vertices a and b (arrays
+        broadcast); raises MeshError when a pair is not an edge."""
+        n = self.num_vertices
+        pos = _lookup(self._edge_topology.keys,
+                      np.minimum(a, b) * n + np.maximum(a, b))
+        if np.any(pos < 0):
+            raise MeshError(f"{np.count_nonzero(pos < 0)} vertex pair(s) "
+                            "are not mesh edges")
+        return pos
+
+    def ccw_ring(self, v, coords=None):
+        """Edge neighbours of 2D vertex v counterclockwise, from the
+        smallest spoke angle (ties by vertex index), and those angles in
+        [0, 2pi).  coords replaces the vertex coordinates."""
+        coords = self.vertices if coords is None else coords
+        nbrs = self.neighbours(v)
+        rel = coords[nbrs] - coords[v]
+        ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2 * np.pi)
+        order = np.lexsort((nbrs, ang))
+        return nbrs[order], ang[order]
+
+    def safe_move(self, coords, v, axis, step):
+        """Move vertex v of the triangle-mesh coordinates `coords` in place
+        by `step` along `axis`, halving the step until every cell at v keeps
+        at least 10% of its area before the move.  Returns the scale applied
+        to the step, 0.0 when 60 halvings did not suffice and v stays put."""
+        tris = self.cells[self.cells_of(v)]
+        ref = 0.1 * _signed_measures(coords, tris)
+        x0 = coords[v, axis]
+        scale = 1.0
+        for _ in range(60):
+            coords[v, axis] = x0 + scale * step
+            if np.all(_signed_measures(coords, tris) >= ref):
+                return scale
+            scale *= 0.5
+        coords[v, axis] = x0
+        return 0.0
 
     def boundary_vertex_mask(self):
         mask = np.zeros(self.num_vertices, dtype=bool)
@@ -126,18 +302,7 @@ class Mesh:
 
     def cell_measures(self):
         """Signed-positive cell areas/volumes."""
-        v = self.vertices
-        c = self.cells
-        if self.cell_kind == TRIANGLE:
-            a, b, d = v[c[:, 0]], v[c[:, 1]], v[c[:, 2]]
-            return 0.5 * np.abs(_cross2(b - a, d - a))
-        if self.cell_kind == QUADRILATERAL:
-            x = v[c][:, :, 0]
-            y = v[c][:, :, 1]
-            s = x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y
-            return 0.5 * np.abs(s.sum(axis=1))
-        a, b, d, e = v[c[:, 0]], v[c[:, 1]], v[c[:, 2]], v[c[:, 3]]
-        return np.abs(np.einsum("ij,ij->i", np.cross(b - a, d - a), e - a)) / 6.0
+        return np.abs(_signed_measures(self.vertices, self.cells))
 
     def cell_diameters(self):
         pts = self.vertices[self.cells]
@@ -157,46 +322,37 @@ class Mesh:
 
     def replace_vertices(self, new_vertices):
         """New mesh with the same topology and different coordinates."""
-        return Mesh(self.dim, self.cell_kind, np.array(new_vertices),
-                    self.cells.copy(), list(self.boundary_facets))
+        return Mesh(self.dim, self.cell_kind, new_vertices, self.cells,
+                    list(self.boundary_facets))
 
     # -- construction helpers -------------------------------------------
 
     def _orient(self):
-        v, c = self.vertices, self.cells
-        if self.cell_kind == TRIANGLE:
-            a, b, d = v[c[:, 0]], v[c[:, 1]], v[c[:, 2]]
-            neg = _cross2(b - a, d - a) < 0
-            c[neg] = c[neg][:, [0, 2, 1]]
-        elif self.cell_kind == TETRAHEDRON:
-            a, b, d, e = v[c[:, 0]], v[c[:, 1]], v[c[:, 2]], v[c[:, 3]]
-            neg = np.einsum("ij,ij->i", np.cross(b - a, d - a), e - a) < 0
-            c[neg] = c[neg][:, [0, 1, 3, 2]]
-        else:
-            x = v[c][:, :, 0]
-            y = v[c][:, :, 1]
-            s = (x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y).sum(axis=1)
-            neg = s < 0
-            c[neg] = c[neg][:, ::-1]
-        zero = self.cell_measures() <= 0
+        c = self.cells
+        s = _signed_measures(self.vertices, c)
+        flip = {TRIANGLE: [0, 2, 1], TETRAHEDRON: [0, 1, 3, 2],
+                QUADRILATERAL: [3, 2, 1, 0]}[self.cell_kind]
+        c[s < 0] = c[s < 0][:, flip]
+        zero = s == 0
         if zero.any():
             raise MeshError(f"degenerate cell(s) {np.flatnonzero(zero)[:5].tolist()}")
 
-    def _derive_boundary_facets(self):
-        return [f for f, cs in self.facet_map().items() if len(cs) == 1]
-
-    def _check_conforming(self):
-        fmap = self.facet_map()
-        for f, cs in fmap.items():
-            if len(cs) > 2:
-                raise MeshError(
-                    f"nonconforming mesh: facet {f} shared by cells {cs[0]} and {cs[1]} "
-                    f"plus {len(cs) - 2} more")
-        for f, tag in self.boundary_facets:
-            key = tuple(sorted(f))
-            cs = fmap.get(key)
-            if cs is None or len(cs) != 1:
-                raise MeshError(f"boundary facet {f} does not bound exactly one cell")
+    def _check_conforming(self, check_boundary=True):
+        t = self._facet_topology
+        over = np.flatnonzero(t.counts > 2)
+        if len(over):
+            f = over[np.argmin(t.first[over])]
+            c0, c1 = t.cells[f]
+            raise MeshError(
+                f"nonconforming mesh: facet {tuple(t.rows[f].tolist())} shared "
+                f"by cells {c0} and {c1} plus {t.counts[f] - 2} more")
+        if check_boundary and self.boundary_facets:
+            given = np.sort([f for f, _ in self.boundary_facets], axis=1)
+            pos = _lookup(t.keys, _keys(given, self.num_vertices))
+            bad = np.flatnonzero((pos < 0) | (t.counts[pos] != 1))
+            if len(bad):
+                raise MeshError(f"boundary facet {self.boundary_facets[bad[0]][0]}"
+                                " does not bound exactly one cell")
         # duplicated vertex coordinates are the usual source of nonconformity
         order = np.lexsort(self.vertices.T[::-1])
         sv = self.vertices[order]
@@ -279,10 +435,11 @@ def load_msh(path):
             except (ValueError, IndexError):
                 raise err(i + 1, "bad node count")
             for k in range(n):
-                parts = lines[i + 2 + k].split()
-                if len(parts) != 4:
+                try:
+                    nid, x, y, z = lines[i + 2 + k].split()
+                    nodes[int(nid)] = [float(x), float(y), float(z)]
+                except (ValueError, IndexError):
                     raise err(i + 2 + k, "expected 'id x y z'")
-                nodes[int(parts[0])] = [float(p) for p in parts[1:]]
             i += n + 3
         elif tok == "$Elements":
             try:
@@ -290,8 +447,8 @@ def load_msh(path):
             except (ValueError, IndexError):
                 raise err(i + 1, "bad element count")
             for k in range(n):
-                parts = lines[i + 2 + k].split()
                 try:
+                    parts = lines[i + 2 + k].split()
                     etype = int(parts[1])
                     ntags = int(parts[2])
                     tags = [int(t) for t in parts[3:3 + ntags]]
@@ -330,8 +487,11 @@ def load_msh(path):
     verts = coords3[:, :dim]
     if dim == 2 and np.abs(coords3[:, 2]).max(initial=0.0) > 1e-12:
         raise MeshError(f"{path}: 2D element mesh with nonzero z coordinates")
-    cells = [[remap[v] for v in c] for _, c in cellrecs]
-    facets = [(tuple(remap[v] for v in c), t) for t, c in facetrecs] or None
+    try:
+        cells = [[remap[v] for v in c] for _, c in cellrecs]
+        facets = [(tuple(remap[v] for v in c), t) for t, c in facetrecs] or None
+    except KeyError as exc:
+        raise MeshError(f"{path}: element references unknown node {exc}") from None
     return Mesh(dim, kind, verts, cells, boundary_facets=facets)
 
 
@@ -433,31 +593,36 @@ def write_csv(path, header, rows):
 # generators
 # ----------------------------------------------------------------------
 
-def _rect_boundary_facets(verts, facets, lo, hi, tol=1e-12):
+def _tag_boundary(mesh, tags):
+    """Give the derived boundary facets of a just-built mesh their tags."""
+    mesh.boundary_facets = [(f, t) for (f, _), t in
+                            zip(mesh.boundary_facets, tags.tolist())]
+    return mesh
+
+
+def _tag_rectangle(mesh, lo, hi, tol=1e-12):
     """Tag rectangle boundary edges: bottom=1, right=2, top=3, left=4."""
-    tagged = []
-    for f in facets:
-        mid = verts[list(f)].mean(axis=0)
-        if abs(mid[1] - lo[1]) < tol:
-            tag = BOTTOM
-        elif abs(mid[0] - hi[0]) < tol:
-            tag = RIGHT
-        elif abs(mid[1] - hi[1]) < tol:
-            tag = TOP
-        elif abs(mid[0] - lo[0]) < tol:
-            tag = LEFT
-        else:
-            tag = 0
-        tagged.append((f, tag))
-    return tagged
+    mid = mesh.vertices[[f for f, _ in mesh.boundary_facets]].mean(axis=1)
+    x, y = mid[:, 0], mid[:, 1]
+    tags = np.select([np.abs(y - lo[1]) < tol, np.abs(x - hi[0]) < tol,
+                      np.abs(y - hi[1]) < tol, np.abs(x - lo[0]) < tol],
+                     [BOTTOM, RIGHT, TOP, LEFT], 0)
+    return _tag_boundary(mesh, tags)
 
 
 def _grid_vertices(nx, ny, lo, hi):
     xs = np.linspace(lo[0], hi[0], nx + 1)
     ys = np.linspace(lo[1], hi[1], ny + 1)
     X, Y = np.meshgrid(xs, ys)  # vertex (i, j) at flat index j*(nx+1)+i
-    verts = np.column_stack([X.ravel(), Y.ravel()])
-    return verts, xs, ys
+    return np.column_stack([X.ravel(), Y.ravel()])
+
+
+def _grid_boxes(nx, ny):
+    """Column index and corners a, b, c, d (counterclockwise from the lower
+    left) of every grid box, row by row."""
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    a = j * (nx + 1) + i
+    return i, a, a + 1, a + nx + 2, a + nx + 1
 
 
 def gen_structured_tri(nx, ny, domain=((0.0, 0.0), (1.0, 1.0))):
@@ -472,21 +637,10 @@ def gen_structured_tri(nx, ny, domain=((0.0, 0.0), (1.0, 1.0))):
     lo, hi = np.asarray(domain[0], float), np.asarray(domain[1], float)
     if not np.all(hi > lo):
         raise MeshError("degenerate rectangle")
-    verts, _, _ = _grid_vertices(nx, ny, lo, hi)
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append((a, b, c))
-            cells.append((a, c, d))
-    mesh = Mesh(2, TRIANGLE, verts, cells, check=False)
-    facets = _rect_boundary_facets(verts, mesh._derive_boundary_facets(), lo, hi)
-    return Mesh(2, TRIANGLE, verts, cells, boundary_facets=facets)
+    _, a, b, c, d = _grid_boxes(nx, ny)
+    cells = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    mesh = Mesh(2, TRIANGLE, _grid_vertices(nx, ny, lo, hi), cells)
+    return _tag_rectangle(mesh, lo, hi)
 
 
 def gen_zigzag(nx, ny):
@@ -503,74 +657,36 @@ def gen_zigzag(nx, ny):
     if nx < 2 or ny < 2:
         raise MeshError("nx, ny must be >= 2")
     lo, hi = (0.0, 0.0), (1.0, 1.0)
-    verts, xs, ys = _grid_vertices(nx, ny, lo, hi)
+    verts = _grid_vertices(nx, ny, lo, hi)
     dy = 1.0 / ny
     delta = 0.25 * dy
+    shift = np.where(np.arange(nx + 1) % 2 == 0, delta, -delta)
+    verts.reshape(ny + 1, nx + 1, 2)[1:ny, :, 1] += shift
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    for j in range(1, ny):
-        for i in range(nx + 1):
-            verts[vid(i, j), 1] += delta if i % 2 == 0 else -delta
-
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            if i % 2 == 0:
-                cells.append((a, b, c))
-                cells.append((a, c, d))
-            else:
-                cells.append((a, b, d))
-                cells.append((b, c, d))
-    mesh = Mesh(2, TRIANGLE, verts, cells, check=False)
-    facets = _rect_boundary_facets(verts, mesh._derive_boundary_facets(), lo, hi)
-    return Mesh(2, TRIANGLE, verts, cells, boundary_facets=facets)
+    i, a, b, c, d = _grid_boxes(nx, ny)
+    cells = np.where((i % 2 == 0)[:, None],
+                     np.stack([a, b, c, a, c, d], axis=1),
+                     np.stack([a, b, d, b, c, d], axis=1)).reshape(-1, 3)
+    return _tag_rectangle(Mesh(2, TRIANGLE, verts, cells), lo, hi)
 
 
 def gen_perturbed(base, amplitude, seed):
     """Displace interior vertices in x by uniform(-amplitude, amplitude).
 
     Boundary vertices are fixed.  A displacement that would shrink any
-    incident cell below 10% of its unperturbed measure is halved until the
-    mesh stays valid, so the result is always positively oriented.
+    incident cell below 10% of its measure is halved until the mesh stays
+    valid (Mesh.safe_move), so the result is always positively oriented.
     Deterministic for a given seed.
     """
-    if base.dim != 2:
-        raise MeshError("gen_perturbed expects a 2D mesh")
+    require_triangles(base, "gen_perturbed")
     if amplitude < 0:
         raise MeshError("amplitude must be >= 0")
     rng = np.random.default_rng(seed)
     interior = base.interior_vertices()
     disp = rng.uniform(-amplitude, amplitude, size=len(interior))
     verts = base.vertices.copy()
-
-    v2c = {}
-    for ci, cell in enumerate(base.cells):
-        for v in cell:
-            v2c.setdefault(int(v), []).append(ci)
-
-    def areas_of(cids):
-        out = []
-        for ci in cids:
-            a, b, c = verts[base.cells[ci]]
-            out.append(0.5 * float(_cross2(b - a, c - a)))
-        return np.array(out)
-
     for v, d in zip(interior, disp):
-        cids = v2c.get(int(v), [])
-        ref = areas_of(cids)
-        scale = 1.0
-        x0 = verts[v, 0]
-        for _ in range(60):
-            verts[v, 0] = x0 + scale * d
-            if np.all(areas_of(cids) >= 0.1 * ref):
-                break
-            scale *= 0.5
-        else:
-            verts[v, 0] = x0
+        base.safe_move(verts, v, 0, d)
     return base.replace_vertices(verts)
 
 
@@ -582,8 +698,7 @@ def gen_extruded_tet(base2d, layers, height=1.0):
     result is z-structured by construction and inherits x/y structure from
     the base mesh.
     """
-    if base2d.cell_kind != TRIANGLE:
-        raise MeshError("gen_extruded_tet expects a triangular base mesh")
+    require_triangles(base2d, "gen_extruded_tet")
     if layers < 1:
         raise MeshError("layers must be >= 1")
     nv = base2d.num_vertices
@@ -591,30 +706,16 @@ def gen_extruded_tet(base2d, layers, height=1.0):
     verts = np.vstack([
         np.column_stack([base2d.vertices, np.full(nv, z)]) for z in zs])
 
-    cells = []
-    for L in range(layers):
-        lo_off, hi_off = L * nv, (L + 1) * nv
-        for tri in base2d.cells:
-            a, b, c = sorted(int(v) for v in tri)
-            a0, b0, c0 = a + lo_off, b + lo_off, c + lo_off
-            a1, b1, c1 = a + hi_off, b + hi_off, c + hi_off
-            cells.append((a0, b0, c0, c1))
-            cells.append((a0, b0, c1, b1))
-            cells.append((a0, b1, c1, a1))
-    mesh = Mesh(3, TETRAHEDRON, verts, cells, check=False)
-    facets = []
-    for f in mesh._derive_boundary_facets():
-        z = verts[list(f), 2]
-        if np.all(np.abs(z) < 1e-12):
-            tag = BOTTOM
-        elif np.all(np.abs(z - height) < 1e-12):
-            tag = TOP
-        else:
-            tag = RIGHT
-        facets.append((f, tag))
-    out = Mesh(3, TETRAHEDRON, verts, cells, boundary_facets=facets)
-    assert len(out.cells) == 3 * layers * base2d.num_cells
-    return out
+    # prism corners a0 b0 c0 a1 b1 c1 (a < b < c) per layer and base cell
+    lower = np.sort(base2d.cells, axis=1) + nv * np.arange(layers)[:, None, None]
+    prisms = np.concatenate([lower, lower + nv], axis=2)
+    cells = prisms[:, :, [[0, 1, 2, 5], [0, 1, 5, 4], [0, 4, 5, 3]]]
+    mesh = Mesh(3, TETRAHEDRON, verts, cells.reshape(-1, 4))
+    z = verts[[f for f, _ in mesh.boundary_facets], 2]
+    tags = np.where(np.all(np.abs(z) < 1e-12, axis=1), BOTTOM,
+                    np.where(np.all(np.abs(z - height) < 1e-12, axis=1),
+                             TOP, RIGHT))
+    return _tag_boundary(mesh, tags)
 
 
 def gen_structured_cube(nx, ny, nz, domain=((0, 0, 0), (1, 1, 1))):
@@ -628,27 +729,22 @@ def gen_structured_cube(nx, ny, nz, domain=((0, 0, 0), (1, 1, 1))):
     xs = np.linspace(lo[0], hi[0], nx + 1)
     ys = np.linspace(lo[1], hi[1], ny + 1)
     zs = np.linspace(lo[2], hi[2], nz + 1)
-    verts = np.array([(x, y, z) for z in zs for y in ys for x in xs])
+    Z, Y, X = np.meshgrid(zs, ys, xs, indexing="ij")
+    verts = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
 
-    def vid(i, j, k):
-        return (k * (ny + 1) + j) * (nx + 1) + i
-
-    # vertex orders along the 6 monotone paths from (0,0,0) to (1,1,1)
-    paths = [((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 0, 1), (0, 1, 0)),
-             ((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
-             ((0, 0, 1), (1, 0, 0), (0, 1, 0)), ((0, 0, 1), (0, 1, 0), (1, 0, 0))]
-    cells = []
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                for path in paths:
-                    p = np.array((i, j, k))
-                    tet = [vid(*p)]
-                    for step in path:
-                        p = p + step
-                        tet.append(vid(*p))
-                    cells.append(tet)
-    return Mesh(3, TETRAHEDRON, verts, cells)
+    # vertex (i, j, k) sits at flat index i + j*(nx+1) + k*(nx+1)*(ny+1)
+    stride = np.array([1, nx + 1, (nx + 1) * (ny + 1)])
+    k, j, i = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx),
+                          indexing="ij")
+    corner = (i * stride[0] + j * stride[1] + k * stride[2]).ravel()
+    # unit steps along the 6 monotone paths from (0,0,0) to (1,1,1)
+    paths = np.array([
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 0, 1), (0, 1, 0)),
+        ((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+        ((0, 0, 1), (1, 0, 0), (0, 1, 0)), ((0, 0, 1), (0, 1, 0), (1, 0, 0))])
+    offsets = np.cumsum(paths @ stride, axis=1)
+    tets = np.concatenate([np.zeros((6, 1), dtype=np.int64), offsets], axis=1)
+    return Mesh(3, TETRAHEDRON, verts, (corner[:, None, None] + tets).reshape(-1, 4))
 
 
 def gen_quad_macro(widths=(1.0, 1.0), heights=(1.0, 1.0)):
@@ -660,15 +756,6 @@ def gen_quad_macro(widths=(1.0, 1.0), heights=(1.0, 1.0)):
     xs = [-w1, 0.0, w2]
     ys = [-h1, 0.0, h2]
     verts = np.array([(x, y) for y in ys for x in xs])
-
-    def vid(i, j):
-        return j * 3 + i
-
-    cells = []
-    for j in range(2):
-        for i in range(2):
-            cells.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    mesh = Mesh(2, QUADRILATERAL, verts, cells, check=False)
-    facets = _rect_boundary_facets(verts, mesh._derive_boundary_facets(),
-                                   (-w1, -h1), (w2, h2))
-    return Mesh(2, QUADRILATERAL, verts, cells, boundary_facets=facets)
+    cells = np.stack(_grid_boxes(2, 2)[1:], axis=1)
+    mesh = Mesh(2, QUADRILATERAL, verts, cells)
+    return _tag_rectangle(mesh, (-w1, -h1), (w2, h2))

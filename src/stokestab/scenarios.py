@@ -70,8 +70,7 @@ def unstructured_family_mesh(level, seed=42, r=0.15):
 
 
 def _swap_xy(mesh):
-    return Mesh(2, TRIANGLE, mesh.vertices[:, ::-1].copy(),
-                mesh.cells.copy())
+    return Mesh(2, TRIANGLE, mesh.vertices[:, ::-1], mesh.cells)
 
 
 def decay_family_mesh(level, seed=10):

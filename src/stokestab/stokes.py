@@ -20,10 +20,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fespace import FECombo, DofMap, build_dofmap, eval_basis, quadrature, P2
-from .mesh import Mesh, TRIANGLE, TETRAHEDRON, TOP, write_csv
+from .mesh import Mesh, StokestabError, TRIANGLE, TETRAHEDRON, TOP, write_csv
 
 
-class StokesError(Exception):
+class StokesError(StokestabError):
     pass
 
 
@@ -217,19 +217,16 @@ def cavity_problem(mesh, combo, variant="dirichlet_lid", qdeg=None):
             "p2": [1 / 6, 1 / 6, 2 / 3],
         }[u_dm.space]
         nv = mesh.num_vertices
-        edges = mesh.edges()
-        eidx = {tuple(e): k for k, e in enumerate(map(tuple, edges))}
-        for f in tops:
+        top_edges = mesh.edge_index(*np.array(tops).T)
+        for f, edge in zip(tops, top_edges):
             a, b = int(f[0]), int(f[1])
             L = float(np.linalg.norm(mesh.vertices[a] - mesh.vertices[b]))
             sys.rhs[a] += edge_w[0] * L
             sys.rhs[b] += edge_w[1] * L
-            if u_dm.space == "p2":
-                mid = nv + eidx[tuple(sorted((a, b)))]
-                sys.rhs[mid] += edge_w[2] * L
             mask[a] = mask[b] = False
             if u_dm.space == "p2":
-                mask[nv + eidx[tuple(sorted((a, b)))]] = False
+                sys.rhs[nv + edge] += edge_w[2] * L
+                mask[nv + edge] = False
         # corners stay fixed (they also belong to the side walls)
         for v in top_vertices:
             x = mesh.vertices[int(v), 0]
@@ -257,26 +254,22 @@ def boundary_flux(sys, velocity):
     import math
 
     mesh = sys.mesh
-    cent = {}
-    fmap = mesh.facet_map()
     terms = []
-    nv = mesh.num_vertices
-    edges = mesh.edges()
-    eidx = {tuple(e): k for k, e in enumerate(map(tuple, edges))}
-    for f, _tag in mesh.boundary_facets:
-        a, b = int(f[0]), int(f[1])
+    bf = np.array([f for f, _ in mesh.boundary_facets])
+    edge = mesh.edge_index(bf[:, 0], bf[:, 1])
+    owners = mesh.facet_cells[edge, 0]   # in 2D the facets are the edges
+    for (a, b), owner, mid in zip(bf.tolist(), owners,
+                                  mesh.num_vertices + edge):
         pa, pb = mesh.vertices[a], mesh.vertices[b]
         t = pb - pa
         L = float(np.hypot(t[0], t[1]))
         n = np.array([t[1], -t[0]]) / L
-        owner = fmap[tuple(sorted(f))][0]
         cc = mesh.vertices[mesh.cells[owner]].mean(axis=0)
         if float(n @ (pa - cc)) < 0:
             n = -n
         for k, dm in enumerate(sys.vel_dofmaps):
             w = velocity[k]
             if dm.space == P2:
-                mid = nv + eidx[tuple(sorted((a, b)))]
                 tr = L * (w[a] + 4.0 * w[mid] + w[b]) / 6.0
             else:
                 tr = L * (w[a] + w[b]) / 2.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, MeshError, _cross2
+from .mesh import MeshError, require_triangles
 
 
 @dataclass
@@ -26,9 +26,9 @@ class UnstructureConfig:
 
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
-            raise ValueError("unstructuring factor r must be in (0, 1)")
+            raise MeshError("unstructuring factor r must be in (0, 1)")
         if self.axis not in ("x", "y"):
-            raise ValueError("axis must be 'x' or 'y'")
+            raise MeshError("axis must be 'x' or 'y'")
 
     def resolve(self, mesh):
         """Pin the mesh size on first use so that a repair and its later
@@ -46,25 +46,6 @@ class UniformityReport:
     h_r: float
 
 
-def _adjacency(mesh):
-    adj = {}
-    for cell in mesh.cells:
-        c = [int(v) for v in cell]
-        n = len(c)
-        for i in range(n):
-            a, b = c[i], c[(i + 1) % n]
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-    return adj
-
-
-def _ring_ccw(verts, adj, q0):
-    nbrs = np.array(sorted(adj[q0]))
-    rel = verts[nbrs] - verts[q0]
-    ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2 * np.pi)
-    return nbrs[np.lexsort((nbrs, ang))]
-
-
 def apply_algorithm1(mesh, cfg):
     """Displace interior vertices until no macro has two near-aligned spokes.
 
@@ -74,30 +55,16 @@ def apply_algorithm1(mesh, cfg):
     invert or nearly collapse a cell are halved until the mesh stays valid,
     with a warning.
     """
-    if mesh.dim != 2:
-        raise MeshError("the unstructuring pass expects a 2D triangular mesh")
+    require_triangles(mesh, "apply_algorithm1")
     h, h_r = cfg.resolve(mesh)
     ax = 0 if cfg.axis == "x" else 1
     verts = mesh.vertices.copy()
-    adj = _adjacency(mesh)
-    v2c = {}
-    for ci, cell in enumerate(mesh.cells):
-        for v in cell:
-            v2c.setdefault(int(v), []).append(ci)
-
-    def areas_of(cids):
-        out = np.empty(len(cids))
-        for k, ci in enumerate(cids):
-            a, b, c = verts[mesh.cells[ci]]
-            out[k] = 0.5 * _cross2(b - a, c - a)
-        return out
-
     interior = [int(v) for v in mesh.interior_vertices()]
     scaled_back = 0
     for sweep in range(5):
         moved = 0
         for q0 in interior:
-            ring = _ring_ccw(verts, adj, q0)
+            ring, _ = mesh.ccw_ring(q0, verts)
             d = verts[ring, ax] - verts[q0, ax]
             # spokes parked at offset exactly h_r by an earlier move may
             # read a few ulps below it; do not count those as aligned
@@ -106,20 +73,7 @@ def apply_algorithm1(mesh, cfg):
                 continue
             di = d[close[0]]
             step = -(h_r - di) if di > 0 else (h_r + di)
-            cids = v2c[q0]
-            ref = areas_of(cids)
-            scale = 1.0
-            x0 = verts[q0, ax]
-            ok = False
-            for _ in range(50):
-                verts[q0, ax] = x0 + scale * step
-                if np.all(areas_of(cids) >= 0.1 * ref):
-                    ok = True
-                    break
-                scale *= 0.5
-            if not ok:
-                verts[q0, ax] = x0
-            elif scale < 1.0:
+            if 0.0 < mesh.safe_move(verts, q0, ax, step) < 1.0:
                 scaled_back += 1
             moved += 1
         out = mesh.replace_vertices(verts)
@@ -139,15 +93,13 @@ def verify_uniform(mesh, cfg):
     """Check that every interior macro has at most one spoke with axis
     offset below h_r; reports the offending vertices and the uniformity
     margin (second-smallest offset over h, minimized over macros)."""
-    if mesh.dim != 2:
-        raise MeshError("verify_uniform expects a 2D mesh")
+    require_triangles(mesh, "verify_uniform")
     h, h_r = cfg.resolve(mesh)
     ax = 0 if cfg.axis == "x" else 1
-    adj = _adjacency(mesh)
     offending = []
     margin = np.inf
     for q0 in map(int, mesh.interior_vertices()):
-        nbrs = sorted(adj[q0])
+        nbrs = mesh.neighbours(q0)
         d = np.abs(mesh.vertices[nbrs, ax] - mesh.vertices[q0, ax])
         d.sort()
         if len(d) >= 2:

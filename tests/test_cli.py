@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from stokestab.cli import main
-from stokestab.mesh import load_msh, gen_zigzag, save_msh, gen_structured_tri
+from stokestab.mesh import (load_msh, gen_zigzag, save_msh, gen_structured_tri,
+                            gen_quad_macro)
 
 
 def test_gen_and_reload(tmp_path):
@@ -103,3 +104,16 @@ def test_analyze_empty_interior_mesh(tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 1  # header only
+
+
+@pytest.mark.parametrize("argv", [
+    ["infsup", "{mesh}", "--combo", "p1b-p1:p1"],
+    ["unstructure", "{mesh}", "{out}", "--r", "0.2"],
+], ids=["infsup", "unstructure"])
+def test_quad_mesh_is_clean_error(tmp_path, capsys, argv):
+    mesh_path = tmp_path / "quad.msh"
+    save_msh(gen_quad_macro(), mesh_path)
+    argv = [a.format(mesh=mesh_path, out=tmp_path / "out.msh") for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "triangular" in err

@@ -264,3 +264,94 @@ def test_generators_conform():
     for mesh in [gen_structured_tri(3, 3), gen_zigzag(4, 3),
                  gen_quad_macro(), gen_structured_cube(1, 1, 1)]:
         mesh.validate()
+
+
+def test_mesh_accepts_read_only_cells():
+    base = gen_structured_tri(2, 2)
+    assert not base.cells.flags.writeable
+    again = Mesh(2, "triangle", base.vertices, base.cells)
+    assert np.array_equal(again.cells, base.cells)
+
+
+def test_mesh_orients_a_copy_of_the_cells():
+    cells = np.array([[0, 2, 1]], dtype=np.int64)
+    mesh = Mesh(2, "triangle", [(0, 0), (1, 0), (0, 1)], cells)
+    assert mesh.cells.tolist() == [[0, 1, 2]]
+    assert cells.tolist() == [[0, 2, 1]]
+
+
+def reference_topology(mesh):
+    """Per-cell Python scans of the cells: sorted edge set, facet -> cells
+    dict (insertion order), vertex -> cells, vertex -> neighbour set, and
+    each cell's sorted local edges and facets."""
+    edge_set, fmap, v2c, adj = set(), {}, {}, {}
+    cell_edges, cell_facets = [], []
+    for ci, cell in enumerate(mesh.cells):
+        c = [int(v) for v in cell]
+        if mesh.cell_kind == "tetrahedron":
+            pairs = [(c[i], c[j]) for i in range(4) for j in range(i + 1, 4)]
+            facets = [(c[0], c[1], c[2]), (c[0], c[1], c[3]),
+                      (c[0], c[2], c[3]), (c[1], c[2], c[3])]
+        else:
+            pairs = [(c[i], c[(i + 1) % len(c)]) for i in range(len(c))]
+            facets = pairs
+        for a, b in pairs:
+            edge_set.add(tuple(sorted((a, b))))
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        for f in facets:
+            fmap.setdefault(tuple(sorted(f)), []).append(ci)
+        for v in c:
+            v2c.setdefault(v, []).append(ci)
+        cell_edges.append([tuple(sorted(p)) for p in pairs])
+        cell_facets.append([tuple(sorted(f)) for f in facets])
+    return sorted(edge_set), fmap, v2c, adj, cell_edges, cell_facets
+
+
+TOPOLOGY_MESHES = {
+    "structured": lambda: gen_structured_tri(4, 3),
+    "zigzag": lambda: gen_zigzag(5, 4),
+    "perturbed": lambda: gen_perturbed(gen_structured_tri(5, 5), 0.05, seed=3),
+    "extruded-tet": lambda: gen_extruded_tet(gen_zigzag(3, 3), 2, 1.0),
+    "kuhn-cube": lambda: gen_structured_cube(2, 2, 2),
+    "quad-macro": lambda: gen_quad_macro((0.5, 1.5), (2.0, 0.25)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOPOLOGY_MESHES))
+def test_topology_matches_reference_scan(name):
+    mesh = TOPOLOGY_MESHES[name]()
+    edges, fmap, v2c, adj, cell_edges, cell_facets = reference_topology(mesh)
+    n = mesh.num_vertices
+
+    assert [tuple(e) for e in mesh.edges().tolist()] == edges
+    assert [[tuple(e) for e in mesh.edges()[row].tolist()]
+            for row in mesh.cell_edges] == cell_edges
+    e = mesh.edges()
+    assert mesh.edge_index(e[:, 1], e[:, 0]).tolist() == list(range(len(e)))
+    far = min(set(range(1, n)) - adj[0])
+    with pytest.raises(MeshError, match="not mesh edges"):
+        mesh.edge_index(0, far)
+
+    assert [f for f, _ in mesh.boundary_facets] == \
+        [f for f, cs in fmap.items() if len(cs) == 1]
+    assert [tuple(f) for f in mesh.facets.tolist()] == sorted(fmap)
+    assert mesh.facet_cells.tolist() == \
+        [fmap[f] + [-1] * (2 - len(fmap[f])) for f in sorted(fmap)]
+    assert [[tuple(f) for f in mesh.facets[row].tolist()]
+            for row in mesh.cell_facets] == cell_facets
+
+    assert [mesh.cells_of(v).tolist() for v in range(n)] == \
+        [v2c.get(v, []) for v in range(n)]
+    assert [mesh.neighbours(v).tolist() for v in range(n)] == \
+        [sorted(adj.get(v, ())) for v in range(n)]
+
+    if mesh.dim == 2:
+        for v in mesh.interior_vertices():
+            nbrs = np.array(sorted(adj[int(v)]))
+            rel = mesh.vertices[nbrs] - mesh.vertices[v]
+            ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2 * np.pi)
+            ring, angles = mesh.ccw_ring(v)
+            assert ring.tolist() == \
+                [w for _, w in sorted(zip(ang.tolist(), nbrs.tolist()))]
+            assert angles.tolist() == sorted(ang.tolist())

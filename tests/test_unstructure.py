@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from stokestab.mesh import gen_structured_tri, gen_zigzag, gen_perturbed
+from stokestab.mesh import (MeshError, gen_structured_tri, gen_zigzag,
+                            gen_perturbed, gen_quad_macro)
 from stokestab.unstructure import (
     UnstructureConfig, apply_algorithm1, verify_uniform,
 )
@@ -90,3 +91,13 @@ def test_repair_restores_infsup():
     assert infsup_constant(mesh, "p1b-p1:p1", k=1).beta <= 1e-7
     out = apply_algorithm1(mesh, UnstructureConfig(r=0.15, axis="y"))
     assert infsup_constant(out, "p1b-p1:p1", k=1).beta >= 0.01
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: gen_perturbed(m, 0.1, seed=1),
+    lambda m: apply_algorithm1(m, UnstructureConfig(r=0.2)),
+    lambda m: verify_uniform(m, UnstructureConfig(r=0.2)),
+], ids=["gen_perturbed", "apply_algorithm1", "verify_uniform"])
+def test_quadrilateral_mesh_rejected(call):
+    with pytest.raises(MeshError, match="expects a triangular mesh"):
+        call(gen_quad_macro())
