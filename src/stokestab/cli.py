@@ -48,23 +48,24 @@ def cmd_analyze(args):
     mesh = load_msh(args.mesh)
     combos = _combo_list(args.combo)
     header, rows = structure_report(mesh, combos)
+    agree = 0
     if args.oracle:
-        macros = build_macroelements(mesh)
+        verdicts = [header.index(f"verdict_{combo}") for combo in combos]
         for combo in combos:
             header.append(f"dim_{combo}")
             header.append(f"agree_{combo}")
-        for macro, row in zip(macros, rows):
-            for k, combo in enumerate(combos):
+        for macro, row in zip(build_macroelements(mesh), rows):
+            all_agree = True
+            for combo, col in zip(combos, verdicts):
                 dim = local_nullspace(macro, combo).dim
-                predicted = row[9 + k]
-                row.append(dim)
-                row.append(int((predicted == "regular") == (dim == 0)))
+                same = (row[col] == "regular") == (dim == 0)
+                row += [dim, int(same)]
+                all_agree &= same
+            agree += all_agree
     write_csv(args.out, header, rows)
     n = len(rows)
     print(f"analyzed {n} macro-elements -> {args.out}")
     if args.oracle and n:
-        agree = sum(all(r[9 + len(combos) + 2 * k + 1] for k in
-                        range(len(combos))) for r in rows)
         print(f"oracle agreement on {agree}/{n} macro-elements")
         if agree != n:
             return 1

@@ -13,6 +13,7 @@ exactness is verified against closed-form monomial integrals in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -220,6 +221,8 @@ class QuadratureRule:
 
     def __post_init__(self):
         assert abs(self.weights.sum() - 1.0) < 1e-12
+        self.points.setflags(write=False)
+        self.weights.setflags(write=False)
 
 
 def _gauss01(n):
@@ -234,13 +237,15 @@ def _jacobi01(n, alpha):
     return 0.5 * (x + 1.0), w / 2.0 ** (alpha + 1)
 
 
+@lru_cache(maxsize=None)
 def quadrature(cell_kind, exact_degree):
     """Quadrature rule of the requested polynomial exactness.
 
     Degree 1 on simplices is the vertex (mass-lumping) rule; degree 2 on
     triangles is the edge-midpoint rule; degree 1 on rectangles the corner
     trapezoidal rule (exact on Q1).  Everything else is a conical-product /
-    tensor Gauss rule.
+    tensor Gauss rule.  Rules are computed once and shared, so their points
+    and weights are read-only.
     """
     d = int(exact_degree)
     if d < 1:

@@ -1,11 +1,16 @@
 """Numeric stability ground truth: local nullspaces, witness pressures,
 global spurious modes and the discrete inf-sup constant.
 
-The local oracle assembles, for one macro-element, the divergence pairing
+The local oracle takes, for one macro-element, the divergence pairing
 between pressures and velocities that vanish on the macro boundary, and
 counts the singular values of that matrix restricted to the complement of
 constant pressures.  A macro is numerically regular exactly when that count
 is zero, which is what the closed-form predicates are validated against.
+The pairing is a slice of the divergence operator assembled once per mesh
+and combination and kept on the mesh: its rows are the star's vertices and
+its columns the velocity dofs off the domain boundary whose cells all lie
+in the star.  The star's pressure mass sums the element mass matrices of
+its cells.
 
 The global constant is beta_h = sqrt(lambda_min) of the pressure Schur
 complement pencil  B A^-1 B^T q = lambda Mp q  with the constant pressure
@@ -25,8 +30,9 @@ import scipy.sparse.linalg as spla
 
 from .fespace import FECombo, FESpaceError, build_dofmap, P1, P1B, P2, Q1, Q2
 from .macroelement import predict_regularity
-from .mesh import Mesh, MeshError, TRIANGLE, TETRAHEDRON, QUADRILATERAL
-from .stokes import assemble, operator_matrix, StokesError
+from .mesh import MeshError, TRIANGLE, TETRAHEDRON, QUADRILATERAL
+from .stokes import (assemble, element_matrices, operator_matrix,
+                     StokesError)
 
 
 @dataclass
@@ -47,36 +53,61 @@ class InfSupResult:
     n_pressure: int = 0
 
 
-def star_submesh(macro):
-    """Standalone mesh of the macro star; vertex 0 is the center, then the
-    ring in stored order."""
-    mesh = macro.mesh
-    order = macro.vertex_ids()
-    remap = {int(v): k for k, v in enumerate(order)}
-    verts = mesh.vertices[order]
-    cells = [[remap[int(v)] for v in mesh.cells[ci]] for ci in macro.cells]
-    return Mesh(mesh.dim, mesh.cell_kind, verts, cells)
-
-
 _LOCAL_QDEG = {TRIANGLE: 5, TETRAHEDRON: 6, QUADRILATERAL: 5}
 
 
-def _local_divergence(macro, combo):
-    """Pressure x interior-velocity pairing matrix on the star."""
-    sub = star_submesh(macro)
-    if combo.dim != sub.dim:
-        raise FESpaceError(f"combo {combo} does not match a {sub.dim}D macro")
-    qdeg = _LOCAL_QDEG[sub.cell_kind]
-    p_dm = build_dofmap(sub, combo.pressure)
-    blocks = []
-    for k, tag in enumerate(combo.velocity):
-        dm = build_dofmap(sub, tag)
-        Bk = operator_matrix(sub, p_dm, dm, "deriv", qdeg, deriv_axis=k)
-        interior = ~dm.boundary_mask
-        assert interior.any(), "macro-element with no interior velocity dofs"
-        blocks.append(Bk[:, interior])
-    Mp = operator_matrix(sub, p_dm, p_dm, "mass", qdeg)
-    return sp.hstack(blocks, format="csr"), Mp, sub
+@dataclass(frozen=True)
+class _Divergence:
+    """One combination's divergence operator on a whole mesh, with the dof
+    incidence the local oracle slices stars out of it by."""
+    B: sp.csr_matrix        # pressure rows x velocity columns, by component
+    cell_cols: np.ndarray   # (cells, local) velocity columns of each cell
+    col_cells: np.ndarray   # cells holding each velocity column, 0 for the
+                            # columns on the domain boundary
+    offsets: np.ndarray     # first column of each component, then the total
+    p_mass: np.ndarray      # (cells, k, k) pressure element mass matrices
+
+
+def _divergence(mesh, combo):
+    qdeg = _LOCAL_QDEG[mesh.cell_kind]
+    p_dm = build_dofmap(mesh, combo.pressure)
+    vel = [build_dofmap(mesh, tag) for tag in combo.velocity]
+    offsets = np.cumsum([0] + [dm.n_dofs for dm in vel])
+    B = sp.hstack([operator_matrix(mesh, p_dm, dm, "deriv", qdeg, deriv_axis=k)
+                   for k, dm in enumerate(vel)], format="csr")
+    cell_cols = np.hstack([dm.cell_dofs + off for dm, off in zip(vel, offsets)])
+    col_cells = np.bincount(cell_cols.ravel(), minlength=offsets[-1])
+    col_cells[np.concatenate([dm.boundary_mask for dm in vel])] = 0
+    return _Divergence(B, cell_cols, col_cells, offsets, element_matrices(
+        mesh, p_dm.space, p_dm.space, "mass", qdeg))
+
+
+def _local_pairing(macro, combo):
+    """Pressure x interior-velocity pairing on the star and the star's
+    pressure mass matrix, rows and columns in vertex_ids() order.
+
+    The pairing is a slice of the divergence operator assembled once per
+    mesh and combination: a velocity dof is interior to the star when it is
+    off the domain boundary and every cell holding it is a star cell.
+    """
+    mesh = macro.mesh
+    if combo.dim != mesh.dim:
+        raise FESpaceError(f"combo {combo} does not match a {mesh.dim}D macro")
+    if combo.pressure not in (P1, Q1):
+        raise FESpaceError(f"the local oracle needs a vertex pressure (p1 or "
+                           f"q1), got {combo.pressure}")
+    op = mesh.derived(("divergence", combo), lambda: _divergence(mesh, combo))
+    cols, held = np.unique(op.cell_cols[macro.cells], return_counts=True)
+    cols = cols[held == op.col_cells[cols]]
+    assert np.all(np.diff(np.searchsorted(cols, op.offsets)) > 0), \
+        "macro-element with no interior velocity dofs"
+    ids = macro.vertex_ids()
+    order = np.argsort(ids)
+    local = order[np.searchsorted(ids, mesh.cells[macro.cells], sorter=order)]
+    Mp = np.zeros((len(ids), len(ids)))
+    np.add.at(Mp, (local[:, :, None], local[:, None, :]),
+              op.p_mass[macro.cells])
+    return op.B[ids][:, cols], Mp
 
 
 def local_nullspace(macro, combo, floor=1e-10):
@@ -88,7 +119,7 @@ def local_nullspace(macro, combo, floor=1e-10):
     """
     if isinstance(combo, str):
         combo = FECombo.parse(combo)
-    B, Mp, sub = _local_divergence(macro, combo)
+    B, Mp = _local_pairing(macro, combo)
     n_p = B.shape[0]
     mp1 = np.asarray(Mp @ np.ones(n_p))
     q, _ = np.linalg.qr(np.column_stack([mp1, np.eye(n_p)[:, :-1]]))
@@ -327,8 +358,11 @@ def infsup_constant(mesh, combo, k=5, dense_limit=1200):
         lu_piv = sla.lu_factor(C)
         op = spla.LinearOperator((n_p, n_p),
                                  matvec=lambda x: sla.lu_solve(lu_piv, x))
+        # a fixed start vector: ARPACK's own is random and changes the
+        # trailing digits from one call to the next
+        v0 = np.random.default_rng(0).standard_normal(n_p)
         try:
-            vals = spla.eigsh(Sd, k=k, M=Mp, sigma=-delta, OPinv=op,
+            vals = spla.eigsh(Sd, k=k, M=Mp, sigma=-delta, OPinv=op, v0=v0,
                               which="LM", return_eigenvectors=False)
         except spla.ArpackNoConvergence as exc:
             vals = np.sort(exc.eigenvalues)

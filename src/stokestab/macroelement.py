@@ -354,6 +354,7 @@ def _semi_planes(macro, axis, tol, angle_tol=1e-9):
     """
     mesh = macro.mesh
     q0 = macro.q0
+    diam = macro.diameter()
     b, c = [k for k in range(3) if k != axis]
     flat_faces = []   # (cells pair, list of directions)
     nonflat = []
@@ -362,12 +363,11 @@ def _semi_planes(macro, axis, tol, angle_tol=1e-9):
         u1 = mesh.vertices[others[0]][[b, c]] - q0[[b, c]]
         u2 = mesh.vertices[others[1]][[b, c]] - q0[[b, c]]
         det = u1[0] * u2[1] - u1[1] * u2[0]
-        scale = macro.diameter() ** 2
-        if abs(det) > tol * scale:
+        if abs(det) > tol * diam ** 2:
             nonflat.append(pair)
             continue
         n1, n2 = np.linalg.norm(u1), np.linalg.norm(u2)
-        eps = tol * macro.diameter()
+        eps = tol * diam
         if n1 <= eps and n2 <= eps:
             nonflat.append(pair)  # degenerate trace, cannot define a side
             continue

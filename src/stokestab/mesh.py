@@ -145,6 +145,8 @@ class Mesh:
     `edges()`, `cell_edges`, `facets`, `cell_facets`, `facet_cells` and the
     CSR incidences `vertex_cells`, `vertex_neighbours`; `cells_of`,
     `neighbours`, `edge_index`, `ccw_ring` and `safe_move` read it.
+    `derived(key, build)` keeps other data computed from the mesh, such as
+    the operators the local oracle slices.
     """
 
     def __init__(self, dim, cell_kind, vertices, cells, boundary_facets=None):
@@ -290,6 +292,15 @@ class Mesh:
             scale *= 0.5
         coords[v, axis] = x0
         return 0.0
+
+    def derived(self, key, build):
+        """build(), computed once per key and kept on this mesh like the
+        topology above: for data that depends on the mesh alone, such as
+        operators assembled on it."""
+        store = self.__dict__.setdefault("_derived", {})
+        if key not in store:
+            store[key] = build()
+        return store[key]
 
     def boundary_vertex_mask(self):
         mask = np.zeros(self.num_vertices, dtype=bool)

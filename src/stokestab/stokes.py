@@ -72,10 +72,18 @@ def operator_matrix(mesh, row_dm, col_dm, kind, qdeg, deriv_axis=None):
     on the same space; 'deriv': (phi_row, d_axis phi_col), the pressure-row /
     velocity-column divergence block.
     """
+    elmats = element_matrices(mesh, row_dm.space, col_dm.space, kind, qdeg,
+                              deriv_axis)
+    return _scatter(row_dm.cell_dofs, col_dm.cell_dofs, elmats,
+                    (row_dm.n_dofs, col_dm.n_dofs))
+
+
+def element_matrices(mesh, row_space, col_space, kind, qdeg, deriv_axis=None):
+    """(cells, row local dofs, col local dofs) blocks of operator_matrix."""
     rule = quadrature(mesh.cell_kind, qdeg)
     _, invJT, meas = cell_geometry(mesh)
-    rv, rg = eval_basis(row_dm.space, mesh.cell_kind, rule.points)
-    cv, cg = eval_basis(col_dm.space, mesh.cell_kind, rule.points)
+    rv, rg = eval_basis(row_space, mesh.cell_kind, rule.points)
+    cv, cg = eval_basis(col_space, mesh.cell_kind, rule.points)
     w = rule.weights
 
     if kind == "mass":
@@ -86,13 +94,12 @@ def operator_matrix(mesh, row_dm, col_dm, kind, qdeg, deriv_axis=None):
         elmats = np.einsum("q,cqik,cqjk->cij", w, gphys, gphys)
         elmats *= meas[:, None, None]
     elif kind == "deriv":
-        gphys = np.einsum("ckd,qid->cqik", invJT, cg)
-        elmats = np.einsum("q,qi,cqj->cij", w, rv, gphys[:, :, :, deriv_axis])
+        gaxis = np.einsum("cd,qid->cqi", invJT[:, deriv_axis], cg)
+        elmats = np.einsum("q,qi,cqj->cij", w, rv, gaxis)
         elmats *= meas[:, None, None]
     else:
         raise ValueError(kind)
-    return _scatter(row_dm.cell_dofs, col_dm.cell_dofs, elmats,
-                    (row_dm.n_dofs, col_dm.n_dofs))
+    return elmats
 
 
 def load_vector(mesh, dm, fn, qdeg=7):

@@ -65,6 +65,15 @@ def test_vertex_rule_matches_hand_value():
     assert np.isclose(approx, 1 / 6)
 
 
+def test_quadrature_rules_are_shared_and_read_only():
+    rule = quadrature("tetrahedron", 6)
+    assert quadrature("tetrahedron", 6) is rule
+    with pytest.raises(ValueError, match="read-only"):
+        rule.points[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        rule.weights[0] = 0.5
+
+
 def test_midpoint_rule_exact_on_x_squared():
     rule = quadrature("triangle", 2)
     approx = 0.5 * float(rule.weights @ rule.points[:, 0] ** 2)

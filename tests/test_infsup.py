@@ -1,7 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
-from stokestab.mesh import gen_structured_tri, gen_zigzag, gen_quad_macro
+from stokestab.fespace import FECombo, FESpaceError, build_dofmap
+from stokestab.mesh import (Mesh, gen_extruded_tet, gen_perturbed,
+                            gen_quad_macro, gen_structured_cube,
+                            gen_structured_tri, gen_zigzag)
 from stokestab.macroelement import build_macroelements, predict_regularity
 from stokestab.fixtures import (
     star_macro_2d, symmetric_hexagon, random_star_2d, random_s_zero_star,
@@ -11,7 +18,8 @@ from stokestab.infsup import (
     local_nullspace, nullspace_residual, analytic_singular_pressure,
     global_counterexample, infsup_constant,
 )
-from stokestab.stokes import assemble, StokesError
+from stokestab.scenarios import decay_family_mesh, unstructured_family_mesh
+from stokestab.stokes import assemble, operator_matrix, StokesError
 
 RING_Y_STRUCTURED = [(2, 0), (0.2, 1.8), (-2, 0), (-0.5, -1.8), (1.5, -1.8)]
 RING_UNSTRUCTURED = [(2, 0.9), (-0.5, 1.8), (-2.5, -0.45), (-0.5, -1.8),
@@ -124,6 +132,105 @@ def test_quad_macro_asymmetric_widths():
 
 
 # ----------------------------------------------------------------------
+# the local oracle against a from-scratch assembly on the star alone
+# ----------------------------------------------------------------------
+
+def reference_star_oracle(macro, combo, floor=1e-10):
+    """Local oracle on a standalone mesh of the star (center, then ring):
+    the pairing of its pressures with the velocity dofs off the star's own
+    boundary, and its pressure mass.  Returns the pairing, the mass, the
+    singular values of the pairing deflated of constants and an orthonormal
+    basis of its nullspace as columns."""
+    mesh = macro.mesh
+    ids = macro.vertex_ids()
+    local = np.empty(mesh.num_vertices, dtype=np.int64)
+    local[ids] = np.arange(len(ids))
+    star = Mesh(mesh.dim, mesh.cell_kind, mesh.vertices[ids],
+                local[mesh.cells[macro.cells]])
+    qdeg = {"triangle": 5, "tetrahedron": 6, "quadrilateral": 5}[
+        mesh.cell_kind]
+    p_dm = build_dofmap(star, combo.pressure)
+    blocks = []
+    for k, tag in enumerate(combo.velocity):
+        dm = build_dofmap(star, tag)
+        Bk = operator_matrix(star, p_dm, dm, "deriv", qdeg, deriv_axis=k)
+        blocks.append(Bk[:, ~dm.boundary_mask])
+    B = sp.hstack(blocks, format="csr")
+    Mp = operator_matrix(star, p_dm, p_dm, "mass", qdeg).toarray()
+    n_p = len(ids)
+    q, _ = np.linalg.qr(np.column_stack([Mp.sum(axis=1),
+                                         np.eye(n_p)[:, :-1]]))
+    V = q[:, 1:]
+    _, s, Vt = np.linalg.svd(B.T @ V, full_matrices=False)
+    return B, Mp, s, V @ Vt[s <= floor * s.max()].T
+
+
+def _combos(kind):
+    spaces, pressure, dim = {"triangle": (("p1", "p1b", "p2"), "p1", 2),
+                             "tetrahedron": (("p1", "p1b"), "p1", 3),
+                             "quadrilateral": (("q1", "q2"), "q1", 2)}[kind]
+    return [FECombo(vel, pressure)
+            for vel in itertools.product(spaces, repeat=dim)]
+
+
+ORACLE_MESHES = {
+    "structured": lambda: gen_structured_tri(4, 3),
+    "zigzag": lambda: gen_zigzag(4, 4),
+    "perturbed": lambda: gen_perturbed(gen_structured_tri(4, 4), 0.05, seed=3),
+    "repaired": lambda: unstructured_family_mesh(2, seed=1),
+    "extruded-tet": lambda: gen_extruded_tet(gen_zigzag(3, 3), 2, 1.0),
+    "kuhn-cube": lambda: gen_structured_cube(3, 2, 2),
+    "quad-macro": lambda: gen_quad_macro((0.5, 1.5), (2.0, 0.25)),
+}
+
+
+def assert_oracle_matches_reference(macro, combo):
+    ns = local_nullspace(macro, combo)
+    B, Mp, s, null = reference_star_oracle(macro, combo)
+    assert ns.matrix.shape == B.shape, (macro.center, combo)
+    assert ns.dim == null.shape[1], (macro.center, combo)
+    assert np.abs(ns.singular_values - s).max() <= 1e-12 * s.max()
+    assert ns.pressure_vertices.tolist() == macro.vertex_ids().tolist()
+    if ns.dim:
+        assert sla.subspace_angles(ns.basis.T, null).max() <= 1e-9
+        mass = np.einsum("ij,jk,ik->i", ns.basis, Mp, ns.basis)
+        assert np.allclose(mass, 1.0, rtol=1e-12, atol=0)
+        for p in null.T:
+            assert nullspace_residual(ns, p) <= 1e-11
+    return ns
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_local_nullspace_matches_star_assembly(name):
+    mesh = ORACLE_MESHES[name]()
+    macros = build_macroelements(mesh)
+    assert macros
+    for combo in _combos(mesh.cell_kind):
+        for macro in macros:
+            assert_oracle_matches_reference(macro, combo)
+
+
+def test_local_nullspace_excludes_boundary_ring_edges():
+    # every ring edge of the one interior vertex lies on the domain
+    # boundary, so its P2 midpoint has all of its cells in the star and is
+    # still not an interior dof
+    macro, = build_macroelements(gen_structured_tri(2, 2))
+    for combo in ("p2-p1:p1", "p1-p2:p1", "p2-p2:p1"):
+        combo = FECombo.parse(combo)
+        ns = assert_oracle_matches_reference(macro, combo)
+        n_p2 = combo.velocity.count("p2")
+        assert ns.matrix.shape == (1 + macro.n_v, 2 + n_p2 * macro.n_v)
+
+
+def test_local_nullspace_rejects_unsupported_combos():
+    macro = star_macro_2d(RING_UNSTRUCTURED)
+    with pytest.raises(FESpaceError, match="vertex pressure"):
+        local_nullspace(macro, "p1b-p1:p0")
+    with pytest.raises(FESpaceError, match="does not match a 2D macro"):
+        local_nullspace(macro, "p1-p1-p1b:p1")
+
+
+# ----------------------------------------------------------------------
 # 3D local oracle
 # ----------------------------------------------------------------------
 
@@ -227,3 +334,9 @@ def test_infsup_h_independence_stable_family():
         mesh = gen_zigzag(n, n)
         betas.append(infsup_constant(mesh, "p1b-p1:p1", k=1).beta)
     assert max(betas) / min(betas) <= 2.0
+
+
+def test_infsup_lanczos_path_is_reproducible():
+    mesh = decay_family_mesh(2)
+    a, b = (infsup_constant(mesh, "p2-p1:p1", dense_limit=0) for _ in range(2))
+    assert a.spectrum.tobytes() == b.spectrum.tobytes()

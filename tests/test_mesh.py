@@ -355,3 +355,18 @@ def test_topology_matches_reference_scan(name):
             assert ring.tolist() == \
                 [w for _, w in sorted(zip(ang.tolist(), nbrs.tolist()))]
             assert angles.tolist() == sorted(ang.tolist())
+
+
+def test_derived_data_is_built_once_per_mesh():
+    mesh = gen_structured_tri(2, 2)
+    calls = []
+
+    def build():
+        calls.append(1)
+        return len(calls)
+
+    assert mesh.derived("k", build) == 1
+    assert mesh.derived("k", build) == 1
+    assert mesh.derived("other", build) == 2
+    moved = mesh.replace_vertices(mesh.vertices * 2.0)
+    assert moved.derived("k", build) == 3
