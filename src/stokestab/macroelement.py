@@ -92,10 +92,16 @@ class RegularityVerdict:
 def build_macroelements(mesh):
     """One MacroElement per interior vertex.
 
-    Also checks that every cell touches at least one interior vertex; cells
-    that do not are reported with a warning because such meshes cannot be
-    covered by vertex-centered macro-elements.
+    The list is built once per mesh and kept on it (`Mesh.derived`), so
+    every caller on the same mesh shares it.  Building also checks that
+    every cell touches at least one interior vertex; cells that do not are
+    reported with a warning because such meshes cannot be covered by
+    vertex-centered macro-elements.
     """
+    return mesh.derived("macroelements", lambda: _build_macroelements(mesh))
+
+
+def _build_macroelements(mesh):
     interior = mesh.interior_vertices()
     covered = (~mesh.boundary_vertex_mask()[mesh.cells]).any(axis=1)
     if not covered.all():

@@ -103,10 +103,14 @@ def run_test1(out_dir, seed=42, check=False, eps=1e-10, **kw):
     vtk = os.path.join(out_dir, "test1_cavity.vtk")
     save_vtk(mesh, {"u": sol.velocity[0][:nv], "v": sol.velocity[1][:nv],
                     "p": sol.pressure}, vtk)
-    int_p = sol.diagnostics["int_p"]
+    diag = sol.diagnostics
+    int_p = diag["int_p"]
     summary = [f"herringbone 15x15 cavity, p1b-p1:p1, eps={eps:g}, seed={seed}",
                f"mean pressure int_p = {int_p:.6e}",
-               f"solver residual = {sol.diagnostics['residual']:.2e}"]
+               f"solver residual = {diag['residual']:.2e}",
+               f"saddle system: {diag['unknowns']} unknowns, "
+               f"{diag['condensed']} bubbles condensed, "
+               f"L+U fill {diag['lu_fill']}"]
     checks = []
     if check:
         cfg = load_thresholds()
@@ -116,6 +120,23 @@ def run_test1(out_dir, seed=42, check=False, eps=1e-10, **kw):
     return ScenarioResult("test1", summary, [vtk], checks)
 
 
+def _edge_jump(mesh, p):
+    """Mean absolute pressure difference along mesh edges: the roughness
+    that the layered oscillation makes large."""
+    e = mesh.edges()
+    return float(np.mean(np.abs(p[e[:, 0]] - p[e[:, 1]])))
+
+
+def _oscillation_check(name, jumps, summary, check):
+    """Summary line and gate of the structured/unstructured jump ratio."""
+    ratio = jumps["structured"] / jumps["unstructured"]
+    summary.append(f"  oscillation ratio structured/unstructured = {ratio:.2f}")
+    if not check:
+        return []
+    lim = _th(load_thresholds(), name, "min_oscillation_ratio")
+    return [Check(f"oscillation_ratio>={lim:g}", ratio, ratio >= lim)]
+
+
 def run_test2(out_dir, seed=42, check=False, eps=1e-10, **kw):
     """Traction-driven cavity on an unstructured and a structured mesh; the
     structured pressure develops the alternating-layer oscillations."""
@@ -123,7 +144,7 @@ def run_test2(out_dir, seed=42, check=False, eps=1e-10, **kw):
     summary = [f"traction lid cavity, p1b-p1:p1, seed={seed}"]
     meshes = {"unstructured": unstructured_family_mesh(4, seed),
               "structured": gen_structured_tri(16, 16)}
-    rough = {}
+    jumps = {}
     for tag, mesh in meshes.items():
         sys = cavity_problem(mesh, "p1b-p1:p1", "neumann_lid")
         sol = solve_penalized(sys, eps)
@@ -132,17 +153,10 @@ def run_test2(out_dir, seed=42, check=False, eps=1e-10, **kw):
         save_vtk(mesh, {"u": sol.velocity[0][:nv], "v": sol.velocity[1][:nv],
                         "p": sol.pressure}, path)
         artifacts.append(path)
-        # vertical roughness of the pressure: mean absolute second
-        # difference along mesh edges, large for the layered oscillation
-        p = sol.pressure
-        diffs = []
-        for a, b in mesh.edges():
-            diffs.append(abs(p[a] - p[b]))
-        rough[tag] = float(np.mean(diffs))
-        summary.append(f"  {tag}: mean edge pressure jump {rough[tag]:.3f}")
-    summary.append("  oscillation ratio structured/unstructured = "
-                   f"{rough['structured'] / rough['unstructured']:.2f}")
-    return ScenarioResult("test2", summary, artifacts, [])
+        jumps[tag] = _edge_jump(mesh, sol.pressure)
+        summary.append(f"  {tag}: mean edge pressure jump {jumps[tag]:.3f}")
+    checks = _oscillation_check("test2", jumps, summary, check)
+    return ScenarioResult("test2", summary, artifacts, checks)
 
 
 def _convergence_scenario(name, combo, out_dir, seed, check, levels, section):
@@ -159,11 +173,12 @@ def _convergence_scenario(name, combo, out_dir, seed, check, levels, section):
     checks = []
     if check:
         cfg = load_thresholds()
+        # configparser folds option names to lower case: fold the order
+        # names the same way and look each key (order_l2_u_min, ...) up
+        by_name = {k.lower(): v for k, v in last.items()}
         for key in cfg[section]:
-            # keys look like order_l2_u_min / order_l2_u_max
             base, kind = key.rsplit("_", 1)
-            val = last["order_" + base.removeprefix("order_")
-                       .replace("l2", "L2").replace("h1", "H1")]
+            val = by_name[base]
             lim = _th(cfg, section, key)
             ok = val >= lim if kind == "min" else val <= lim
             checks.append(Check(f"{key}({lim:g})", float(val), ok))
@@ -305,6 +320,7 @@ def run_test9(out_dir, seed=42, check=False, eps=1e-10, **kw):
     """Quadratic-velocity cavity on unstructured and structured meshes."""
     artifacts = []
     summary = [f"cavity with p2-p1:p1, seed={seed}"]
+    jumps = {}
     for tag, mesh in [("unstructured", unstructured_family_mesh(4, seed)),
                       ("structured", gen_structured_tri(16, 16))]:
         sys = cavity_problem(mesh, "p2-p1:p1", "dirichlet_lid")
@@ -312,10 +328,10 @@ def run_test9(out_dir, seed=42, check=False, eps=1e-10, **kw):
         path = os.path.join(out_dir, f"test9_{tag}.vtk")
         save_vtk(mesh, {"p": sol.pressure}, path)
         artifacts.append(path)
-        p = sol.pressure
-        jump = float(np.mean([abs(p[a] - p[b]) for a, b in mesh.edges()]))
-        summary.append(f"  {tag}: mean edge pressure jump {jump:.3f}")
-    return ScenarioResult("test9", summary, artifacts, [])
+        jumps[tag] = _edge_jump(mesh, sol.pressure)
+        summary.append(f"  {tag}: mean edge pressure jump {jumps[tag]:.3f}")
+    checks = _oscillation_check("test9", jumps, summary, check)
+    return ScenarioResult("test9", summary, artifacts, checks)
 
 
 def run_q2q1q1(out_dir, seed=42, check=False, **kw):

@@ -8,7 +8,8 @@ which fixes the pressure constant; the assembled system
     [ A   -B^T ] [w]   [f]
     [ -B  -eps*Mp ] [p] = [g]
 
-is symmetric indefinite and solved by a direct sparse factorization.
+is symmetric indefinite and solved by a direct sparse factorization, after
+the cell bubbles of P1b components are eliminated cellwise.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import FECombo, DofMap, build_dofmap, eval_basis, quadrature, P2
+from .fespace import (FECombo, DofMap, build_dofmap, eval_basis, quadrature,
+                      P1B, P2)
 from .mesh import Mesh, StokestabError, TRIANGLE, TETRAHEDRON, TOP, write_csv
 
 
@@ -90,8 +92,8 @@ def element_matrices(mesh, row_space, col_space, kind, qdeg, deriv_axis=None):
         elm = np.einsum("q,qi,qj->ij", w, rv, cv)
         elmats = meas[:, None, None] * elm[None, :, :]
     elif kind == "stiffness":
-        gphys = np.einsum("ckd,qid->cqik", invJT, cg)
-        elmats = np.einsum("q,cqik,cqjk->cij", w, gphys, gphys)
+        gphys = np.einsum("ckd,qid->cqik", invJT, cg, optimize=True)
+        elmats = np.einsum("q,cqik,cqjk->cij", w, gphys, gphys, optimize=True)
         elmats *= meas[:, None, None]
     elif kind == "deriv":
         gaxis = np.einsum("cd,qid->cqi", invJT[:, deriv_axis], cg)
@@ -109,9 +111,11 @@ def load_vector(mesh, dm, fn, qdeg=7):
     vals, _ = eval_basis(dm.space, mesh.cell_kind, rule.points)
     v0 = mesh.vertices[mesh.cells[:, 0]]
     out = np.zeros(dm.n_dofs)
-    xq = np.einsum("cdk,qk->cqd", J, rule.points) + v0[:, None, :]
+    xq = np.einsum("cdk,qk->cqd", J, rule.points, optimize=True) \
+        + v0[:, None, :]
     fq = fn(xq.reshape(-1, mesh.dim)).reshape(len(meas), len(rule.points))
-    contrib = np.einsum("q,cq,qi->ci", rule.weights, fq, vals) * meas[:, None]
+    contrib = np.einsum("q,cq,qi->ci", rule.weights, fq, vals,
+                        optimize=True) * meas[:, None]
     np.add.at(out, dm.cell_dofs, contrib)
     return out
 
@@ -284,11 +288,31 @@ def boundary_flux(sys, velocity):
     return math.fsum(terms)
 
 
+def _bubble_mask(sys):
+    """True at the cell dofs of the P1b velocity components."""
+    mask = np.zeros(sys.n_velocity, dtype=bool)
+    for off, dm in zip(sys.offsets, sys.vel_dofmaps):
+        if dm.space == P1B:
+            mask[off + dm.cell_dofs[:, -1]] = True
+    return mask
+
+
 def solve_penalized(sys, eps=1e-10):
     """Direct solve of the penalized saddle system.
 
-    Reports the mean pressure (expected O(eps)) and the relative residual of
-    the assembled equations in the diagnostics.
+    The cell bubbles of P1b components are eliminated before the sparse LU
+    (the MINI <-> stabilized P1-P1 equivalence of Arnold, Brezzi & Fortin):
+    each bubble couples only to its own cell, so the bubble block of the
+    saddle matrix is diagonal and the Schur complement stays inside the
+    pattern of the other unknowns.  The bubbles are recovered cellwise after
+    the solve.  Without bubbles the LU factorizes the saddle matrix itself.
+
+    Reports the mean pressure (expected O(eps)), the relative residual of
+    the full assembled equations, the order of that system (`unknowns`), the
+    number of bubbles eliminated (`condensed`) and the L+U fill of the
+    factorization (`lu_fill`, the entries SuperLU stores for both factors;
+    exporting `lu.L` and `lu.U` to count them would copy the factors) in the
+    diagnostics.
     """
     if eps <= 0:
         raise StokesError("penalization parameter must be positive")
@@ -302,16 +326,36 @@ def solve_penalized(sys, eps=1e-10):
     gC = g[~free]
     f_f = sys.rhs[free] - Afc @ gC
     rhs2 = Bc @ gC
-    K = sp.bmat([[Aff, -Bf.T], [-Bf, -eps * Mp]], format="csc")
+    K = sp.bmat([[Aff, -Bf.T], [-Bf, -eps * Mp]], format="csr")
     rhs = np.concatenate([f_f, rhs2])
+    nf = int(free.sum())
+
+    bub = np.zeros(len(rhs), dtype=bool)
+    bub[:nf] = _bubble_mask(sys)[free]
+    rest = ~bub
+    Kb, Kr = K[bub], K[rest]
+    Kbb, Kbr, Krb = Kb[:, bub], Kb[:, rest], Kr[:, bub]
+    d = Kbb.diagonal()
+    if np.any(d <= 0) or Kbb.count_nonzero() > np.count_nonzero(d):
+        raise StokesError("the bubble block of the saddle matrix is not a "
+                          "positive diagonal")
+    # sum the Schur update as COO triplets: explicit zeros of K stay in the
+    # pattern, so without bubbles the LU sees exactly K
+    Krr = Kr[:, rest].tocoo()
+    upd = (Krb @ sp.diags(-1.0 / d) @ Kbr).tocoo()
+    Kc = sp.csc_matrix((np.concatenate([Krr.data, upd.data]),
+                        (np.concatenate([Krr.row, upd.row]),
+                         np.concatenate([Krr.col, upd.col]))),
+                       shape=Krr.shape)
     try:
-        lu = spla.splu(K)
+        lu = spla.splu(Kc)
     except RuntimeError as exc:
         raise StokesError(
             "singular saddle factorization (the penalized system should be "
             "regular; check assembly and boundary conditions)") from exc
-    x = lu.solve(rhs)
-    nf = int(free.sum())
+    x = np.empty_like(rhs)
+    x[rest] = lu.solve(rhs[rest] - Krb @ (rhs[bub] / d))
+    x[bub] = (rhs[bub] - Kbr @ x[rest]) / d
     wf, p = x[:nf], x[nf:]
     resid = np.linalg.norm(K @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
 
@@ -332,7 +376,10 @@ def solve_penalized(sys, eps=1e-10):
     p = p + (target - float(ones @ (Mp @ p))) / float(ones @ mp1) * ones
     int_p = float(ones @ (Mp @ p))
     return Solution(velocity, p, {"int_p": int_p, "residual": float(resid),
-                                  "flux": flux, "eps": eps})
+                                  "flux": flux, "eps": eps,
+                                  "unknowns": len(rhs),
+                                  "condensed": int(bub.sum()),
+                                  "lu_fill": int(lu.nnz)})
 
 
 # ----------------------------------------------------------------------
@@ -387,18 +434,21 @@ def _field_errors(mesh, dm, dofs, exact, exact_grad, qdeg=7):
     J, invJT, meas = cell_geometry(mesh)
     vals, grads = eval_basis(dm.space, mesh.cell_kind, rule.points)
     v0 = mesh.vertices[mesh.cells[:, 0]]
-    xq = np.einsum("cdk,qk->cqd", J, rule.points) + v0[:, None, :]
+    xq = np.einsum("cdk,qk->cqd", J, rule.points, optimize=True) \
+        + v0[:, None, :]
     flat = xq.reshape(-1, mesh.dim)
     cd = dofs[dm.cell_dofs]
-    uh = np.einsum("qi,ci->cq", vals, cd)
+    uh = np.einsum("qi,ci->cq", vals, cd, optimize=True)
     err2 = (uh - exact(flat).reshape(uh.shape)) ** 2
-    l2 = float(np.einsum("q,cq,c->", rule.weights, err2, meas))
+    l2 = float(np.einsum("q,cq,c->", rule.weights, err2, meas, optimize=True))
     h1 = None
     if exact_grad is not None:
-        gphys = np.einsum("ckd,qid->cqik", invJT, grads)
-        guh = np.einsum("cqik,ci->cqk", gphys, cd)
+        # one contraction, so the (cells, points, dofs, dim) physical
+        # gradients of the basis are never formed
+        guh = np.einsum("ckd,qid,ci->cqk", invJT, grads, cd, optimize=True)
         gerr = guh - exact_grad(flat).reshape(guh.shape)
-        h1 = float(np.einsum("q,cqk,c->", rule.weights, gerr ** 2, meas))
+        h1 = float(np.einsum("q,cqk,c->", rule.weights, gerr ** 2, meas,
+                             optimize=True))
     return np.sqrt(l2), (np.sqrt(h1) if h1 is not None else None)
 
 

@@ -117,3 +117,47 @@ def test_quad_mesh_is_clean_error(tmp_path, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "triangular" in err
+
+
+def test_analyze_oracle_builds_macros_once(tmp_path, monkeypatch):
+    import stokestab.macroelement as me
+    builds = []
+    original = me._build_macroelements
+
+    def counting(mesh):
+        builds.append(mesh)
+        return original(mesh)
+
+    monkeypatch.setattr(me, "_build_macroelements", counting)
+    mesh_path = tmp_path / "m.msh"
+    save_msh(gen_zigzag(4, 4), mesh_path)
+    out = tmp_path / "a.csv"
+    assert main(["analyze", str(mesh_path), "--oracle", "--out",
+                 str(out)]) == 0
+    assert len(builds) == 1
+    assert main(["analyze", str(mesh_path), "--oracle", "--out",
+                 str(out)]) == 0
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("scenario", ["test2", "test9"])
+def test_run_oscillation_ratio_is_gated(tmp_path, capsys, scenario):
+    assert main(["run", scenario, "--out-dir", str(tmp_path), "--check"]) == 0
+    out = capsys.readouterr().out
+    assert "oscillation ratio structured/unstructured" in out
+    assert "[PASS] oscillation_ratio>=" in out
+
+
+def test_run_test1_reports_solver_diagnostics(tmp_path, capsys):
+    assert main(["run", "test1", "--out-dir", str(tmp_path), "--check"]) == 0
+    # 15x15 herringbone: 256 vertices, 450 cells; 450 bubbles condensed
+    assert ("saddle system: 1098 unknowns, 450 bubbles condensed"
+            in capsys.readouterr().out)
+
+
+def test_convergence_checks_cover_every_threshold(tmp_path):
+    from stokestab.scenarios import load_thresholds, run_scenario
+    res = run_scenario("test3", out_dir=str(tmp_path), check=True,
+                       levels=[2, 3])
+    keys = list(load_thresholds()["test3"])
+    assert [c.name.split("(")[0] for c in res.checks] == keys

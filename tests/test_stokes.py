@@ -201,3 +201,128 @@ def test_pressure_error_stagnates_on_structured_family():
     assert all(eu[i + 1] <= 1.2 * eu[i] for i in range(2))
     assert eu[-1] <= 0.5 * eu[0]
     assert es[-1] >= 0.5 * es[0]
+
+
+# ----------------------------------------------------------------------
+# bubble condensation against the uncondensed saddle solve
+# ----------------------------------------------------------------------
+
+def uncondensed_reference(sys, eps=1e-10):
+    """The saddle solve without bubble elimination: one LU of the full
+    penalized matrix, with the same pressure-mean correction."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    from stokestab.stokes import boundary_flux
+
+    free = sys.free_mask()
+    gC = sys.constrained_values()[~free]
+    A, B, Mp = sys.A.tocsr(), sys.B.tocsr(), sys.Mp.tocsr()
+    Bf = B[:, free]
+    K = sp.bmat([[A[free][:, free], -Bf.T], [-Bf, -eps * Mp]], format="csc")
+    rhs = np.concatenate([sys.rhs[free] - A[free][:, ~free] @ gC,
+                          B[:, ~free] @ gC])
+    lu = spla.splu(K)
+    x = lu.solve(rhs)
+    full = np.empty(sys.n_velocity)
+    full[free] = x[:free.sum()]
+    full[~free] = gC
+    off = sys.offsets
+    velocity = [full[off[k]:off[k + 1]] for k in range(len(off) - 1)]
+    p = x[free.sum():]
+    ones = np.ones(len(p))
+    target = -boundary_flux(sys, velocity) / eps
+    p = p + (target - ones @ (Mp @ p)) / (ones @ (Mp @ ones)) * ones
+    resid = np.linalg.norm(K @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
+    return velocity, p, resid, lu.nnz
+
+
+def _repaired_mesh():
+    from stokestab.scenarios import unstructured_family_mesh
+    return unstructured_family_mesh(3, 42)
+
+
+_MESHES = {"structured": lambda: gen_structured_tri(8, 8),
+           "zigzag": lambda: gen_zigzag(8, 8), "repaired": _repaired_mesh}
+_BUBBLE_COMBOS = ["p1b-p1:p1", "p1-p1b:p1", "p1b-p1b:p1"]
+# the pairs without a spurious pressure mode on the mesh; elsewhere the mode
+# sits on an O(eps) eigenvalue and any two factorizations differ by rounding
+# amplified by 1/eps (up to 1e-6 relative on these meshes)
+_STABLE = {("structured", "p1b-p1b:p1"), ("zigzag", "p1b-p1:p1"),
+           ("zigzag", "p1b-p1b:p1"), ("repaired", "p1b-p1:p1"),
+           ("repaired", "p1-p1b:p1"), ("repaired", "p1b-p1b:p1")}
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("variant", ["dirichlet_lid", "neumann_lid"])
+@pytest.mark.parametrize("combo", _BUBBLE_COMBOS)
+@pytest.mark.parametrize("mesh_kind", sorted(_MESHES))
+def test_condensed_solve_matches_uncondensed_reference(mesh_kind, combo,
+                                                       variant):
+    mesh = _MESHES[mesh_kind]()
+    sys = cavity_problem(mesh, combo, variant)
+    # a body force, so that the bubbles carry a load of their own
+    exact = trig_solution()
+    for k, dm in enumerate(sys.vel_dofmaps):
+        sys.rhs[sys.offsets[k]:sys.offsets[k + 1]] += load_vector(
+            mesh, dm, lambda x, k=k: exact.f(x)[:, k])
+    sol = solve_penalized(sys)
+    velocity, p, resid, _ = uncondensed_reference(sys)
+    diag = sol.diagnostics
+    assert diag["residual"] <= max(10 * resid, 1e-12)
+    assert diag["unknowns"] == sys.free_mask().sum() + sys.p_dofmap.n_dofs
+    if (mesh_kind, combo) in _STABLE:
+        for w, ref in zip(sol.velocity, velocity):
+            assert _rel(w, ref) <= 1e-10
+        assert _rel(sol.pressure, p) <= 1e-9
+
+
+@pytest.mark.parametrize("variant", ["dirichlet_lid", "neumann_lid"])
+@pytest.mark.parametrize("mesh_kind", sorted(_MESHES))
+def test_solve_without_bubbles_is_the_uncondensed_solve(mesh_kind, variant):
+    sys = cavity_problem(_MESHES[mesh_kind](), "p2-p1:p1", variant)
+    sol = solve_penalized(sys)
+    velocity, p, _, fill = uncondensed_reference(sys)
+    for w, ref in zip(sol.velocity, velocity):
+        assert np.array_equal(w, ref)
+    assert np.array_equal(sol.pressure, p)
+    assert sol.diagnostics["condensed"] == 0
+    assert sol.diagnostics["lu_fill"] == fill
+
+
+@pytest.mark.parametrize("combo,per_cell", [("p1-p1:p1", 0), ("p2-p1:p1", 0),
+                                            ("p1b-p1:p1", 1),
+                                            ("p1-p1b:p1", 1),
+                                            ("p1b-p1b:p1", 2)])
+def test_condensed_counts_the_bubble_dofs(combo, per_cell):
+    mesh = gen_zigzag(5, 4)
+    sol = solve_penalized(assemble(mesh, combo))
+    assert sol.diagnostics["condensed"] == per_cell * mesh.num_cells
+    _, _, _, fill = uncondensed_reference(assemble(mesh, combo))
+    if per_cell:
+        assert sol.diagnostics["lu_fill"] < fill
+
+
+def test_nonpositive_bubble_block_is_rejected():
+    sys = assemble(gen_zigzag(3, 3), "p1b-p1:p1")
+    sys.A = -sys.A
+    with pytest.raises(StokesError, match="bubble"):
+        solve_penalized(sys)
+
+
+def test_stiffness_matches_the_pointwise_contraction():
+    # the stiffness kernel contracts through BLAS; the plain quadrature sum
+    # over points and gradient components is the reference
+    mesh = gen_zigzag(4, 3)
+    from stokestab.stokes import element_matrices
+    rule = quadrature(mesh.cell_kind, 5)
+    _, invJT, meas = cell_geometry(mesh)
+    for space in ["p1", "p1b", "p2"]:
+        _, grads = eval_basis(space, mesh.cell_kind, rule.points)
+        got = element_matrices(mesh, space, space, "stiffness", 5)
+        for c in range(mesh.num_cells):
+            g = grads @ invJT[c].T            # (points, dofs, dim)
+            ref = sum(w * g[q] @ g[q].T for q, w in enumerate(rule.weights))
+            assert np.allclose(got[c], meas[c] * ref, rtol=1e-14, atol=1e-14)
