@@ -6,11 +6,12 @@ between pressures and velocities that vanish on the macro boundary, and
 counts the singular values of that matrix restricted to the complement of
 constant pressures.  A macro is numerically regular exactly when that count
 is zero, which is what the closed-form predicates are validated against.
-The pairing is a slice of the divergence operator assembled once per mesh
-and combination and kept on the mesh: its rows are the star's vertices and
-its columns the velocity dofs off the domain boundary whose cells all lie
-in the star.  The star's pressure mass sums the element mass matrices of
-its cells.
+The pairing is a slice of the divergence operator assembled on the whole
+mesh: its rows are the star's vertices and its columns the velocity dofs
+off the domain boundary whose cells all lie in the star.  The star's
+pressure mass sums the element mass matrices of its cells.  Every star of
+a mesh is computed in one pass, the first time one is asked for, with one
+stacked SVD per (rows, cols) shape, and kept on the mesh.
 
 The global constant is beta_h = sqrt(lambda_min) of the pressure Schur
 complement pencil  B A^-1 B^T q = lambda Mp q  with the constant pressure
@@ -29,18 +30,24 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fespace import FECombo, FESpaceError, build_dofmap, P1, P1B, P2, Q1, Q2
-from .macroelement import predict_regularity
-from .mesh import MeshError, TRIANGLE, TETRAHEDRON, QUADRILATERAL
+from .macroelement import build_macroelements, predict_regularity
+from .mesh import (MeshError, TRIANGLE, TETRAHEDRON, QUADRILATERAL,
+                   _frozen, _lookup)
 from .stokes import (assemble, element_matrices, operator_matrix,
                      StokesError)
 
 
 @dataclass
 class LocalNullspace:
+    """One star's local oracle.  It is computed with every other star of
+    its mesh and shared by all queries, so its arrays are read-only."""
     dim: int                       # nullspace dimension modulo constants
-    basis: np.ndarray              # (dim, n_p) rows, Mp-orthogonal to 1
+    basis: np.ndarray              # (dim, n_p) rows, Mp-normalized and
+                                   # Mp-orthogonal to 1
     singular_values: np.ndarray    # spectrum of the deflated pairing
-    matrix: sp.spmatrix            # pressure rows x interior velocity columns
+    matrix: np.ndarray             # dense pairing: pressure rows in
+                                   # pressure_vertices order x interior
+                                   # velocity columns in global dof order
     pressure_vertices: np.ndarray  # global vertex ids for the P1/Q1 dofs
 
 
@@ -59,8 +66,10 @@ _LOCAL_QDEG = {TRIANGLE: 5, TETRAHEDRON: 6, QUADRILATERAL: 5}
 @dataclass(frozen=True)
 class _Divergence:
     """One combination's divergence operator on a whole mesh, with the dof
-    incidence the local oracle slices stars out of it by."""
-    B: sp.csr_matrix        # pressure rows x velocity columns, by component
+    incidence the local oracle slices the stars out of it by."""
+    keys: np.ndarray        # row * n_cols + col of each stored entry, sorted
+    values: np.ndarray      # the stored entries, in key order
+    n_cols: int             # velocity columns, by component
     cell_cols: np.ndarray   # (cells, local) velocity columns of each cell
     col_cells: np.ndarray   # cells holding each velocity column, 0 for the
                             # columns on the domain boundary
@@ -75,39 +84,90 @@ def _divergence(mesh, combo):
     offsets = np.cumsum([0] + [dm.n_dofs for dm in vel])
     B = sp.hstack([operator_matrix(mesh, p_dm, dm, "deriv", qdeg, deriv_axis=k)
                    for k, dm in enumerate(vel)], format="csr")
+    B.sum_duplicates()
+    keys = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr)) * B.shape[1]
     cell_cols = np.hstack([dm.cell_dofs + off for dm, off in zip(vel, offsets)])
     col_cells = np.bincount(cell_cols.ravel(), minlength=offsets[-1])
     col_cells[np.concatenate([dm.boundary_mask for dm in vel])] = 0
-    return _Divergence(B, cell_cols, col_cells, offsets, element_matrices(
-        mesh, p_dm.space, p_dm.space, "mass", qdeg))
+    return _Divergence(keys + B.indices, B.data, B.shape[1], cell_cols,
+                       col_cells, offsets, element_matrices(
+                           mesh, p_dm.space, p_dm.space, "mass", qdeg))
 
 
-def _local_pairing(macro, combo):
-    """Pressure x interior-velocity pairing on the star and the star's
-    pressure mass matrix, rows and columns in vertex_ids() order.
+def _star_oracles(mesh, combo, floor):
+    """local_nullspace of every star of the mesh, by center, in one pass.
 
-    The pairing is a slice of the divergence operator assembled once per
-    mesh and combination: a velocity dof is interior to the star when it is
-    off the domain boundary and every cell holding it is a star cell.
+    A velocity dof is interior to a star when it is off the domain boundary
+    and every cell holding it is a star cell.  The stars' dense pairings
+    are read from the divergence operator by key, and the stars are
+    factorized together, one stacked SVD per (rows, cols) shape.
     """
-    mesh = macro.mesh
-    if combo.dim != mesh.dim:
-        raise FESpaceError(f"combo {combo} does not match a {mesh.dim}D macro")
-    if combo.pressure not in (P1, Q1):
-        raise FESpaceError(f"the local oracle needs a vertex pressure (p1 or "
-                           f"q1), got {combo.pressure}")
-    op = mesh.derived(("divergence", combo), lambda: _divergence(mesh, combo))
-    cols, held = np.unique(op.cell_cols[macro.cells], return_counts=True)
-    cols = cols[held == op.col_cells[cols]]
-    assert np.all(np.diff(np.searchsorted(cols, op.offsets)) > 0), \
+    macros = build_macroelements(mesh)
+    if not macros:
+        return {}
+    op = _divergence(mesh, combo)
+    n_stars, n = len(macros), op.n_cols
+    cells = np.concatenate([m.cells for m in macros])
+    cell_star = np.repeat(np.arange(n_stars), [len(m.cells) for m in macros])
+    keys, held = np.unique(cell_star[:, None] * n + op.cell_cols[cells],
+                           return_counts=True)
+    star, cols = np.divmod(keys, n)
+    inner = held == op.col_cells[cols]
+    star, cols = star[inner], cols[inner]
+    n_comp = len(op.offsets) - 1
+    comp = np.searchsorted(op.offsets, cols, side="right") - 1
+    assert np.all(np.bincount(star * n_comp + comp,
+                              minlength=n_stars * n_comp) > 0), \
         "macro-element with no interior velocity dofs"
-    ids = macro.vertex_ids()
-    order = np.argsort(ids)
-    local = order[np.searchsorted(ids, mesh.cells[macro.cells], sorter=order)]
-    Mp = np.zeros((len(ids), len(ids)))
-    np.add.at(Mp, (local[:, :, None], local[:, None, :]),
-              op.p_mass[macro.cells])
-    return op.B[ids][:, cols], Mp
+    n_cols = np.bincount(star, minlength=n_stars)
+    col_start = np.cumsum(n_cols) - n_cols
+
+    ids = np.concatenate([m.vertex_ids() for m in macros])
+    n_rows = np.array([m.n_v + 1 for m in macros])
+    row_start = np.cumsum(n_rows) - n_rows
+    # each star cell's vertices as rows of its star
+    row_keys = np.repeat(np.arange(n_stars), n_rows) * mesh.num_vertices + ids
+    order = np.argsort(row_keys)
+    local = order[np.searchsorted(
+        row_keys, cell_star[:, None] * mesh.num_vertices + mesh.cells[cells],
+        sorter=order)] - row_start[cell_star, None]
+
+    shapes, group = np.unique(np.column_stack([n_rows, n_cols]), axis=0,
+                              return_inverse=True)
+    out = {}
+    for g, (r, c) in enumerate(shapes):
+        members = np.flatnonzero(group == g)
+        m = len(members)
+        R = ids[row_start[members, None] + np.arange(r)]
+        C = cols[col_start[members, None] + np.arange(c)]
+        pos = _lookup(op.keys, R[:, :, None] * n + C[:, None, :])
+        P = np.where(pos >= 0, op.values[pos], 0.0)
+        sel = group[cell_star] == g
+        li = local[sel]
+        rank = np.searchsorted(members, cell_star[sel])
+        flat = (rank[:, None, None] * r + li[:, :, None]) * r + li[:, None, :]
+        Mp = np.bincount(flat.ravel(), op.p_mass[cells[sel]].ravel(),
+                         minlength=m * r * r).reshape(m, r, r)
+        # the last r - 1 columns of the Householder reflector that maps
+        # Mp 1 onto the first axis: an orthonormal basis of pressures
+        # Mp-orthogonal to the constant
+        v = Mp.sum(axis=2)
+        v[:, 0] += np.copysign(np.linalg.norm(v, axis=1), v[:, 0])
+        V = (np.eye(r)[:, 1:] - 2 * v[:, :, None] * v[:, None, 1:]
+             / np.einsum("mi,mi->m", v, v)[:, None, None])
+        _, s, Vt = np.linalg.svd(P.transpose(0, 2, 1) @ V,
+                                 full_matrices=False)
+        # s descends, so the null rows of Vt are the trailing ones
+        dims = (s <= floor * s.max(axis=1, initial=0.0)[:, None]).sum(axis=1)
+        W = Vt @ V.transpose(0, 2, 1)
+        nrm = np.sqrt(np.einsum("mki,mij,mkj->mk", W, Mp, W))
+        W /= np.where(nrm > 0, nrm, 1.0)[:, :, None]
+        _frozen(P, s, W, R)
+        for i, star_id in enumerate(members):
+            dim = int(dims[i])
+            out[macros[star_id].center] = LocalNullspace(
+                dim, W[i, len(s[i]) - dim:], s[i], P[i], R[i])
+    return out
 
 
 def local_nullspace(macro, combo, floor=1e-10):
@@ -115,29 +175,24 @@ def local_nullspace(macro, combo, floor=1e-10):
 
     Returns the full singular spectrum of the pairing restricted to the
     Mp-orthogonal complement of the constant pressure; dim counts the
-    singular values at or below floor times the largest one.
+    singular values at or below floor times the largest one.  The first
+    query computes every star of the mesh for this combination and floor
+    and keeps them on the mesh, so a sweep over the stars pays once.
     """
     if isinstance(combo, str):
         combo = FECombo.parse(combo)
-    B, Mp = _local_pairing(macro, combo)
-    n_p = B.shape[0]
-    mp1 = np.asarray(Mp @ np.ones(n_p))
-    q, _ = np.linalg.qr(np.column_stack([mp1, np.eye(n_p)[:, :-1]]))
-    V = q[:, 1:]
-    T = (B.T @ V)
-    T = T.toarray() if sp.issparse(T) else np.asarray(T)
-    U, s, Vt = np.linalg.svd(T, full_matrices=False)
-    smax = s.max(initial=0.0)
-    null = s <= floor * smax
-    dim = int(null.sum())
-    basis = (V @ Vt[null].T).T
-    # normalize in the Mp inner product
-    out = []
-    for b in basis:
-        nrm = math.sqrt(float(b @ (Mp @ b)))
-        out.append(b / nrm if nrm > 0 else b)
-    return LocalNullspace(dim, np.array(out).reshape(dim, n_p), s, B,
-                          macro.vertex_ids())
+    mesh = macro.mesh
+    if combo.dim != mesh.dim:
+        raise FESpaceError(f"combo {combo} does not match a {mesh.dim}D macro")
+    if combo.pressure not in (P1, Q1):
+        raise FESpaceError(f"the local oracle needs a vertex pressure (p1 or "
+                           f"q1), got {combo.pressure}")
+    stars = mesh.derived(("oracle", combo, floor),
+                         lambda: _star_oracles(mesh, combo, floor))
+    if macro.center not in stars:
+        raise MeshError(f"vertex {macro.center} is not the center of an "
+                        "interior star of its mesh")
+    return stars[macro.center]
 
 
 def nullspace_residual(ns, p):

@@ -22,6 +22,7 @@ orthogonal to every local divergence:
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -302,6 +303,18 @@ def structure_report(mesh, combos=(), alignment_tol=1e-9, tol=1e-10):
     return header, rows
 
 
+def _per_star(fn):
+    """Keep fn(macro, *args) on the macro's mesh, by star center and args,
+    so that the predicates, the flags and the witnesses of one star share
+    one analysis."""
+    @functools.wraps(fn)
+    def cached(macro, *args):
+        return macro.mesh.derived((fn.__name__, macro.center, *args),
+                                  lambda: fn(macro, *args))
+    return cached
+
+
+@_per_star
 def _interior_faces(macro):
     """Faces shared by two star tets, in order of first appearance over the
     star cells; every one contains q0."""
@@ -311,7 +324,7 @@ def _interior_faces(macro):
     fs = fs[np.sort(first)]
     pairs = mesh.facet_cells[fs]
     inner = np.isin(pairs, macro.cells).all(axis=1)
-    faces = list(zip(mesh.facets[fs[inner]].tolist(), pairs[inner].tolist()))
+    faces = tuple(zip(mesh.facets[fs[inner]].tolist(), pairs[inner].tolist()))
     assert all(macro.center in f for f, _ in faces)
     return faces
 
@@ -334,6 +347,7 @@ def _components(cells, edges):
     return {int(c): find(idx[c]) for c in cells}
 
 
+@_per_star
 def _plane_split(macro, axis, tol):
     """True when the interior faces lying in coord_axis = q0_axis disconnect
     the star."""
@@ -349,6 +363,7 @@ def _plane_split(macro, axis, tol):
     return len(set(comp.values())) > 1
 
 
+@_per_star
 def _semi_planes(macro, axis, tol, angle_tol=1e-9):
     """Semi-planes through the axis line at q0 that split the star.
 
@@ -390,7 +405,7 @@ def _semi_planes(macro, axis, tol, angle_tol=1e-9):
 
     comp = _components(macro.cells, nonflat)
     if len(set(comp.values())) <= 1:
-        return 0, False, []
+        return 0, False, ()
 
     groups = {}
     for pair, dirs in flat_faces:
@@ -412,7 +427,7 @@ def _semi_planes(macro, axis, tol, angle_tol=1e-9):
     if len(splitting) == 2:
         d = abs(splitting[0] - splitting[1])
         aligned = abs(d - np.pi) <= angle_tol
-    return len(splitting), aligned, sorted(splitting)
+    return len(splitting), aligned, tuple(sorted(splitting))
 
 
 def classify_3d(macro, alignment_tol=1e-9):

@@ -22,7 +22,8 @@ import scipy.sparse.linalg as spla
 
 from .fespace import (FECombo, DofMap, build_dofmap, eval_basis, quadrature,
                       P1B, P2)
-from .mesh import Mesh, StokestabError, TRIANGLE, TETRAHEDRON, TOP, write_csv
+from .mesh import (Mesh, StokestabError, TRIANGLE, TETRAHEDRON, TOP,
+                   _frozen, write_csv)
 
 
 class StokesError(StokestabError):
@@ -34,7 +35,14 @@ class StokesError(StokestabError):
 # ----------------------------------------------------------------------
 
 def cell_geometry(mesh):
-    """Affine map data per cell: Jacobian, transposed inverse, measure."""
+    """Affine map data per cell: Jacobian, transposed inverse, measure.
+
+    Computed once per mesh and kept on it (`Mesh.derived`), read-only."""
+    return mesh.derived("cell_geometry",
+                        lambda: _frozen(*_cell_geometry(mesh)))
+
+
+def _cell_geometry(mesh):
     v = mesh.vertices
     c = mesh.cells
     if mesh.cell_kind in (TRIANGLE, TETRAHEDRON):

@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+import stokestab.infsup as infsup
 from stokestab.fespace import FECombo, FESpaceError, build_dofmap
-from stokestab.mesh import (Mesh, gen_extruded_tet, gen_perturbed,
+from stokestab.mesh import (Mesh, TRIANGLE, gen_extruded_tet, gen_perturbed,
                             gen_quad_macro, gen_structured_cube,
                             gen_structured_tri, gen_zigzag)
 from stokestab.macroelement import build_macroelements, predict_regularity
@@ -173,8 +174,22 @@ def _combos(kind):
             for vel in itertools.product(spaces, repeat=dim)]
 
 
+def mixed_diagonal_mesh(n, seed):
+    """Unit-square grid with each box cut along a random diagonal, so that
+    the interior vertices have different numbers of cells."""
+    rng = np.random.default_rng(seed)
+    j, i = np.divmod(np.arange(n * n), n)
+    a = j * (n + 1) + i
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    cells = np.where(rng.integers(0, 2, n * n)[:, None] == 1,
+                     np.stack([a, b, c, a, c, d], axis=1),
+                     np.stack([a, b, d, b, c, d], axis=1)).reshape(-1, 3)
+    return Mesh(2, TRIANGLE, gen_structured_tri(n, n).vertices, cells)
+
+
 ORACLE_MESHES = {
     "structured": lambda: gen_structured_tri(4, 3),
+    "mixed-diagonals": lambda: mixed_diagonal_mesh(4, seed=2),
     "zigzag": lambda: gen_zigzag(4, 4),
     "perturbed": lambda: gen_perturbed(gen_structured_tri(4, 4), 0.05, seed=3),
     "repaired": lambda: unstructured_family_mesh(2, seed=1),
@@ -208,6 +223,83 @@ def test_local_nullspace_matches_star_assembly(name):
     for combo in _combos(mesh.cell_kind):
         for macro in macros:
             assert_oracle_matches_reference(macro, combo)
+
+
+def test_oracle_meshes_span_several_shape_groups():
+    # the batch pass stacks the stars by (rows, cols) shape; one fixture
+    # must need several stacks for every combination
+    mesh = ORACLE_MESHES["mixed-diagonals"]()
+    for combo in _combos(mesh.cell_kind):
+        shapes = {local_nullspace(m, combo).matrix.shape
+                  for m in build_macroelements(mesh)}
+        assert len(shapes) >= 2, combo
+
+
+def test_local_oracle_pass_runs_once_per_mesh_combo_floor(monkeypatch):
+    calls = []
+    batch = infsup._star_oracles
+
+    def counted(mesh, combo, floor):
+        calls.append((str(combo), floor))
+        return batch(mesh, combo, floor)
+
+    monkeypatch.setattr(infsup, "_star_oracles", counted)
+    mesh = mixed_diagonal_mesh(4, seed=2)
+    macros = build_macroelements(mesh)
+    for _ in range(2):
+        for combo in ("p1b-p1:p1", "p2-p1:p1"):
+            for floor in (1e-10, 1e-3):
+                for macro in macros:
+                    local_nullspace(macro, combo, floor)
+    assert sorted(calls) == [("p1b-p1:p1", 1e-10), ("p1b-p1:p1", 1e-3),
+                             ("p2-p1:p1", 1e-10), ("p2-p1:p1", 1e-3)]
+    local_nullspace(build_macroelements(mixed_diagonal_mesh(4, seed=2))[0],
+                    "p2-p1:p1")
+    assert len(calls) == 5   # a new mesh is a new pass
+
+
+def _arrays(ns):
+    return [ns.basis, ns.singular_values, ns.matrix, ns.pressure_vertices]
+
+
+@pytest.mark.parametrize("name", ["mixed-diagonals", "extruded-tet"])
+def test_local_oracle_star_query_matches_full_sweep(name):
+    # one star asked for on a fresh mesh, and again after a sweep of every
+    # star, against the same star on a twin mesh swept first
+    alone, swept = ORACLE_MESHES[name](), ORACLE_MESHES[name]()
+    for combo in _combos(alone.cell_kind):
+        first = local_nullspace(build_macroelements(alone)[-1], combo)
+        for mesh in (alone, swept):
+            for macro in build_macroelements(mesh):
+                local_nullspace(macro, combo)
+        for mesh in (alone, swept):
+            ns = local_nullspace(build_macroelements(mesh)[-1], combo)
+            assert ns.dim == first.dim
+            for a, b in zip(_arrays(ns), _arrays(first)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_local_oracle_second_floor_gives_its_own_result():
+    macro = build_macroelements(mixed_diagonal_mesh(4, seed=2))[0]
+    tight = local_nullspace(macro, "p1b-p1:p1")
+    loose = local_nullspace(macro, "p1b-p1:p1", floor=0.5)
+    s = tight.singular_values
+    assert tight.dim == int((s <= 1e-10 * s.max()).sum())
+    assert loose.dim == int((s <= 0.5 * s.max()).sum()) > tight.dim
+    assert loose.singular_values.tobytes() == s.tobytes()
+    assert loose.basis.shape == (loose.dim, len(loose.pressure_vertices))
+    assert local_nullspace(macro, "p1b-p1:p1") is tight
+
+
+def test_local_nullspace_results_are_read_only():
+    macro = build_macroelements(gen_structured_tri(4, 4))[0]
+    ns = local_nullspace(macro, "p1b-p1:p1")
+    assert ns.dim >= 1
+    for a in _arrays(ns):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
 
 
 def test_local_nullspace_excludes_boundary_ring_edges():

@@ -300,3 +300,33 @@ def test_extruded_macro_is_z_structured():
     assert macros
     for m in macros:
         assert classify_3d(m).z_structured
+
+
+def test_3d_star_analysis_is_shared(monkeypatch):
+    # the verdict, the flags and the witness of a star share one face and
+    # semi-plane analysis per axis: asking again does no graph work
+    import stokestab.macroelement as macroelement
+    from stokestab.infsup import analytic_singular_pressure
+    calls = []
+    components = macroelement._components
+    monkeypatch.setattr(macroelement, "_components",
+                        lambda *args: calls.append(1) or components(*args))
+    macro = meridian_star_3d(np.random.default_rng(4), [0.8, 0.8 + np.pi])
+    combos = ["p1-p1-p1b:p1", "p1b-p1-p1:p1", "p1-p1b-p1b:p1"]
+
+    def ask():
+        return ([predict_regularity_3d(macro, c) for c in combos],
+                classify_3d(macro),
+                analytic_singular_pressure(macro, combos[0]))
+
+    verdicts, flags, witness = ask()
+    assert not verdicts[0].regular and witness is not None
+    # semi-planes about z and x, plane splits along x, y and z
+    assert len(calls) == 5
+    again = ask()
+    assert len(calls) == 5
+    assert again[:2] == (verdicts, flags)
+    assert again[2].tobytes() == witness.tobytes()
+    for axis in range(3):
+        assert macroelement._semi_planes(macro, axis, 1e-9) \
+            == macroelement._semi_planes.__wrapped__(macro, axis, 1e-9)

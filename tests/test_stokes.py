@@ -326,3 +326,14 @@ def test_stiffness_matches_the_pointwise_contraction():
             g = grads @ invJT[c].T            # (points, dofs, dim)
             ref = sum(w * g[q] @ g[q].T for q, w in enumerate(rule.weights))
             assert np.allclose(got[c], meas[c] * ref, rtol=1e-14, atol=1e-14)
+
+
+def test_cell_geometry_is_kept_per_mesh_and_read_only():
+    mesh = gen_zigzag(4, 3)
+    geometry = cell_geometry(mesh)
+    assert all(a is b for a, b in zip(cell_geometry(mesh), geometry))
+    for a in geometry:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    moved = cell_geometry(mesh.replace_vertices(mesh.vertices * 2.0))
+    assert np.allclose(moved[2], 4.0 * geometry[2], rtol=1e-14, atol=0)
