@@ -15,17 +15,19 @@ stacked SVD per (rows, cols) shape, and kept on the mesh.
 
 The global constant is beta_h = sqrt(lambda_min) of the pressure Schur
 complement pencil  B A^-1 B^T q = lambda Mp q  with the constant pressure
-deflated; A^-1 is applied through a cached sparse factorization.
+deflated (the numerical inf-sup test of Chapelle & Bathe).  S = B A^-1 B^T
+is never formed: one LU of the penalized saddle matrix, with the P1b
+bubbles condensed out as in the saddle solve, applies (S + delta*Mp)^-1,
+and shift-invert Lanczos returns the smallest eigenvalues.  The pencil's
+spectrum lies in [0, 1], so the shift and the beta = 0 floor are absolute.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -33,8 +35,8 @@ from .fespace import FECombo, FESpaceError, build_dofmap, P1, P1B, P2, Q1, Q2
 from .macroelement import build_macroelements, predict_regularity
 from .mesh import (MeshError, TRIANGLE, TETRAHEDRON, QUADRILATERAL,
                    _frozen, _lookup)
-from .stokes import (assemble, element_matrices, operator_matrix,
-                     StokesError)
+from .stokes import (SaddleFactorization, assemble, element_matrices,
+                     operator_matrix, StokesError)
 
 
 @dataclass
@@ -54,10 +56,12 @@ class LocalNullspace:
 @dataclass
 class InfSupResult:
     beta: float
-    spectrum: np.ndarray
-    deflated: int = 1
-    converged: bool = True
+    spectrum: np.ndarray           # the smallest eigenvalues, ascending
+    deflated: int = 1              # constant pressures taken out
+    converged: bool = True         # False: spectrum holds what ARPACK found
     n_pressure: int = 0
+    unknowns: int = 0              # order of the saddle matrix factorized
+    lu_fill: int = 0               # entries SuperLU stores for L and U
 
 
 _LOCAL_QDEG = {TRIANGLE: 5, TETRAHEDRON: 6, QUADRILATERAL: 5}
@@ -365,72 +369,63 @@ def global_counterexample(mesh, combo):
 # global inf-sup constant
 # ----------------------------------------------------------------------
 
-def _schur_dense(A, B, batch=256):
-    lu = spla.splu(A.tocsc())
-    n_p = B.shape[0]
-    Bt = B.T.tocsc()
-    S = np.empty((n_p, n_p))
-    for lo in range(0, n_p, batch):
-        hi = min(lo + batch, n_p)
-        Z = lu.solve(Bt[:, lo:hi].toarray())
-        S[:, lo:hi] = B @ Z
-    return 0.5 * (S + S.T)
+# The pencil's eigenvalues lie in [0, 1]: (div v, q) <= ||div v|| ||q|| and
+# ||div v||^2 <= ||div v||^2 + ||curl v||^2 = |v|_1^2 on H1_0, so both the
+# shift and the beta = 0 floor are absolute and never read the operator.
+_SHIFT = 1e-8
+_FLOOR = 1e-12
 
 
-def infsup_constant(mesh, combo, k=5, dense_limit=1200):
+def infsup_constant(mesh, combo, k=5):
     """Discrete inf-sup constant with homogeneous Dirichlet velocity.
 
-    Forms the pressure Schur complement densely through batched solves with
-    the factorized stiffness, shifts the constant-pressure mode out of the
-    way, and extracts the smallest k eigenvalues (dense solver for small
-    pressure spaces, shift-invert Lanczos above dense_limit).
+    beta_h = sqrt(lambda_min) of the pencil  B A^-1 B^T q = lambda Mp q  on
+    pressures Mp-orthogonal to the constant.  Eliminating the velocity from
+    the penalized saddle matrix K = [[A, -B^T], [-B, -delta*Mp]] leaves the
+    pressure block -(S + delta*Mp), S = B A^-1 B^T, so one
+    `SaddleFactorization` of K (P1b bubbles condensed) applies
+    (S + delta*Mp)^-1 without forming S, and shift-invert Lanczos at
+    sigma = -delta returns the k smallest eigenvalues.  The constant is
+    deflated by the pair of Mp-projectors around that solve.  An eigenvalue
+    at or below 1e-12 is an exact spurious mode and gives beta = 0.
     """
     if isinstance(combo, str):
         combo = FECombo.parse(combo)
     sys = assemble(mesh, combo)
-    free = sys.free_mask()
-    A = sys.A[free][:, free]
-    B = sys.B[:, free].tocsr()
+    fact = SaddleFactorization(sys, _SHIFT)
     Mp = sys.Mp.tocsr()
-    n_p = Mp.shape[0]
+    n_p, nf = Mp.shape[0], fact.n_velocity
     k = min(k, n_p - 2)
-    S = _schur_dense(A, B)
+    mp1 = Mp @ np.ones(n_p)
+    m11 = float(mp1.sum())
 
-    ones = np.ones(n_p)
-    mp1 = np.asarray(Mp @ ones)
-    m11 = float(ones @ mp1)
-    lam_est = float(np.max(S.diagonal() / Mp.diagonal()))
-    mu = 1e4 * max(lam_est, 1e-300)
-    Sd = S + mu / m11 * np.outer(mp1, mp1)
+    def op_inv(b):
+        # pressure part of K^-1 [0; -b], i.e. (S + delta*Mp)^-1 b, with the
+        # constant taken out of b (Mp-orthogonal side) and of the result
+        rhs = np.zeros(fact.unknowns)
+        rhs[nf:] = mp1 * (b.sum() / m11) - b
+        x = fact.solve(rhs)[nf:]
+        return x - (mp1 @ x) / m11
 
+    def never(x):
+        raise AssertionError("shift-invert mode does not apply S")
+
+    # eigsh reads only the shape and dtype of S in shift-invert mode;
+    # float operators keep its precision check quiet
+    S = spla.LinearOperator((n_p, n_p), matvec=never, dtype=float)
+    op = spla.LinearOperator((n_p, n_p), matvec=op_inv, dtype=float)
+    # a fixed start vector: ARPACK's own is random and changes the trailing
+    # digits from one call to the next
+    v0 = np.random.default_rng(0).standard_normal(n_p)
     converged = True
-    if n_p <= dense_limit:
-        vals = sla.eigh(Sd, Mp.toarray(), subset_by_index=[0, k - 1],
-                        eigvals_only=True)
-    else:
-        delta = 1e-8 * lam_est
-        C = Sd + delta * Mp.toarray()
-        lu_piv = sla.lu_factor(C)
-        op = spla.LinearOperator((n_p, n_p),
-                                 matvec=lambda x: sla.lu_solve(lu_piv, x))
-        # a fixed start vector: ARPACK's own is random and changes the
-        # trailing digits from one call to the next
-        v0 = np.random.default_rng(0).standard_normal(n_p)
-        try:
-            vals = spla.eigsh(Sd, k=k, M=Mp, sigma=-delta, OPinv=op, v0=v0,
-                              which="LM", return_eigenvectors=False)
-        except spla.ArpackNoConvergence as exc:
-            vals = np.sort(exc.eigenvalues)
-            converged = False
-            warnings.warn(f"eigensolver returned {len(vals)} of {k} "
-                          "eigenvalues")
-        vals = np.sort(vals)
-
-    # the dense/Lanczos eigenvalue noise floor sits around 1e-13 * scale;
-    # anything below 1e-12 * scale is indistinguishable from an exact
-    # spurious mode and is reported as beta = 0
-    floor = 1e-12 * max(lam_est, 1e-300)
+    try:
+        vals = spla.eigsh(S, k=k, M=Mp, sigma=-_SHIFT, OPinv=op, v0=v0,
+                          which="LM", return_eigenvectors=False)
+    except spla.ArpackNoConvergence as exc:
+        vals, converged = exc.eigenvalues, False
+    vals = np.sort(vals)
     lam_min = float(vals[0]) if len(vals) else np.nan
-    beta = 0.0 if lam_min <= floor else math.sqrt(lam_min)
-    return InfSupResult(beta=beta, spectrum=np.asarray(vals),
-                        deflated=1, converged=converged, n_pressure=n_p)
+    beta = 0.0 if lam_min <= _FLOOR else math.sqrt(lam_min)
+    return InfSupResult(beta=beta, spectrum=vals, deflated=1,
+                        converged=converged, n_pressure=n_p,
+                        unknowns=fact.unknowns, lu_fill=fact.lu_fill)

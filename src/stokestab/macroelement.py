@@ -57,6 +57,12 @@ class MacroElement:
         return self.mesh.vertices[self.ring_vertices]
 
     def diameter(self):
+        """Largest distance between two star vertices.  Mesh vertices are
+        read-only, so it is computed once per macro."""
+        return self._diameter
+
+    @functools.cached_property
+    def _diameter(self):
         pts = np.vstack([self.q0[None, :], self.ring_coords()])
         d = pts[:, None, :] - pts[None, :, :]
         return float(np.sqrt((d ** 2).sum(-1)).max())

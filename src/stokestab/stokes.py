@@ -305,67 +305,91 @@ def _bubble_mask(sys):
     return mask
 
 
-def solve_penalized(sys, eps=1e-10):
-    """Direct solve of the penalized saddle system.
+class SaddleFactorization:
+    """Sparse LU of the penalized saddle matrix on the free velocity dofs,
 
-    The cell bubbles of P1b components are eliminated before the sparse LU
-    (the MINI <-> stabilized P1-P1 equivalence of Arnold, Brezzi & Fortin):
-    each bubble couples only to its own cell, so the bubble block of the
-    saddle matrix is diagonal and the Schur complement stays inside the
-    pattern of the other unknowns.  The bubbles are recovered cellwise after
-    the solve.  Without bubbles the LU factorizes the saddle matrix itself.
+        K = [[Aff, -Bf^T], [-Bf, -delta*Mp]],
+
+    built once from (system, delta) and shared by the saddle solve and the
+    inf-sup eigensolve.  The cell bubbles of P1b components are eliminated
+    before the LU (the MINI <-> stabilized P1-P1 equivalence of Arnold,
+    Brezzi & Fortin): each bubble couples only to its own cell, so the
+    bubble block of K is diagonal and its Schur complement stays inside the
+    pattern of the other unknowns.  `solve` recovers the bubbles cellwise.
+    Without bubbles the LU factorizes K itself.
+
+    `unknowns` is the order of K, `condensed` the number of bubbles
+    eliminated and `lu_fill` the entries SuperLU stores for L and U
+    (exporting `lu.L` and `lu.U` to count them would copy the factors).
+    """
+
+    def __init__(self, sys, delta):
+        if delta <= 0:
+            raise StokesError("penalization parameter must be positive")
+        free = sys.free_mask()
+        A, B = sys.A.tocsr(), sys.B.tocsr()
+        Bf = B[:, free]
+        self.K = sp.bmat([[A[free][:, free], -Bf.T],
+                          [-Bf, -delta * sys.Mp.tocsr()]], format="csr")
+        self.n_velocity = nf = int(free.sum())
+        bub = np.zeros(self.K.shape[0], dtype=bool)
+        bub[:nf] = _bubble_mask(sys)[free]
+        rest = ~bub
+        Kb, Kr = self.K[bub], self.K[rest]
+        Kbb, self._Kbr, self._Krb = Kb[:, bub], Kb[:, rest], Kr[:, bub]
+        d = Kbb.diagonal()
+        if np.any(d <= 0) or Kbb.count_nonzero() > np.count_nonzero(d):
+            raise StokesError("the bubble block of the saddle matrix is not "
+                              "a positive diagonal")
+        # sum the Schur update as COO triplets: explicit zeros of K stay in
+        # the pattern, so without bubbles the LU sees exactly K
+        Krr = Kr[:, rest].tocoo()
+        upd = (self._Krb @ sp.diags(-1.0 / d) @ self._Kbr).tocoo()
+        Kc = sp.csc_matrix((np.concatenate([Krr.data, upd.data]),
+                            (np.concatenate([Krr.row, upd.row]),
+                             np.concatenate([Krr.col, upd.col]))),
+                           shape=Krr.shape)
+        try:
+            self._lu = spla.splu(Kc)
+        except RuntimeError as exc:
+            raise StokesError(
+                "singular saddle factorization (the penalized system should "
+                "be regular; check assembly and boundary conditions)") from exc
+        self._bub, self._rest, self._d = bub, rest, d
+        self.unknowns = self.K.shape[0]
+        self.condensed = int(bub.sum())
+        self.lu_fill = int(self._lu.nnz)
+
+    def solve(self, rhs):
+        """K^-1 rhs for one right-hand side on the free velocity dofs
+        followed by the pressures."""
+        bub, rest, d = self._bub, self._rest, self._d
+        x = np.empty_like(rhs)
+        x[rest] = self._lu.solve(rhs[rest] - self._Krb @ (rhs[bub] / d))
+        x[bub] = (rhs[bub] - self._Kbr @ x[rest]) / d
+        return x
+
+
+def solve_penalized(sys, eps=1e-10):
+    """Direct solve of the penalized saddle system through one
+    `SaddleFactorization`, which condenses the P1b cell bubbles.
 
     Reports the mean pressure (expected O(eps)), the relative residual of
-    the full assembled equations, the order of that system (`unknowns`), the
-    number of bubbles eliminated (`condensed`) and the L+U fill of the
-    factorization (`lu_fill`, the entries SuperLU stores for both factors;
-    exporting `lu.L` and `lu.U` to count them would copy the factors) in the
-    diagnostics.
+    the full assembled equations and the factorization's `unknowns`,
+    `condensed` and `lu_fill` in the diagnostics.
     """
-    if eps <= 0:
-        raise StokesError("penalization parameter must be positive")
+    fact = SaddleFactorization(sys, eps)
     free = sys.free_mask()
     g = sys.constrained_values()
     A, B, Mp = sys.A.tocsr(), sys.B.tocsr(), sys.Mp.tocsr()
-    Aff = A[free][:, free]
-    Afc = A[free][:, ~free]
-    Bf = B[:, free]
-    Bc = B[:, ~free]
     gC = g[~free]
-    f_f = sys.rhs[free] - Afc @ gC
-    rhs2 = Bc @ gC
-    K = sp.bmat([[Aff, -Bf.T], [-Bf, -eps * Mp]], format="csr")
-    rhs = np.concatenate([f_f, rhs2])
-    nf = int(free.sum())
-
-    bub = np.zeros(len(rhs), dtype=bool)
-    bub[:nf] = _bubble_mask(sys)[free]
-    rest = ~bub
-    Kb, Kr = K[bub], K[rest]
-    Kbb, Kbr, Krb = Kb[:, bub], Kb[:, rest], Kr[:, bub]
-    d = Kbb.diagonal()
-    if np.any(d <= 0) or Kbb.count_nonzero() > np.count_nonzero(d):
-        raise StokesError("the bubble block of the saddle matrix is not a "
-                          "positive diagonal")
-    # sum the Schur update as COO triplets: explicit zeros of K stay in the
-    # pattern, so without bubbles the LU sees exactly K
-    Krr = Kr[:, rest].tocoo()
-    upd = (Krb @ sp.diags(-1.0 / d) @ Kbr).tocoo()
-    Kc = sp.csc_matrix((np.concatenate([Krr.data, upd.data]),
-                        (np.concatenate([Krr.row, upd.row]),
-                         np.concatenate([Krr.col, upd.col]))),
-                       shape=Krr.shape)
-    try:
-        lu = spla.splu(Kc)
-    except RuntimeError as exc:
-        raise StokesError(
-            "singular saddle factorization (the penalized system should be "
-            "regular; check assembly and boundary conditions)") from exc
-    x = np.empty_like(rhs)
-    x[rest] = lu.solve(rhs[rest] - Krb @ (rhs[bub] / d))
-    x[bub] = (rhs[bub] - Kbr @ x[rest]) / d
+    f_f = sys.rhs[free] - A[free][:, ~free] @ gC
+    rhs = np.concatenate([f_f, B[:, ~free] @ gC])
+    x = fact.solve(rhs)
+    nf = fact.n_velocity
     wf, p = x[:nf], x[nf:]
-    resid = np.linalg.norm(K @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
+    resid = (np.linalg.norm(fact.K @ x - rhs)
+             / max(np.linalg.norm(rhs), 1e-300))
 
     full = np.empty(sys.n_velocity)
     full[free] = wf
@@ -385,9 +409,9 @@ def solve_penalized(sys, eps=1e-10):
     int_p = float(ones @ (Mp @ p))
     return Solution(velocity, p, {"int_p": int_p, "residual": float(resid),
                                   "flux": flux, "eps": eps,
-                                  "unknowns": len(rhs),
-                                  "condensed": int(bub.sum()),
-                                  "lu_fill": int(lu.nnz)})
+                                  "unknowns": fact.unknowns,
+                                  "condensed": fact.condensed,
+                                  "lu_fill": fact.lu_fill})
 
 
 # ----------------------------------------------------------------------

@@ -63,7 +63,7 @@ def test_solve_cavity_cli(tmp_path):
     assert (tmp_path / "cavity.vtk").exists()
 
 
-def test_infsup_cli(tmp_path):
+def test_infsup_cli(tmp_path, capsys):
     mesh_path = tmp_path / "m.msh"
     save_msh(gen_zigzag(6, 6), mesh_path)
     out = tmp_path / "b.csv"
@@ -71,6 +71,7 @@ def test_infsup_cli(tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert "beta" in out.read_text()
+    assert "unknowns, L+U fill" in capsys.readouterr().out
 
 
 def test_run_scenario_unknown():

@@ -1,9 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import stokestab.infsup as infsup
 from stokestab.fespace import FECombo, FESpaceError, build_dofmap
@@ -20,7 +22,9 @@ from stokestab.infsup import (
     global_counterexample, infsup_constant,
 )
 from stokestab.scenarios import decay_family_mesh, unstructured_family_mesh
-from stokestab.stokes import assemble, operator_matrix, StokesError
+from stokestab.stokes import (SaddleFactorization, assemble, operator_matrix,
+                              StokesError)
+from stokestab.unstructure import UnstructureConfig, apply_algorithm1
 
 RING_Y_STRUCTURED = [(2, 0), (0.2, 1.8), (-2, 0), (-0.5, -1.8), (1.5, -1.8)]
 RING_UNSTRUCTURED = [(2, 0.9), (-0.5, 1.8), (-2.5, -0.45), (-0.5, -1.8),
@@ -429,6 +433,90 @@ def test_infsup_h_independence_stable_family():
 
 
 def test_infsup_lanczos_path_is_reproducible():
-    mesh = decay_family_mesh(2)
-    a, b = (infsup_constant(mesh, "p2-p1:p1", dense_limit=0) for _ in range(2))
-    assert a.spectrum.tobytes() == b.spectrum.tobytes()
+    # the Lanczos start vector is fixed, so repeated calls agree bitwise
+    for level in (2, 3):
+        mesh = decay_family_mesh(level)
+        a, b = (infsup_constant(mesh, "p2-p1:p1") for _ in range(2))
+        assert a.spectrum.tobytes() == b.spectrum.tobytes()
+
+
+def dense_deflated_spectrum(mesh, combo):
+    """Every eigenvalue of  B A^-1 B^T q = lambda Mp q  on the pressures
+    Mp-orthogonal to the constant, from the dense Schur complement."""
+    sys = assemble(mesh, combo)
+    free = sys.free_mask()
+    B = sys.B[:, free].tocsr()
+    S = B @ spla.splu(sys.A[free][:, free].tocsc()).solve(B.T.toarray())
+    Mp = sys.Mp.toarray()
+    Q = sla.null_space(Mp.sum(axis=0)[None, :])
+    return sla.eigh(Q.T @ (0.5 * (S + S.T)) @ Q, Q.T @ Mp @ Q,
+                    eigvals_only=True)
+
+
+def _repaired16():
+    return apply_algorithm1(gen_structured_tri(16, 16),
+                            UnstructureConfig(0.15, "y"))
+
+
+# (mesh, combo, beta = 0): n_p up to 1089, and the tiny grids where k
+# clamps to n_p - 2
+INFSUP_PARITY = (
+    [(f"decay{lv}", lambda lv=lv: decay_family_mesh(lv), "p2-p1:p1", False)
+     for lv in (1, 2, 3, 4)]
+    + [("structured16", lambda: gen_structured_tri(16, 16), "p1b-p1:p1",
+        True),
+       ("zigzag16", lambda: gen_zigzag(16, 16), "p1b-p1:p1", False),
+       ("repaired16", _repaired16, "p1b-p1:p1", False)]
+    + [(f"grid{nx}x{ny}", lambda nx=nx, ny=ny: gen_structured_tri(nx, ny),
+        combo, True)
+       for nx, ny in [(1, 1), (2, 1), (2, 2), (3, 2)]
+       for combo in ("p2-p1:p1", "p1b-p1:p1")])
+
+
+@pytest.mark.parametrize("make,combo,singular",
+                         [case[1:] for case in INFSUP_PARITY],
+                         ids=[f"{name}-{combo}"
+                              for name, _, combo, _ in INFSUP_PARITY])
+def test_infsup_matches_dense_schur_reference(make, combo, singular):
+    mesh = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = infsup_constant(mesh, combo)
+    ref = dense_deflated_spectrum(mesh, combo)
+    assert res.converged and res.n_pressure == mesh.num_vertices
+    assert len(res.spectrum) == min(5, res.n_pressure - 2)
+    # |v|_1^2 = ||div v||^2 + ||curl v||^2 on H1_0 bounds the pencil by 1,
+    # which is what makes the beta = 0 floor absolute; zero modes come out
+    # as rounding noise of either sign, far below it
+    for spectrum in (ref, res.spectrum):
+        assert -1e-12 <= spectrum.min() and spectrum.max() <= 1 + 1e-12
+    for lam, lam_ref in zip(res.spectrum, ref):
+        if lam_ref <= 1e-10:
+            assert abs(lam) <= 1e-12
+        else:
+            assert abs(lam - lam_ref) <= 1e-8 * lam_ref
+    assert (res.beta == 0.0) == singular
+    if not singular:
+        assert res.beta == np.sqrt(res.spectrum[0])
+
+
+def test_infsup_reports_the_shared_saddle_factorization():
+    for combo, condensed in [("p1b-p1:p1", True), ("p2-p1:p1", False)]:
+        mesh = gen_zigzag(6, 5)
+        fact = SaddleFactorization(assemble(mesh, combo), 1e-8)
+        res = infsup_constant(mesh, combo, k=2)
+        assert (res.unknowns, res.lu_fill) == (fact.unknowns, fact.lu_fill)
+        assert (fact.condensed == mesh.num_cells) == condensed
+
+
+def test_infsup_unconverged_eigensolve_is_data(monkeypatch):
+    # one restart of the smallest Krylov space ARPACK accepts
+    eigsh = spla.eigsh
+    monkeypatch.setattr(infsup.spla, "eigsh", lambda *a, **kw: eigsh(
+        *a, ncv=kw["k"] + 1, maxiter=1, **kw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = infsup_constant(decay_family_mesh(3), "p2-p1:p1")
+    assert not res.converged and len(res.spectrum) < 5
+    assert len(res.spectrum) or np.isnan(res.beta)
+    assert np.all(np.diff(res.spectrum) >= 0)

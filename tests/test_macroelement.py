@@ -330,3 +330,19 @@ def test_3d_star_analysis_is_shared(monkeypatch):
     for axis in range(3):
         assert macroelement._semi_planes(macro, axis, 1e-9) \
             == macroelement._semi_planes.__wrapped__(macro, axis, 1e-9)
+
+
+def test_diameter_is_the_all_pairs_maximum_computed_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    with pytest.warns(UserWarning, match="no interior vertex"):
+        macros = build_macroelements(gen_zigzag(4, 3))
+    macros = (macros + [random_star_2d(rng) for _ in range(5)]
+              + [random_star_3d(rng) for _ in range(3)])
+    for macro in macros:
+        pts = macro.mesh.vertices[macro.vertex_ids()]
+        ref = max(float(np.linalg.norm(a - b)) for a in pts for b in pts)
+        diam = macro.diameter()
+        assert diam == pytest.approx(ref, rel=1e-15)
+        # a second call reads no coordinates
+        monkeypatch.setattr(macro, "ring_coords", None)
+        assert macro.diameter() == diam

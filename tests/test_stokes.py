@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from stokestab.mesh import Mesh, TRIANGLE, gen_structured_tri, gen_zigzag
 from stokestab.fespace import build_dofmap, eval_basis, quadrature
 from stokestab.stokes import (
-    StokesError, assemble, cavity_problem, solve_penalized, operator_matrix,
-    load_vector, trig_solution, convergence_study, cell_geometry,
+    SaddleFactorization, StokesError, assemble, cavity_problem,
+    solve_penalized, operator_matrix, load_vector, trig_solution,
+    convergence_study, cell_geometry,
 )
 
 
@@ -303,6 +305,23 @@ def test_condensed_counts_the_bubble_dofs(combo, per_cell):
     _, _, _, fill = uncondensed_reference(assemble(mesh, combo))
     if per_cell:
         assert sol.diagnostics["lu_fill"] < fill
+
+
+@pytest.mark.parametrize("delta", [1e-10, 1e-8])
+@pytest.mark.parametrize("combo", ["p1b-p1:p1", "p1b-p1b:p1", "p2-p1:p1"])
+def test_saddle_factorization_solves_the_full_system(combo, delta):
+    sys = assemble(gen_zigzag(5, 4), combo)
+    fact = SaddleFactorization(sys, delta)
+    free = sys.free_mask()
+    assert fact.unknowns == fact.K.shape[0] == free.sum() + sys.Mp.shape[0]
+    assert fact.n_velocity == free.sum()
+    rhs = np.random.default_rng(1).standard_normal(fact.unknowns)
+    x = fact.solve(rhs)
+    # normwise backward error: the constant pressure makes x O(1/delta)
+    scale = spla.norm(fact.K, np.inf) * np.abs(x).max() + np.abs(rhs).max()
+    assert np.abs(fact.K @ x - rhs).max() <= 1e-14 * scale
+    with pytest.raises(StokesError, match="positive"):
+        SaddleFactorization(sys, 0.0)
 
 
 def test_nonpositive_bubble_block_is_rejected():
