@@ -23,10 +23,6 @@ from .mesh import StokestabError, TRIANGLE, TETRAHEDRON, QUADRILATERAL
 P0, P1, P1B, P2, Q1, Q2 = "p0", "p1", "p1b", "p2", "q1", "q2"
 _KNOWN = {P0, P1, P1B, P2, Q1, Q2}
 
-CONTINUITY = {P0: "discontinuous", P1: "C0", P1B: "C0", P2: "C0",
-              Q1: "C0", Q2: "C0"}
-
-
 class FESpaceError(StokestabError):
     pass
 
@@ -360,9 +356,6 @@ class DofMap:
     @property
     def boundary_dofs(self):
         return np.flatnonzero(self.boundary_mask)
-
-    def n_local(self):
-        return self.cell_dofs.shape[1]
 
     def interpolate(self, fn):
         """Nodal interpolation of a callable fn(points) -> values.

@@ -32,7 +32,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fespace import FECombo, FESpaceError, build_dofmap, P1, P1B, P2, Q1, Q2
-from .macroelement import build_macroelements, predict_regularity
+from .macroelement import (build_macroelements, predict_regularity,
+                           predict_regularity_3d, _star_splits)
 from .mesh import (MeshError, TRIANGLE, TETRAHEDRON, QUADRILATERAL,
                    _frozen, _lookup)
 from .stokes import (SaddleFactorization, assemble, element_matrices,
@@ -226,7 +227,7 @@ def _split_profile(macro, direction):
     q0 = macro.q0
     off = (sub_vertices - q0) @ vec
     tol = 1e-12 * macro.diameter()
-    meas = macro.mesh.cell_measures()[macro.cells]
+    meas = macro.areas
     centroid_off = (macro.mesh.vertices[macro.mesh.cells[macro.cells]]
                     .mean(axis=1) - q0) @ vec
     a_plus = float(meas[centroid_off > 0].sum())
@@ -268,7 +269,7 @@ def _p2_s_zero_pressure(macro, axis):
     return vals
 
 
-def analytic_singular_pressure(macro, combo, tol=1e-10, alignment_tol=1e-9):
+def analytic_singular_pressure(macro, combo):
     """Closed-form nullspace pressure for a singular macro, or None.
 
     Covers the split-macro profile (bubble combinations, the two-aligned
@@ -281,10 +282,11 @@ def analytic_singular_pressure(macro, combo, tol=1e-10, alignment_tol=1e-9):
     if macro.dim == 2 and macro.mesh.cell_kind == QUADRILATERAL:
         if vel != (Q2, Q1) or combo.pressure != Q1:
             raise FESpaceError(f"unsupported quad combo {combo}")
-        return _q_macro_pressure(macro)
+        # absolute offset from the aligned row, weighted by the areas above
+        # and below it
+        return _split_profile(macro, 1)
     if macro.dim == 2:
-        verdict = predict_regularity(macro, combo, tol=tol,
-                                     alignment_tol=alignment_tol)
+        verdict = predict_regularity(macro, combo)
         if verdict.regular:
             return None
         enriched_first = vel[0] in (P1B, P2)
@@ -292,9 +294,7 @@ def analytic_singular_pressure(macro, combo, tol=1e-10, alignment_tol=1e-9):
             return _split_profile(macro, 1 if enriched_first else 0)
         return _p2_s_zero_pressure(macro, "y" if enriched_first else "x")
     if macro.dim == 3:
-        from .macroelement import predict_regularity_3d, _semi_planes
-        verdict = predict_regularity_3d(macro, combo,
-                                        alignment_tol=alignment_tol)
+        verdict = predict_regularity_3d(macro, combo)
         if verdict.regular:
             return None
         n_bub = sum(1 for t in vel if t == P1B)
@@ -303,7 +303,7 @@ def analytic_singular_pressure(macro, combo, tol=1e-10, alignment_tol=1e-9):
         # one enriched component: a closed form exists when the splitting
         # semi-planes form one full plane through the axis line
         axis = vel.index(P1B)
-        count, aligned, dirs = _semi_planes(macro, axis, alignment_tol)
+        _, count, aligned, dirs = _star_splits(macro.mesh, axis)[macro.center]
         if count == 2 and aligned:
             b_ax, c_ax = [a for a in range(3) if a != axis]
             normal = np.zeros(3)
@@ -312,12 +312,6 @@ def analytic_singular_pressure(macro, combo, tol=1e-10, alignment_tol=1e-9):
             return _split_profile(macro, normal)
         return None
     raise MeshError(f"unsupported macro dimension {macro.dim}")
-
-
-def _q_macro_pressure(macro):
-    """Absolute-offset pressure on the 2x2 rectangle macro, weighted by the
-    areas above and below the aligned row."""
-    return _split_profile(macro, 1)
 
 
 # ----------------------------------------------------------------------

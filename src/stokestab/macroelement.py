@@ -18,6 +18,12 @@ orthogonal to every local divergence:
 * 3D, one enriched component: decided by how many semi-planes through the
   axis line at q0 split the star (0 regular; 2 regular unless they form one
   plane; more than 2 singular).
+
+Both 3D questions are answered for every star of a mesh at once, on the
+first ask about an axis: one connected-components pass over a graph of
+(star, cell) nodes and (star, interior face) edges, kept on the mesh.  A
+single 3D query on a large mesh therefore computes all of its stars, as
+the local oracle does.  Alignment is decided to 1e-9 of the star diameter.
 """
 
 from __future__ import annotations
@@ -27,9 +33,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fespace import FECombo, FESpaceError, P1, P1B, P2
-from .mesh import MeshError, TRIANGLE
+from .mesh import MeshError, TRIANGLE, _lookup
+
+_ALIGN_TOL = 1e-9   # alignment, relative to the star diameter
+_S_TOL = 1e-10      # |S| against zero, relative to sum(1/area)
 
 
 @dataclass
@@ -163,7 +173,7 @@ def _aligned_offsets(macro, axis):
     return macro.ring_coords()[:, k] - macro.q0[k]
 
 
-def classify_2d(macro, alignment_tol=1e-9):
+def classify_2d(macro):
     """Geometric structure of a 2D macro-element.
 
     A macro is y-structured when two ring vertices lie at the height of q0
@@ -174,7 +184,7 @@ def classify_2d(macro, alignment_tol=1e-9):
     """
     if macro.dim != 2:
         raise MeshError("classify_2d needs a 2D macro-element")
-    tol = alignment_tol * macro.diameter()
+    tol = _ALIGN_TOL * macro.diameter()
     off_y = np.abs(_aligned_offsets(macro, "y"))
     off_x = np.abs(_aligned_offsets(macro, "x"))
     n_y = int((off_y <= tol).sum())
@@ -237,20 +247,20 @@ _P2_COMBOS = {
 }
 
 
-def predict_regularity(macro, combo, tol=1e-10, alignment_tol=1e-9):
+def predict_regularity(macro, combo):
     """Closed-form regularity verdict for a 2D macro-element.
 
     Bubble-enriched combinations are regular exactly when at most one ring
     vertex is aligned with q0 across the enriched direction.  Quadratic
     combinations additionally fail, for even rings with no aligned vertex,
-    when |S| <= tol * sum(1/area).
+    when |S| <= 1e-10 * sum(1/area).
     """
     if isinstance(combo, str):
         combo = FECombo.parse(combo)
     if macro.dim != 2 or combo.pressure != P1 or combo.dim != 2:
         raise FESpaceError(f"unsupported combo {combo} for 2D prediction")
     vel = tuple(combo.velocity)
-    tolabs = alignment_tol * macro.diameter()
+    tolabs = _ALIGN_TOL * macro.diameter()
     if vel in _BUBBLE_COMBOS:
         axis = _BUBBLE_COMBOS[vel]
         n_aligned = int((np.abs(_aligned_offsets(macro, axis)) <= tolabs).sum())
@@ -268,7 +278,7 @@ def predict_regularity(macro, combo, tol=1e-10, alignment_tol=1e-9):
         if macro.n_v % 2 == 1:
             return RegularityVerdict("regular", "odd-nV")
         s = s_condition(macro, axis)
-        if abs(s) <= tol * s_scale(macro):
+        if abs(s) <= _S_TOL * s_scale(macro):
             return RegularityVerdict("singular", "even-nV-S-zero", s_value=s)
         return RegularityVerdict("regular", "even-nV-S-nonzero", s_value=s)
     raise FESpaceError(f"unsupported combo {combo} for 2D prediction")
@@ -278,7 +288,7 @@ def predict_regularity(macro, combo, tol=1e-10, alignment_tol=1e-9):
 # 3D classification
 # ----------------------------------------------------------------------
 
-def structure_report(mesh, combos=(), alignment_tol=1e-9, tol=1e-10):
+def structure_report(mesh, combos=()):
     """Per-interior-vertex structure table.
 
     Returns (header, rows) with the geometric flags, the uniformity
@@ -293,7 +303,7 @@ def structure_report(mesh, combos=(), alignment_tol=1e-9, tol=1e-10):
     header += [f"verdict_{c}" for c in combos]
     rows = []
     for macro in build_macroelements(mesh):
-        flags = classify_2d(macro, alignment_tol)
+        flags = classify_2d(macro)
         if flags.aligned_count_x == 0 and flags.aligned_count_y == 0 \
                 and macro.n_v % 2 == 0:
             s_scaled = abs(s_condition(macro)) / s_scale(macro)
@@ -303,156 +313,132 @@ def structure_report(mesh, combos=(), alignment_tol=1e-9, tol=1e-10):
                int(flags.y_structured), flags.aligned_count_x,
                flags.aligned_count_y, flags.min_sin, flags.min_cos, s_scaled]
         for c in combos:
-            row.append(predict_regularity(macro, c, tol, alignment_tol)
-                       .predicted)
+            row.append(predict_regularity(macro, c).predicted)
         rows.append(row)
     return header, rows
 
 
-def _per_star(fn):
-    """Keep fn(macro, *args) on the macro's mesh, by star center and args,
-    so that the predicates, the flags and the witnesses of one star share
-    one analysis."""
-    @functools.wraps(fn)
-    def cached(macro, *args):
-        return macro.mesh.derived((fn.__name__, macro.center, *args),
-                                  lambda: fn(macro, *args))
-    return cached
+def _star_splits(mesh, axis):
+    """Both 3D split questions about `axis` for every star of the mesh,
+    computed on the first ask and kept on the mesh: a dict from star center
+    to (plane split, semi-plane count, aligned, directions)."""
+    return mesh.derived(("star_splits", axis),
+                        lambda: _find_star_splits(mesh, axis))
 
 
-@_per_star
-def _interior_faces(macro):
-    """Faces shared by two star tets, in order of first appearance over the
-    star cells; every one contains q0."""
-    mesh = macro.mesh
-    fs = mesh.cell_facets[macro.cells].ravel()
-    _, first = np.unique(fs, return_index=True)
-    fs = fs[np.sort(first)]
-    pairs = mesh.facet_cells[fs]
-    inner = np.isin(pairs, macro.cells).all(axis=1)
-    faces = tuple(zip(mesh.facets[fs[inner]].tolist(), pairs[inner].tolist()))
-    assert all(macro.center in f for f, _ in faces)
-    return faces
+def _find_star_splits(mesh, axis):
+    """All stars as one graph: a node per (star, cell) and an edge per
+    (star, interior face).  A face shared by two tets of a star contains
+    the star's center, so the edges are the interior facets times those of
+    their vertices that are star centers.
 
-
-def _components(cells, edges):
-    """Connected components of the cell set under the given adjacencies."""
-    idx = {int(c): k for k, c in enumerate(cells)}
-    parent = list(range(len(idx)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in edges:
-        ra, rb = find(idx[a]), find(idx[b])
-        if ra != rb:
-            parent[ra] = rb
-    return {int(c): find(idx[c]) for c in cells}
-
-
-@_per_star
-def _plane_split(macro, axis, tol):
-    """True when the interior faces lying in coord_axis = q0_axis disconnect
-    the star."""
-    mesh = macro.mesh
-    q0 = macro.q0
-    keep = []
-    for f, (c1, c2) in _interior_faces(macro):
-        coords = mesh.vertices[list(f)][:, axis]
-        if np.all(np.abs(coords - q0[axis]) <= tol):
-            continue
-        keep.append((c1, c2))
-    comp = _components(macro.cells, keep)
-    return len(set(comp.values())) > 1
-
-
-@_per_star
-def _semi_planes(macro, axis, tol, angle_tol=1e-9):
-    """Semi-planes through the axis line at q0 that split the star.
-
-    Returns (count, aligned, directions).  A face belongs to a semi-plane
-    when its plane contains the axis direction (the trace determinant in the
-    other two coordinates vanishes); faces are grouped by trace direction and
-    a group counts only if its faces separate the star once all such faces
-    are removed from the adjacency graph.
+    The plane split cuts the faces lying in coord_axis = q0_axis and asks
+    whether the star falls apart.  The semi-plane count cuts the faces whose
+    plane contains the axis line at q0 (the trace determinant in the other
+    two coordinates vanishes), groups them by trace direction and counts
+    the groups holding a face that joins two of the components left.
     """
-    mesh = macro.mesh
-    q0 = macro.q0
-    diam = macro.diameter()
+    # imported here: only 3D queries need it, and loading it adds about
+    # 1 MB to every process that imports the package
+    from scipy.sparse.csgraph import connected_components
+    macros = build_macroelements(mesh)
+    if not macros:
+        return {}
+    n_stars = len(macros)
+    cells = np.concatenate([m.cells for m in macros])
+    node_star = np.repeat(np.arange(n_stars), [len(m.cells) for m in macros])
+    centers = np.array([m.center for m in macros])
+    diam = np.array([m.diameter() for m in macros])
+    q0 = mesh.vertices[centers]
+
+    star_of = np.full(mesh.num_vertices, -1)
+    star_of[centers] = np.arange(n_stars)
+    inner = np.flatnonzero(mesh.facet_cells[:, 1] >= 0)
+    rows, slot = np.nonzero(star_of[mesh.facets[inner]] >= 0)
+    face = inner[rows]
+    faces = mesh.facets[face]
+    star = star_of[faces[np.arange(len(face)), slot]]
+    node_keys = node_star * mesh.num_cells + cells
+    order = np.argsort(node_keys)
+    pos = _lookup(node_keys[order],
+                  star[:, None] * mesh.num_cells + mesh.facet_cells[face])
+    assert np.all(pos >= 0), "interior face outside its star"
+    ends = order[pos]
+
+    def labels(keep):
+        a, b = ends[keep].T
+        graph = sp.csr_matrix((np.ones(len(a)), (a, b)),
+                              shape=(len(cells), len(cells)))
+        return connected_components(graph, directed=False)[1]
+
+    tol = _ALIGN_TOL * diam[star]
+    in_plane = np.all(np.abs(mesh.vertices[faces, axis]
+                             - q0[star, axis, None]) <= tol[:, None], axis=1)
+    _, first = np.unique(labels(~in_plane), return_index=True)
+    plane_split = np.bincount(node_star[first], minlength=n_stars) > 1
+
     b, c = [k for k in range(3) if k != axis]
-    flat_faces = []   # (cells pair, list of directions)
-    nonflat = []
-    for f, pair in _interior_faces(macro):
-        others = [v for v in f if v != macro.center]
-        u1 = mesh.vertices[others[0]][[b, c]] - q0[[b, c]]
-        u2 = mesh.vertices[others[1]][[b, c]] - q0[[b, c]]
-        det = u1[0] * u2[1] - u1[1] * u2[0]
-        if abs(det) > tol * diam ** 2:
-            nonflat.append(pair)
-            continue
-        n1, n2 = np.linalg.norm(u1), np.linalg.norm(u2)
-        eps = tol * diam
-        if n1 <= eps and n2 <= eps:
-            nonflat.append(pair)  # degenerate trace, cannot define a side
-            continue
-        if n1 <= eps or n2 <= eps:
-            u = u1 if n1 > eps else u2
-            dirs = [np.arctan2(u[1], u[0])]
-        elif float(u1 @ u2) >= 0:
-            u = u1 / n1 + u2 / n2
-            dirs = [np.arctan2(u[1], u[0])]
-        else:
-            # the face spans both sides of the axis line
-            dirs = [np.arctan2(u1[1], u1[0]), np.arctan2(u2[1], u2[0])]
-        flat_faces.append((pair, [float(np.mod(d, 2 * np.pi)) for d in dirs]))
-
-    comp = _components(macro.cells, nonflat)
-    if len(set(comp.values())) <= 1:
-        return 0, False, ()
-
-    groups = {}
-    for pair, dirs in flat_faces:
-        for d in dirs:
-            placed = False
-            for key in groups:
-                if min(abs(d - key), 2 * np.pi - abs(d - key)) <= angle_tol:
-                    groups[key].append(pair)
-                    placed = True
-                    break
-            if not placed:
-                groups[d] = [pair]
-
-    splitting = []
-    for key, pairs in groups.items():
-        if any(comp[c1] != comp[c2] for c1, c2 in pairs):
-            splitting.append(key)
-    aligned = False
-    if len(splitting) == 2:
-        d = abs(splitting[0] - splitting[1])
-        aligned = abs(d - np.pi) <= angle_tol
-    return len(splitting), aligned, tuple(sorted(splitting))
+    others = faces[faces != centers[star, None]].reshape(-1, 2)
+    u = mesh.vertices[others][:, :, [b, c]] - q0[star][:, None, [b, c]]
+    gram = u @ u.transpose(0, 2, 1)
+    n1, n2 = np.sqrt(gram[:, 0, 0]), np.sqrt(gram[:, 1, 1])
+    det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
+    # a trace with both ends on the axis line cannot define a side
+    cut = (np.abs(det) <= _ALIGN_TOL * diam[star] ** 2) \
+        & ((n1 > tol) | (n2 > tol))
+    joins = np.diff(labels(~cut)[ends], axis=1)[:, 0] != 0
+    # one trace direction per face, two when the face spans both sides of
+    # the axis line
+    one_end = (n1 <= tol) | (n2 <= tol)
+    spans = cut & ~one_end & (gram[:, 0, 1] < 0)
+    w = np.where((n1 > tol)[:, None], u[:, 0], u[:, 1])
+    same = ~one_end & ~spans
+    w[same] = u[same, 0] / n1[same, None] + u[same, 1] / n2[same, None]
+    e = np.concatenate([np.flatnonzero(cut), np.flatnonzero(spans)])
+    trace = np.concatenate([w[cut], u[spans, 1]])
+    d = np.mod(np.arctan2(trace[:, 1], trace[:, 0]), 2 * np.pi)
+    # the first face of a direction group, in the order the star's cells
+    # list their faces, names the group
+    local = np.argmax(mesh.cell_facets[cells[ends[e]]]
+                      == face[e, None, None], axis=2)
+    rank = 2 * (4 * ends[e] + local).min(axis=1) \
+        + (np.arange(len(e)) >= cut.sum())
+    fold = np.where(d > 2 * np.pi - _ALIGN_TOL, d - 2 * np.pi, d)
+    o = np.lexsort((fold, star[e]))
+    e, d, rank, fold = e[o], d[o], rank[o], fold[o]
+    new = np.ones(len(e), dtype=bool)
+    new[1:] = (np.diff(star[e]) != 0) | (np.diff(fold) > _ALIGN_TOL)
+    start = np.flatnonzero(new)
+    name = d[np.lexsort((rank, np.cumsum(new)))[start]]
+    splitting = np.logical_or.reduceat(joins[e], start)
+    g_star, g_dir = star[e[start]][splitting], name[splitting]
+    count = np.bincount(g_star, minlength=n_stars)
+    dirs = np.split(g_dir[np.lexsort((g_dir, g_star))], np.cumsum(count)[:-1])
+    out = {}
+    for s, m in enumerate(macros):
+        ds = tuple(dirs[s].tolist())
+        aligned = len(ds) == 2 and abs(abs(ds[0] - ds[1]) - np.pi) <= _ALIGN_TOL
+        out[m.center] = (bool(plane_split[s]), int(count[s]), bool(aligned),
+                         ds)
+    return out
 
 
-def classify_3d(macro, alignment_tol=1e-9):
+def classify_3d(macro):
     """Structure flags for a tet star: axis-plane splits and the vertical
     (z-axis) semi-plane count."""
     if macro.dim != 3:
         raise MeshError("classify_3d needs a 3D macro-element")
-    tol = alignment_tol * macro.diameter()
-    count, aligned, _ = _semi_planes(macro, 2, alignment_tol)
+    x, y, z = (_star_splits(macro.mesh, a)[macro.center] for a in range(3))
     return StructureFlags(
-        x_structured=_plane_split(macro, 0, tol),
-        y_structured=_plane_split(macro, 1, tol),
-        z_structured=_plane_split(macro, 2, tol),
-        semi_plane_count=count,
-        semi_planes_aligned=aligned,
+        x_structured=x[0],
+        y_structured=y[0],
+        z_structured=z[0],
+        semi_plane_count=z[1],
+        semi_planes_aligned=z[2],
     )
 
 
-def predict_regularity_3d(macro, combo, alignment_tol=1e-9):
+def predict_regularity_3d(macro, combo):
     """Regularity verdict for a tet star.
 
     With two enriched components the combination is regular exactly when no
@@ -468,14 +454,13 @@ def predict_regularity_3d(macro, combo, alignment_tol=1e-9):
     n_bub = sum(1 for t in vel if t == P1B)
     if sorted(vel) not in ([P1, P1B, P1B], [P1, P1, P1B]):
         raise FESpaceError(f"unsupported combo {combo} for 3D prediction")
-    tol = alignment_tol * macro.diameter()
     if n_bub == 2:
-        axis = vel.index(P1)
-        if _plane_split(macro, axis, tol):
+        split = _star_splits(macro.mesh, vel.index(P1))[macro.center][0]
+        if split:
             return RegularityVerdict("singular", "3d-axis-split")
         return RegularityVerdict("regular", "3d-axis-unsplit")
-    axis = vel.index(P1B)
-    count, aligned, _ = _semi_planes(macro, axis, alignment_tol)
+    _, count, aligned, _ = _star_splits(macro.mesh,
+                                        vel.index(P1B))[macro.center]
     if count == 0:
         return RegularityVerdict("regular", "3d-semiplane-case-1")
     if count == 2 and not aligned:

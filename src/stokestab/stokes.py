@@ -26,6 +26,9 @@ from .mesh import (Mesh, StokestabError, TRIANGLE, TETRAHEDRON, TOP,
                    _frozen, write_csv)
 
 
+_QDEG = 5   # quadrature degree of the assembled blocks
+
+
 class StokesError(StokestabError):
     pass
 
@@ -165,7 +168,7 @@ class StokesSystem:
         return self.B[:, self.free_mask()].tocsr()
 
 
-def assemble(mesh, combo, qdeg=None):
+def assemble(mesh, combo):
     """Stiffness, divergence and pressure-mass blocks for the combination.
 
     Velocity boundary conditions default to homogeneous Dirichlet on all of
@@ -179,17 +182,15 @@ def assemble(mesh, combo, qdeg=None):
     if combo.dim != mesh.dim:
         raise StokesError(f"combo {combo} has {combo.dim} velocity components "
                           f"for a {mesh.dim}D mesh")
-    if qdeg is None:
-        qdeg = 5
     vel_dms = [build_dofmap(mesh, t) for t in combo.velocity]
     p_dm = build_dofmap(mesh, combo.pressure)
 
-    A = sp.block_diag([operator_matrix(mesh, dm, dm, "stiffness", qdeg)
+    A = sp.block_diag([operator_matrix(mesh, dm, dm, "stiffness", _QDEG)
                        for dm in vel_dms], format="csr")
-    B = sp.hstack([operator_matrix(mesh, p_dm, dm, "deriv", qdeg,
+    B = sp.hstack([operator_matrix(mesh, p_dm, dm, "deriv", _QDEG,
                                    deriv_axis=k)
                    for k, dm in enumerate(vel_dms)], format="csr")
-    Mp = operator_matrix(mesh, p_dm, p_dm, "mass", qdeg)
+    Mp = operator_matrix(mesh, p_dm, p_dm, "mass", _QDEG)
     rhs = np.zeros(sum(dm.n_dofs for dm in vel_dms))
     bc_mask = [dm.boundary_mask.copy() for dm in vel_dms]
     bc_values = [np.zeros(dm.n_dofs) for dm in vel_dms]
@@ -204,7 +205,7 @@ def _top_facets(mesh):
     return tops
 
 
-def cavity_problem(mesh, combo, variant="dirichlet_lid", qdeg=None):
+def cavity_problem(mesh, combo, variant="dirichlet_lid"):
     """Lid-driven cavity boundary conditions on a rectangle mesh.
 
     dirichlet_lid: first velocity component equals 1 on the top boundary
@@ -212,7 +213,7 @@ def cavity_problem(mesh, combo, variant="dirichlet_lid", qdeg=None):
     the whole boundary.  neumann_lid: the first component is free on the top
     with a unit conormal flux added to its load, fixed to 0 on the rest.
     """
-    sys = assemble(mesh, combo, qdeg)
+    sys = assemble(mesh, combo)
     u_dm = sys.vel_dofmaps[0]
     tops = _top_facets(mesh)
     top_vertices = {v for f in tops for v in f}

@@ -303,14 +303,15 @@ def test_extruded_macro_is_z_structured():
 
 
 def test_3d_star_analysis_is_shared(monkeypatch):
-    # the verdict, the flags and the witness of a star share one face and
-    # semi-plane analysis per axis: asking again does no graph work
+    # the verdicts, the flags and the witness of a star share one split
+    # pass per (mesh, axis): asking again does no graph work
+    import scipy.sparse.csgraph as csgraph
     import stokestab.macroelement as macroelement
     from stokestab.infsup import analytic_singular_pressure
     calls = []
-    components = macroelement._components
-    monkeypatch.setattr(macroelement, "_components",
-                        lambda *args: calls.append(1) or components(*args))
+    components = csgraph.connected_components
+    monkeypatch.setattr(csgraph, "connected_components",
+                        lambda *a, **k: calls.append(1) or components(*a, **k))
     macro = meridian_star_3d(np.random.default_rng(4), [0.8, 0.8 + np.pi])
     combos = ["p1-p1-p1b:p1", "p1b-p1-p1:p1", "p1-p1b-p1b:p1"]
 
@@ -321,15 +322,147 @@ def test_3d_star_analysis_is_shared(monkeypatch):
 
     verdicts, flags, witness = ask()
     assert not verdicts[0].regular and witness is not None
-    # semi-planes about z and x, plane splits along x, y and z
-    assert len(calls) == 5
+    # two labellings (plane cut, axis-line cut) for each of the three axes
+    assert len(calls) == 6
     again = ask()
-    assert len(calls) == 5
+    assert len(calls) == 6
     assert again[:2] == (verdicts, flags)
     assert again[2].tobytes() == witness.tobytes()
     for axis in range(3):
-        assert macroelement._semi_planes(macro, axis, 1e-9) \
-            == macroelement._semi_planes.__wrapped__(macro, axis, 1e-9)
+        assert macroelement._star_splits(macro.mesh, axis) \
+            == macroelement._find_star_splits(macro.mesh, axis)
+
+
+def _reference_components(cells, edges):
+    idx = {int(c): k for k, c in enumerate(cells)}
+    parent = list(range(len(idx)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in edges:
+        ra, rb = find(idx[a]), find(idx[b])
+        if ra != rb:
+            parent[ra] = rb
+    return {int(c): find(idx[c]) for c in cells}
+
+
+def _reference_splits(macro, axis, tol=1e-9):
+    """One star at a time with a union-find: the plane split and the
+    splitting semi-planes about `axis`, directions grouped greedily."""
+    mesh, q0, diam = macro.mesh, macro.q0, macro.diameter()
+    fs = mesh.cell_facets[macro.cells].ravel()
+    _, first = np.unique(fs, return_index=True)
+    fs = fs[np.sort(first)]
+    pairs = mesh.facet_cells[fs]
+    inner = np.isin(pairs, macro.cells).all(axis=1)
+    faces = list(zip(mesh.facets[fs[inner]].tolist(), pairs[inner].tolist()))
+
+    keep = [pair for f, pair in faces
+            if not np.all(np.abs(mesh.vertices[f][:, axis] - q0[axis])
+                          <= tol * diam)]
+    comp = _reference_components(macro.cells, keep)
+    plane_split = len(set(comp.values())) > 1
+
+    b, c = [k for k in range(3) if k != axis]
+    flat_faces, nonflat = [], []
+    for f, pair in faces:
+        others = [v for v in f if v != macro.center]
+        u1 = mesh.vertices[others[0]][[b, c]] - q0[[b, c]]
+        u2 = mesh.vertices[others[1]][[b, c]] - q0[[b, c]]
+        det = u1[0] * u2[1] - u1[1] * u2[0]
+        n1, n2 = np.linalg.norm(u1), np.linalg.norm(u2)
+        eps = tol * diam
+        if abs(det) > tol * diam ** 2 or (n1 <= eps and n2 <= eps):
+            nonflat.append(pair)
+            continue
+        if n1 <= eps or n2 <= eps:
+            u = u1 if n1 > eps else u2
+            dirs = [np.arctan2(u[1], u[0])]
+        elif float(u1 @ u2) >= 0:
+            u = u1 / n1 + u2 / n2
+            dirs = [np.arctan2(u[1], u[0])]
+        else:
+            dirs = [np.arctan2(u1[1], u1[0]), np.arctan2(u2[1], u2[0])]
+        flat_faces.append((pair, [float(np.mod(d, 2 * np.pi)) for d in dirs]))
+    comp = _reference_components(macro.cells, nonflat)
+    groups = {}
+    for pair, dirs in flat_faces:
+        for d in dirs:
+            key = next((k for k in groups
+                        if min(abs(d - k), 2 * np.pi - abs(d - k)) <= tol), d)
+            groups.setdefault(key, []).append(pair)
+    splitting = sorted(k for k, ps in groups.items()
+                       if any(comp[c1] != comp[c2] for c1, c2 in ps))
+    aligned = len(splitting) == 2 \
+        and abs(abs(splitting[0] - splitting[1]) - np.pi) <= tol
+    return plane_split, len(splitting), aligned, tuple(splitting)
+
+
+def _jittered_cube(n, amplitude, seed):
+    from stokestab.mesh import gen_structured_cube
+    mesh = gen_structured_cube(n, n, n)
+    rng = np.random.default_rng(seed)
+    verts = mesh.vertices.copy()
+    inner = mesh.interior_vertices()
+    verts[inner] += rng.uniform(-amplitude, amplitude, (len(inner), 3)) / n
+    return mesh.replace_vertices(verts)
+
+
+def _across_azimuth_zero(macro):
+    """The star with its vertices on the semi-plane at azimuth 0 about z
+    moved off it by +-1e-12, alternately, so that one semi-plane's trace
+    directions straddle the 2pi wrap."""
+    verts = macro.mesh.vertices.copy()
+    on = np.flatnonzero((verts[:, 1] == 0) & (verts[:, 0] > 0))
+    verts[on, 1] = np.where(np.arange(len(on)) % 2, 1e-12, -1e-12)
+    return macro.mesh.replace_vertices(verts)
+
+
+def test_star_splits_match_per_star_reference():
+    import stokestab.macroelement as macroelement
+    from stokestab.mesh import (gen_extruded_tet, gen_perturbed,
+                                gen_structured_cube)
+    rng = np.random.default_rng(11)
+    meshes = [gen_structured_cube(3, 3, 3), gen_structured_cube(4, 3, 2),
+              gen_extruded_tet(gen_zigzag(4, 4), 3),
+              gen_extruded_tet(gen_perturbed(gen_zigzag(5, 4), 0.08, 2), 2),
+              _jittered_cube(4, 0.2, 3)]
+    meshes += [random_star_3d(rng).mesh for _ in range(4)]
+    azimuth_sets = [[], [0.0], [0.0, np.pi], [0.7, 0.7 + np.pi], [0.4, 2.1],
+                    [0.0, 2.0, 4.0], [0.3, 1.9, 4.0], [0.0, 1.5, 3.0, 4.5]]
+    meshes += [meridian_star_3d(rng, az, axis=axis).mesh
+               for axis in range(3) for az in azimuth_sets]
+    wrapped = [_across_azimuth_zero(meridian_star_3d(rng, az))
+               for az in ([0.0, np.pi], [0.0, 2.0, 4.0])]
+    meshes += wrapped
+    seen = set()
+    # the box meshes have corner cells that no star covers
+    with pytest.warns(UserWarning, match="no interior vertex"):
+        for mesh in meshes:
+            build_macroelements(mesh)
+    for mesh in meshes:
+        for axis in range(3):
+            splits = macroelement._star_splits(mesh, axis)
+            macros = build_macroelements(mesh)
+            assert sorted(splits) == sorted(m.center for m in macros)
+            for m in macros:
+                got = splits[m.center]
+                assert got == _reference_splits(m, axis)
+                seen.add(got[:3])
+    # every kind of answer occurs: split and unsplit, 0-4 semi-planes,
+    # aligned and unaligned pairs
+    assert {s for s, _, _ in seen} == {False, True}
+    assert {n for _, n, _ in seen} >= {0, 2, 3, 4}
+    assert (False, 2, True) in seen and (False, 2, False) in seen
+    # the straddling directions form one semi-plane
+    for mesh, count in zip(wrapped, (2, 3)):
+        (got,) = macroelement._star_splits(mesh, 2).values()
+        assert got[1] == count
+        assert got[3][-1] > 2 * np.pi - 1e-9 or got[3][0] < 1e-9
 
 
 def test_diameter_is_the_all_pairs_maximum_computed_once(monkeypatch):
