@@ -51,17 +51,25 @@ class FECombo:
     def dim(self):
         return len(self.velocity)
 
-    @classmethod
-    def parse(cls, text):
-        """Parse e.g. 'p1b-p1:p1' into velocity spaces (p1b, p1), pressure p1."""
-        try:
-            vel, pres = text.split(":")
-        except ValueError:
-            raise FESpaceError(f"combo {text!r} must look like 'p1b-p1:p1'")
-        return cls(tuple(vel.split("-")), pres)
+    @staticmethod
+    def parse(combo):
+        """Parse e.g. 'p1b-p1:p1' into velocity spaces (p1b, p1), pressure p1.
+        An FECombo is returned unchanged; string parses are cached."""
+        if isinstance(combo, FECombo):
+            return combo
+        return _parse_combo(combo)
 
     def __str__(self):
         return "-".join(self.velocity) + ":" + self.pressure
+
+
+@lru_cache(maxsize=None)
+def _parse_combo(text):
+    try:
+        vel, pres = text.split(":")
+    except ValueError:
+        raise FESpaceError(f"combo {text!r} must look like 'p1b-p1:p1'")
+    return FECombo(tuple(vel.split("-")), pres)
 
 
 # ----------------------------------------------------------------------

@@ -184,8 +184,7 @@ def local_nullspace(macro, combo, floor=1e-10):
     query computes every star of the mesh for this combination and floor
     and keeps them on the mesh, so a sweep over the stars pays once.
     """
-    if isinstance(combo, str):
-        combo = FECombo.parse(combo)
+    combo = FECombo.parse(combo)
     mesh = macro.mesh
     if combo.dim != mesh.dim:
         raise FESpaceError(f"combo {combo} does not match a {mesh.dim}D macro")
@@ -276,8 +275,7 @@ def analytic_singular_pressure(macro, combo):
     quadratic case, the rectangle macro) and the even-ring vanishing-sum
     case; returns coefficients in the order center vertex, then ring.
     """
-    if isinstance(combo, str):
-        combo = FECombo.parse(combo)
+    combo = FECombo.parse(combo)
     vel = tuple(combo.velocity)
     if macro.dim == 2 and macro.mesh.cell_kind == QUADRILATERAL:
         if vel != (Q2, Q1) or combo.pressure != Q1:
@@ -318,18 +316,18 @@ def analytic_singular_pressure(macro, combo):
 # global counterexample on layered structured meshes
 # ----------------------------------------------------------------------
 
-def _uniform_levels(coords, rtol=1e-9):
+def _uniform_levels(coords):
     vals = np.sort(np.unique(coords))
-    span = max(vals[-1] - vals[0], 1e-300)
+    tol = 1e-9 * max(vals[-1] - vals[0], 1e-300)
     levels = [vals[0]]
     for v in vals[1:]:
-        if v - levels[-1] > rtol * span:
+        if v - levels[-1] > tol:
             levels.append(v)
     levels = np.asarray(levels)
     if len(levels) < 2:
         return None
     gaps = np.diff(levels)
-    if np.abs(gaps - gaps.mean()).max() > rtol * span:
+    if np.abs(gaps - gaps.mean()).max() > tol:
         return None
     return levels
 
@@ -343,8 +341,7 @@ def global_counterexample(mesh, combo):
     enriched component across the layering; the layers run horizontally for
     an enriched first component and vertically for an enriched second one.
     """
-    if isinstance(combo, str):
-        combo = FECombo.parse(combo)
+    combo = FECombo.parse(combo)
     axis = 1 if combo.velocity[0] in (P1B, P2) else 0
     coords = mesh.vertices[:, axis]
     levels = _uniform_levels(coords)
@@ -383,8 +380,7 @@ def infsup_constant(mesh, combo, k=5):
     deflated by the pair of Mp-projectors around that solve.  An eigenvalue
     at or below 1e-12 is an exact spurious mode and gives beta = 0.
     """
-    if isinstance(combo, str):
-        combo = FECombo.parse(combo)
+    combo = FECombo.parse(combo)
     sys = assemble(mesh, combo)
     fact = SaddleFactorization(sys, _SHIFT)
     Mp = sys.Mp.tocsr()

@@ -255,8 +255,7 @@ def predict_regularity(macro, combo):
     combinations additionally fail, for even rings with no aligned vertex,
     when |S| <= 1e-10 * sum(1/area).
     """
-    if isinstance(combo, str):
-        combo = FECombo.parse(combo)
+    combo = FECombo.parse(combo)
     if macro.dim != 2 or combo.pressure != P1 or combo.dim != 2:
         raise FESpaceError(f"unsupported combo {combo} for 2D prediction")
     vel = tuple(combo.velocity)
@@ -297,7 +296,7 @@ def structure_report(mesh, combos=()):
     """
     if mesh.cell_kind != TRIANGLE:
         raise MeshError("the structure report covers 2D triangular meshes")
-    combos = [FECombo.parse(c) if isinstance(c, str) else c for c in combos]
+    combos = [FECombo.parse(c) for c in combos]
     header = ["vertex", "n_v", "x_structured", "y_structured",
               "aligned_x", "aligned_y", "min_sin", "min_cos", "abs_s_scaled"]
     header += [f"verdict_{c}" for c in combos]
@@ -446,8 +445,7 @@ def predict_regularity_3d(macro, combo):
     enriched component the verdict follows the semi-plane count around the
     axis line through q0.
     """
-    if isinstance(combo, str):
-        combo = FECombo.parse(combo)
+    combo = FECombo.parse(combo)
     if macro.dim != 3 or combo.pressure != P1 or combo.dim != 3:
         raise FESpaceError(f"unsupported combo {combo} for 3D prediction")
     vel = tuple(combo.velocity)

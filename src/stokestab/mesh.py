@@ -544,7 +544,7 @@ def save_msh(mesh, path):
 _VTK_TYPE = {TRIANGLE: 5, QUADRILATERAL: 9, TETRAHEDRON: 10}
 
 
-def save_vtk(mesh, fields, path, title="stokestab output"):
+def save_vtk(mesh, fields, path):
     """Write a legacy-ASCII VTK UNSTRUCTURED_GRID file.
 
     fields maps name -> scalar array; arrays of vertex length go to
@@ -566,7 +566,7 @@ def save_vtk(mesh, fields, path, title="stokestab output"):
     k = mesh.cells.shape[1]
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 2.0\n")
-        fh.write(title + "\n")
+        fh.write("stokestab output\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.num_vertices} double\n")
         for p in mesh.vertices:
@@ -611,10 +611,11 @@ def _tag_boundary(mesh, tags):
     return mesh
 
 
-def _tag_rectangle(mesh, lo, hi, tol=1e-12):
+def _tag_rectangle(mesh, lo, hi):
     """Tag rectangle boundary edges: bottom=1, right=2, top=3, left=4."""
     mid = mesh.vertices[[f for f, _ in mesh.boundary_facets]].mean(axis=1)
     x, y = mid[:, 0], mid[:, 1]
+    tol = 1e-12
     tags = np.select([np.abs(y - lo[1]) < tol, np.abs(x - hi[0]) < tol,
                       np.abs(y - hi[1]) < tol, np.abs(x - lo[0]) < tol],
                      [BOTTOM, RIGHT, TOP, LEFT], 0)
@@ -636,8 +637,9 @@ def _grid_boxes(nx, ny):
     return i, a, a + 1, a + nx + 2, a + nx + 1
 
 
-def gen_structured_tri(nx, ny, domain=((0.0, 0.0), (1.0, 1.0))):
-    """Uniform grid of rectangles, every one split by the same '/' diagonal.
+def gen_structured_tri(nx, ny):
+    """Uniform grid of the unit square, every box split by the same '/'
+    diagonal.
 
     Interior vertices end up with exactly 6 incident triangles, two ring
     neighbours horizontally aligned and two vertically aligned; the mesh is
@@ -645,9 +647,7 @@ def gen_structured_tri(nx, ny, domain=((0.0, 0.0), (1.0, 1.0))):
     """
     if nx < 1 or ny < 1:
         raise MeshError("nx, ny must be >= 1")
-    lo, hi = np.asarray(domain[0], float), np.asarray(domain[1], float)
-    if not np.all(hi > lo):
-        raise MeshError("degenerate rectangle")
+    lo, hi = (0.0, 0.0), (1.0, 1.0)
     _, a, b, c, d = _grid_boxes(nx, ny)
     cells = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
     mesh = Mesh(2, TRIANGLE, _grid_vertices(nx, ny, lo, hi), cells)
@@ -729,17 +729,16 @@ def gen_extruded_tet(base2d, layers, height=1.0):
     return _tag_boundary(mesh, tags)
 
 
-def gen_structured_cube(nx, ny, nz, domain=((0, 0, 0), (1, 1, 1))):
-    """Box split into nx*ny*nz hexahedra, each cut into 6 Kuhn tetrahedra.
+def gen_structured_cube(nx, ny, nz):
+    """Unit cube split into nx*ny*nz hexahedra, each cut into 6 Kuhn
+    tetrahedra.
 
     All tets in a hexahedron share its main diagonal; the pattern is
     translation invariant, hence conforming across hexahedra.
     """
-    lo = np.asarray(domain[0], float)
-    hi = np.asarray(domain[1], float)
-    xs = np.linspace(lo[0], hi[0], nx + 1)
-    ys = np.linspace(lo[1], hi[1], ny + 1)
-    zs = np.linspace(lo[2], hi[2], nz + 1)
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    ys = np.linspace(0.0, 1.0, ny + 1)
+    zs = np.linspace(0.0, 1.0, nz + 1)
     Z, Y, X = np.meshgrid(zs, ys, xs, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
 

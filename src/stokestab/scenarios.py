@@ -2,26 +2,28 @@
 
 Every scenario is deterministic given its seed, writes its CSV/VTK artifacts
 into an output directory, and returns a result object with a one-screen
-summary plus named check values that the CLI compares against the versioned
-thresholds in data/checks.ini when --check is passed.
+summary plus the values it measured.  With check=True, run_scenario gates
+those values against the versioned bounds in data/checks.ini.
 """
 
 from __future__ import annotations
 
 import configparser
+import inspect
 import os
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
 from .infsup import infsup_constant, local_nullspace, nullspace_residual
 from .macroelement import (build_macroelements, classify_3d,
-                           predict_regularity, predict_regularity_3d,
-                           structure_report)
-from .mesh import (Mesh, TRIANGLE, gen_extruded_tet, gen_perturbed,
-                   gen_quad_macro, gen_structured_cube, gen_structured_tri,
-                   gen_zigzag, save_msh, save_vtk, write_csv)
+                           predict_regularity_3d)
+from .mesh import (Mesh, StokestabError, TRIANGLE, gen_extruded_tet,
+                   gen_perturbed, gen_quad_macro, gen_structured_cube,
+                   gen_structured_tri, gen_zigzag, save_msh, save_vtk,
+                   write_csv)
 from .stokes import cavity_problem, convergence_study, solve_penalized
 from .unstructure import UnstructureConfig, apply_algorithm1, verify_uniform
 
@@ -38,7 +40,8 @@ class ScenarioResult:
     name: str
     summary: list            # printable lines
     artifacts: list          # written file paths
-    checks: list             # Check entries (empty without --check)
+    values: dict             # measured values, keyed as in checks.ini
+    checks: list = field(default_factory=list)   # empty without --check
 
     @property
     def passed(self):
@@ -52,8 +55,23 @@ def load_thresholds():
     return cfg
 
 
-def _th(cfg, section, key):
-    return float(cfg[section][key])
+_BOUND = re.compile(r"(min|max)_(\w+)|(\w+)_(min|max)")
+
+
+def gate(name, values):
+    """Check values against section [name] of checks.ini, in file order: a
+    key min_X or X_min bounds values[X] below, max_X or X_max above."""
+    checks = []
+    for key, text in load_thresholds()[name].items():
+        m = _BOUND.fullmatch(key)
+        measured = m and (m[2] or m[3])
+        if measured not in values:
+            raise StokestabError(f"checks.ini [{name}] {key}: not a bound "
+                                 f"on a value that {name} measures")
+        bound, value = float(text), float(values[measured])
+        ok = value >= bound if "min" in m.group(1, 4) else value <= bound
+        checks.append(Check(f"{key}({bound:g})", value, ok))
+    return checks
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +111,7 @@ def decay_family_mesh(level, seed=10):
 # scenarios
 # ----------------------------------------------------------------------
 
-def run_test1(out_dir, seed=42, check=False, eps=1e-10, **kw):
+def run_test1(out_dir, seed=42, eps=1e-10):
     """Lid cavity on the herringbone mesh; the penalization fixes the
     pressure mean, reported in the summary."""
     mesh = gen_zigzag(15, 15)
@@ -111,13 +129,7 @@ def run_test1(out_dir, seed=42, check=False, eps=1e-10, **kw):
                f"saddle system: {diag['unknowns']} unknowns, "
                f"{diag['condensed']} bubbles condensed, "
                f"L+U fill {diag['lu_fill']}"]
-    checks = []
-    if check:
-        cfg = load_thresholds()
-        lim = _th(cfg, "test1", "max_abs_int_p")
-        checks.append(Check("abs_int_p<=%.0e" % lim, abs(int_p),
-                            abs(int_p) <= lim))
-    return ScenarioResult("test1", summary, [vtk], checks)
+    return ScenarioResult("test1", summary, [vtk], {"abs_int_p": abs(int_p)})
 
 
 def _edge_jump(mesh, p):
@@ -127,75 +139,70 @@ def _edge_jump(mesh, p):
     return float(np.mean(np.abs(p[e[:, 0]] - p[e[:, 1]])))
 
 
-def _oscillation_check(name, jumps, summary, check):
-    """Summary line and gate of the structured/unstructured jump ratio."""
-    ratio = jumps["structured"] / jumps["unstructured"]
-    summary.append(f"  oscillation ratio structured/unstructured = {ratio:.2f}")
-    if not check:
-        return []
-    lim = _th(load_thresholds(), name, "min_oscillation_ratio")
-    return [Check(f"oscillation_ratio>={lim:g}", ratio, ratio >= lim)]
-
-
-def run_test2(out_dir, seed=42, check=False, eps=1e-10, **kw):
-    """Traction-driven cavity on an unstructured and a structured mesh; the
-    structured pressure develops the alternating-layer oscillations."""
+def _cavity_pair(name, title, combo, variant, fields, out_dir, seed, eps):
+    """The cavity on the repaired level-4 family mesh and on the 16x16
+    structured grid, one VTK file each with the named fields (u, v, p);
+    measures the structured/unstructured ratio of the mean edge pressure
+    jump."""
     artifacts = []
-    summary = [f"traction lid cavity, p1b-p1:p1, seed={seed}"]
-    meshes = {"unstructured": unstructured_family_mesh(4, seed),
-              "structured": gen_structured_tri(16, 16)}
+    summary = [f"{title}, seed={seed}"]
     jumps = {}
-    for tag, mesh in meshes.items():
-        sys = cavity_problem(mesh, "p1b-p1:p1", "neumann_lid")
-        sol = solve_penalized(sys, eps)
+    for tag, mesh in [("unstructured", unstructured_family_mesh(4, seed)),
+                      ("structured", gen_structured_tri(16, 16))]:
+        sol = solve_penalized(cavity_problem(mesh, combo, variant), eps)
         nv = mesh.num_vertices
-        path = os.path.join(out_dir, f"test2_{tag}.vtk")
-        save_vtk(mesh, {"u": sol.velocity[0][:nv], "v": sol.velocity[1][:nv],
-                        "p": sol.pressure}, path)
+        solved = {"u": sol.velocity[0][:nv], "v": sol.velocity[1][:nv],
+                  "p": sol.pressure}
+        path = os.path.join(out_dir, f"{name}_{tag}.vtk")
+        save_vtk(mesh, {f: solved[f] for f in fields}, path)
         artifacts.append(path)
         jumps[tag] = _edge_jump(mesh, sol.pressure)
         summary.append(f"  {tag}: mean edge pressure jump {jumps[tag]:.3f}")
-    checks = _oscillation_check("test2", jumps, summary, check)
-    return ScenarioResult("test2", summary, artifacts, checks)
+    ratio = jumps["structured"] / jumps["unstructured"]
+    summary.append(f"  oscillation ratio structured/unstructured = {ratio:.2f}")
+    return ScenarioResult(name, summary, artifacts,
+                          {"oscillation_ratio": ratio})
 
 
-def _convergence_scenario(name, combo, out_dir, seed, check, levels, section):
+def run_test2(out_dir, seed=42, eps=1e-10):
+    """Traction-driven cavity on an unstructured and a structured mesh; the
+    structured pressure develops the alternating-layer oscillations."""
+    return _cavity_pair("test2", "traction lid cavity, p1b-p1:p1",
+                        "p1b-p1:p1", "neumann_lid", ("u", "v", "p"), out_dir,
+                        seed, eps)
+
+
+def run_test9(out_dir, seed=42, eps=1e-10):
+    """Quadratic-velocity cavity on unstructured and structured meshes."""
+    return _cavity_pair("test9", "cavity with p2-p1:p1", "p2-p1:p1",
+                        "dirichlet_lid", ("p",), out_dir, seed, eps)
+
+
+def _convergence_scenario(name, combo, out_dir, seed, levels):
     levels = levels or [3, 4, 5, 6]
     meshes = [unstructured_family_mesh(l, seed) for l in levels]
     rep = convergence_study(combo, meshes)
     csv = os.path.join(out_dir, f"{name}_orders.csv")
     rep.to_csv(csv)
-    last = rep.orders()[-1]
+    orders = {k: v for k, v in rep.orders()[-1].items() if k != "h"}
     summary = [f"{name}: {combo} on levels {levels}, seed={seed}",
                "  last-interval orders: " + "  ".join(
                    f"{k.removeprefix('order_')}={v:.3f}"
-                   for k, v in last.items() if k != "h")]
-    checks = []
-    if check:
-        cfg = load_thresholds()
-        # configparser folds option names to lower case: fold the order
-        # names the same way and look each key (order_l2_u_min, ...) up
-        by_name = {k.lower(): v for k, v in last.items()}
-        for key in cfg[section]:
-            base, kind = key.rsplit("_", 1)
-            val = by_name[base]
-            lim = _th(cfg, section, key)
-            ok = val >= lim if kind == "min" else val <= lim
-            checks.append(Check(f"{key}({lim:g})", float(val), ok))
-    return ScenarioResult(name, summary, [csv], checks)
+                   for k, v in orders.items())]
+    # configparser folds option names to lower case (order_l2_u_min, ...)
+    return ScenarioResult(name, summary, [csv],
+                          {k.lower(): v for k, v in orders.items()})
 
 
-def run_test3(out_dir, seed=42, check=False, levels=None, **kw):
-    return _convergence_scenario("test3", "p1b-p1:p1", out_dir, seed, check,
-                                 levels, "test3")
+def run_test3(out_dir, seed=42, levels=None):
+    return _convergence_scenario("test3", "p1b-p1:p1", out_dir, seed, levels)
 
 
-def run_test8(out_dir, seed=42, check=False, levels=None, **kw):
-    return _convergence_scenario("test8", "p2-p1:p1", out_dir, seed, check,
-                                 levels, "test8")
+def run_test8(out_dir, seed=42, levels=None):
+    return _convergence_scenario("test8", "p2-p1:p1", out_dir, seed, levels)
 
 
-def run_test4(out_dir, seed=42, check=False, r=0.15, **kw):
+def run_test4(out_dir, seed=42, r=0.15):
     """Alignment-removing repair of the 16x16 structured grid and its effect
     on the inf-sup constant of the bubble combination."""
     mesh = gen_structured_tri(16, 16)
@@ -209,61 +216,51 @@ def run_test4(out_dir, seed=42, check=False, r=0.15, **kw):
     summary = [f"repair 16x16 structured, r={r}, axis=y, seed={seed}",
                f"  verify_uniform: passed={rep.passed} margin={rep.margin:.3f}",
                f"  beta before={before:.3e} after={after:.3e}"]
-    checks = []
-    if check:
-        cfg = load_thresholds()
-        checks.append(Check("verify_uniform", float(rep.passed), rep.passed))
-        lim = _th(cfg, "test4", "beta_before_max")
-        checks.append(Check(f"beta_before<={lim:g}", before, before <= lim))
-        lim = _th(cfg, "test4", "beta_after_min")
-        checks.append(Check(f"beta_after>={lim:g}", after, after >= lim))
-    return ScenarioResult("test4", summary, [msh], checks)
+    return ScenarioResult("test4", summary, [msh],
+                          {"offending": len(rep.offending),
+                           "beta_before": before, "beta_after": after})
 
 
 _CUBE_COMBOS = ["p1-p1b-p1b:p1", "p1b-p1-p1b:p1", "p1b-p1b-p1:p1",
                 "p1-p1-p1b:p1", "p1b-p1-p1:p1", "p1-p1b-p1:p1"]
 
 
-def _local_3d_table(mesh, combos):
+def _local_3d_table(mesh, combos, csv):
+    """Closed-form verdict beside the numeric nullspace dimension for every
+    macro and combination, written to csv; returns the rows and the number
+    of macros."""
     macros = build_macroelements(mesh)
     rows = []
-    agree = total = 0
     for m in macros:
         flags = classify_3d(m)
         for combo in combos:
             v = predict_regularity_3d(m, combo)
             dim = local_nullspace(m, combo).dim
-            ok = v.regular == (dim == 0)
-            agree += ok
-            total += 1
             rows.append([int(m.center), combo, int(flags.x_structured),
                          int(flags.y_structured), int(flags.z_structured),
-                         flags.semi_plane_count, v.predicted, dim, int(ok)])
-    return rows, agree, total, macros
+                         flags.semi_plane_count, v.predicted, dim,
+                         int(v.regular == (dim == 0))])
+    write_csv(csv, ["vertex", "combo", "x_str", "y_str", "z_str",
+                    "semi_planes", "predicted", "numeric_dim", "agree"], rows)
+    return rows, len(macros)
 
 
-def run_test5(out_dir, seed=42, check=False, **kw):
+def run_test5(out_dir, seed=42):
     """Structured cube at the macro-element level: every enriched
     combination is locally singular, and the numeric nullspace agrees."""
     mesh = gen_structured_cube(3, 3, 3)
-    rows, agree, total, macros = _local_3d_table(mesh, _CUBE_COMBOS)
     csv = os.path.join(out_dir, "test5_cube_local.csv")
-    write_csv(csv, ["vertex", "combo", "x_str", "y_str", "z_str",
-                    "semi_planes", "predicted", "numeric_dim", "agree"], rows)
+    rows, n_macros = _local_3d_table(mesh, _CUBE_COMBOS, csv)
+    agree, total = sum(r[8] for r in rows), len(rows)
     singular = sum(1 for r in rows if r[6] == "singular")
     summary = [f"structured cube 3x3x3 ({mesh.num_cells} tets, "
-               f"{len(macros)} macros), seed={seed}",
+               f"{n_macros} macros), seed={seed}",
                f"  predicted singular {singular}/{total}, "
                f"numeric agreement {agree}/{total}"]
-    checks = []
-    if check:
-        cfg = load_thresholds()
-        lim = _th(cfg, "test5", "min_agreement")
-        checks.append(Check("agreement", agree / total, agree / total >= lim))
-    return ScenarioResult("test5", summary, [csv], checks)
+    return ScenarioResult("test5", summary, [csv], {"agreement": agree / total})
 
 
-def run_test6(out_dir, seed=42, check=False, **kw):
+def run_test6(out_dir, seed=42):
     """Extruded unstructured base: the layer planes make every macro
     z-structured, and the walls above the base edges split each star into
     vertical wedges, so single-bubble combinations are locally singular
@@ -272,26 +269,20 @@ def run_test6(out_dir, seed=42, check=False, **kw):
     base = apply_algorithm1(base, UnstructureConfig(r=0.15, axis="x"))
     mesh = gen_extruded_tet(base, 4, 1.0)
     combos = ["p1-p1-p1b:p1", "p1b-p1-p1:p1", "p1-p1b-p1b:p1"]
-    rows, agree, total, macros = _local_3d_table(mesh, combos)
     csv = os.path.join(out_dir, "test6_extruded_local.csv")
-    write_csv(csv, ["vertex", "combo", "x_str", "y_str", "z_str",
-                    "semi_planes", "predicted", "numeric_dim", "agree"], rows)
+    rows, n_macros = _local_3d_table(mesh, combos, csv)
+    agree, total = sum(r[8] for r in rows), len(rows)
     z_struct = sum(1 for r in rows if r[4] == 1) // len(combos)
-    summary = [f"extruded mesh: {mesh.num_cells} tets, {len(macros)} macros, "
+    summary = [f"extruded mesh: {mesh.num_cells} tets, {n_macros} macros, "
                f"seed={seed}",
-               f"  z-structured macros: {z_struct}/{len(macros)}",
+               f"  z-structured macros: {z_struct}/{n_macros}",
                f"  numeric agreement {agree}/{total}"]
-    checks = []
-    if check:
-        cfg = load_thresholds()
-        lim = _th(cfg, "test6", "min_agreement")
-        checks.append(Check("agreement", agree / total, agree / total >= lim))
-        checks.append(Check("all_z_structured", z_struct / len(macros),
-                            z_struct == len(macros)))
-    return ScenarioResult("test6", summary, [csv], checks)
+    return ScenarioResult("test6", summary, [csv],
+                          {"agreement": agree / total,
+                           "z_structured": z_struct / n_macros})
 
 
-def run_test7(out_dir, seed=10, check=False, **kw):
+def run_test7(out_dir, seed=10):
     """Inf-sup decay on the family converging to the structured grid."""
     betas = []
     rows = []
@@ -305,36 +296,13 @@ def run_test7(out_dir, seed=10, check=False, **kw):
     write_csv(csv, ["level", "h", "beta", "lam1", "lam2", "lam3"], rows)
     summary = [f"p2-p1:p1 inf-sup decay, seed={seed}",
                "  beta: " + "  ".join(f"{b:.4g}" for b in betas)]
-    checks = []
-    if check:
-        cfg = load_thresholds()
-        strict = all(betas[i] > betas[i + 1] for i in range(4))
-        checks.append(Check("strictly_decreasing", float(strict), strict))
-        lim = _th(cfg, "test7", "beta_level1_ratio_max")
-        ratio = betas[4] / betas[0] if betas[0] > 0 else np.inf
-        checks.append(Check(f"beta5/beta1<={lim:g}", ratio, ratio <= lim))
-    return ScenarioResult("test7", summary, [csv], checks)
+    ratio = betas[4] / betas[0] if betas[0] > 0 else np.inf
+    increases = sum(1 for a, b in zip(betas, betas[1:]) if a <= b)
+    return ScenarioResult("test7", summary, [csv],
+                          {"increases": increases, "beta_level1_ratio": ratio})
 
 
-def run_test9(out_dir, seed=42, check=False, eps=1e-10, **kw):
-    """Quadratic-velocity cavity on unstructured and structured meshes."""
-    artifacts = []
-    summary = [f"cavity with p2-p1:p1, seed={seed}"]
-    jumps = {}
-    for tag, mesh in [("unstructured", unstructured_family_mesh(4, seed)),
-                      ("structured", gen_structured_tri(16, 16))]:
-        sys = cavity_problem(mesh, "p2-p1:p1", "dirichlet_lid")
-        sol = solve_penalized(sys, eps)
-        path = os.path.join(out_dir, f"test9_{tag}.vtk")
-        save_vtk(mesh, {"p": sol.pressure}, path)
-        artifacts.append(path)
-        jumps[tag] = _edge_jump(mesh, sol.pressure)
-        summary.append(f"  {tag}: mean edge pressure jump {jumps[tag]:.3f}")
-    checks = _oscillation_check("test9", jumps, summary, check)
-    return ScenarioResult("test9", summary, artifacts, checks)
-
-
-def run_q2q1q1(out_dir, seed=42, check=False, **kw):
+def run_q2q1q1(out_dir, seed=42):
     """Rectangle macro-element: the tensor-quadratic/bilinear combination
     admits the absolute-offset spurious pressure."""
     mesh = gen_quad_macro()
@@ -348,14 +316,8 @@ def run_q2q1q1(out_dir, seed=42, check=False, **kw):
     summary = [f"2x2 rectangle macro, q2-q1:q1, seed={seed}",
                f"  local nullspace dim (mod constants) = {ns.dim}",
                f"  counterexample pressure residual = {resid:.2e}"]
-    checks = []
-    if check:
-        cfg = load_thresholds()
-        dmin = _th(cfg, "q2q1q1", "min_nullspace_dim")
-        rmax = _th(cfg, "q2q1q1", "max_residual")
-        checks.append(Check(f"dim>={dmin:g}", ns.dim, ns.dim >= dmin))
-        checks.append(Check(f"residual<={rmax:g}", resid, resid <= rmax))
-    return ScenarioResult("q2q1q1", summary, [csv], checks)
+    return ScenarioResult("q2q1q1", summary, [csv],
+                          {"nullspace_dim": ns.dim, "residual": resid})
 
 
 SCENARIOS = {
@@ -366,9 +328,19 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name, out_dir=".", **kw):
+def run_scenario(name, out_dir=".", check=False, **overrides):
+    """Run scenario name; overrides (seed, eps, r, levels) must be
+    parameters of it.  With check, gate its values against checks.ini."""
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; choose from "
                        + ", ".join(sorted(SCENARIOS)))
+    run = SCENARIOS[name]
+    params = inspect.signature(run).parameters
+    for key in overrides:
+        if key == "out_dir" or key not in params:
+            raise StokestabError(f"scenario {name} takes no --{key}")
     os.makedirs(out_dir, exist_ok=True)
-    return SCENARIOS[name](out_dir=out_dir, **kw)
+    result = run(out_dir, **overrides)
+    if check:
+        result.checks = gate(name, result.values)
+    return result

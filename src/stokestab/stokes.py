@@ -27,6 +27,7 @@ from .mesh import (Mesh, StokestabError, TRIANGLE, TETRAHEDRON, TOP,
 
 
 _QDEG = 5   # quadrature degree of the assembled blocks
+_DATA_QDEG = 7   # of load vectors and error integrals of smooth data
 
 
 class StokesError(StokestabError):
@@ -115,9 +116,9 @@ def element_matrices(mesh, row_space, col_space, kind, qdeg, deriv_axis=None):
     return elmats
 
 
-def load_vector(mesh, dm, fn, qdeg=7):
+def load_vector(mesh, dm, fn):
     """Assemble (f, phi_i) for a scalar callable fn(points)."""
-    rule = quadrature(mesh.cell_kind, qdeg)
+    rule = quadrature(mesh.cell_kind, _DATA_QDEG)
     J, _, meas = cell_geometry(mesh)
     vals, _ = eval_basis(dm.space, mesh.cell_kind, rule.points)
     v0 = mesh.vertices[mesh.cells[:, 0]]
@@ -174,8 +175,7 @@ def assemble(mesh, combo):
     Velocity boundary conditions default to homogeneous Dirichlet on all of
     the boundary; use cavity_problem or edit bc_values for anything else.
     """
-    if isinstance(combo, str):
-        combo = FECombo.parse(combo)
+    combo = FECombo.parse(combo)
     if mesh.cell_kind != TRIANGLE:
         raise StokesError("global Stokes assembly is implemented for "
                           "triangular meshes")
@@ -462,8 +462,8 @@ def trig_solution():
     return ManufacturedSolution(u, v, p, grad_u, grad_v, f)
 
 
-def _field_errors(mesh, dm, dofs, exact, exact_grad, qdeg=7):
-    rule = quadrature(mesh.cell_kind, qdeg)
+def _field_errors(mesh, dm, dofs, exact, exact_grad):
+    rule = quadrature(mesh.cell_kind, _DATA_QDEG)
     J, invJT, meas = cell_geometry(mesh)
     vals, grads = eval_basis(dm.space, mesh.cell_kind, rule.points)
     v0 = mesh.vertices[mesh.cells[:, 0]]
@@ -518,14 +518,13 @@ class ErrorReport:
         write_csv(path, keys + okeys, rows)
 
 
-def convergence_study(combo, meshes, exact=None, eps=1e-10, qdeg_err=7):
+def convergence_study(combo, meshes, exact=None, eps=1e-10):
     """Solve on each mesh and report errors and orders.
 
     The exact solution must be divergence-free with zero boundary trace;
     this is spot-checked on the first mesh before any solve.
     """
-    if isinstance(combo, str):
-        combo = FECombo.parse(combo)
+    combo = FECombo.parse(combo)
     if exact is None:
         exact = trig_solution()
 
@@ -542,17 +541,16 @@ def convergence_study(combo, meshes, exact=None, eps=1e-10, qdeg_err=7):
         sys = assemble(mesh, combo)
         for k, dm in enumerate(sys.vel_dofmaps):
             sys.rhs[sys.offsets[k]:sys.offsets[k + 1]] = load_vector(
-                mesh, dm, lambda x, k=k: exact.f(x)[:, k], qdeg=qdeg_err)
+                mesh, dm, lambda x, k=k: exact.f(x)[:, k])
         sol = solve_penalized(sys, eps)
         ul2, uh1 = _field_errors(mesh, sys.vel_dofmaps[0], sol.velocity[0],
-                                 exact.u, exact.grad_u, qdeg_err)
+                                 exact.u, exact.grad_u)
         vl2, vh1 = _field_errors(mesh, sys.vel_dofmaps[1], sol.velocity[1],
-                                 exact.v, exact.grad_v, qdeg_err)
+                                 exact.v, exact.grad_v)
         # align the pressure mean with the zero-mean exact pressure
         area = mesh.cell_measures().sum()
         pshift = sol.pressure - sol.diagnostics["int_p"] / area
-        pl2, _ = _field_errors(mesh, sys.p_dofmap, pshift, exact.p, None,
-                               qdeg_err)
+        pl2, _ = _field_errors(mesh, sys.p_dofmap, pshift, exact.p, None)
         rows.append({"h": mesh.metrics().h, "eL2_u": ul2, "eH1_u": uh1,
                      "eL2_v": vl2, "eH1_v": vh1, "eL2_p": pl2})
     return ErrorReport(combo, rows)

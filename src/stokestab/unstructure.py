@@ -62,7 +62,6 @@ def apply_algorithm1(mesh, cfg):
     interior = [int(v) for v in mesh.interior_vertices()]
     scaled_back = 0
     for sweep in range(5):
-        moved = 0
         for q0 in interior:
             ring, _ = mesh.ccw_ring(q0, verts)
             d = verts[ring, ax] - verts[q0, ax]
@@ -75,7 +74,6 @@ def apply_algorithm1(mesh, cfg):
             step = -(h_r - di) if di > 0 else (h_r + di)
             if 0.0 < mesh.safe_move(verts, q0, ax, step) < 1.0:
                 scaled_back += 1
-            moved += 1
         out = mesh.replace_vertices(verts)
         report = verify_uniform(out, cfg)
         if report.passed:
@@ -83,8 +81,6 @@ def apply_algorithm1(mesh, cfg):
                 warnings.warn(f"{scaled_back} displacement(s) were scaled "
                               "back to keep cells valid")
             return out
-        if moved == 0:
-            break
     raise MeshError("unstructuring did not converge within 5 sweeps; "
                     f"{len(report.offending)} macro(s) still aligned")
 

@@ -146,7 +146,7 @@ def test_run_oscillation_ratio_is_gated(tmp_path, capsys, scenario):
     assert main(["run", scenario, "--out-dir", str(tmp_path), "--check"]) == 0
     out = capsys.readouterr().out
     assert "oscillation ratio structured/unstructured" in out
-    assert "[PASS] oscillation_ratio>=" in out
+    assert "[PASS] min_oscillation_ratio(" in out
 
 
 def test_run_test1_reports_solver_diagnostics(tmp_path, capsys):
@@ -156,9 +156,35 @@ def test_run_test1_reports_solver_diagnostics(tmp_path, capsys):
             in capsys.readouterr().out)
 
 
-def test_convergence_checks_cover_every_threshold(tmp_path):
+@pytest.mark.parametrize("name, overrides", [
+    ("test1", {}), ("test5", {}), ("q2q1q1", {}),
+    ("test3", {"levels": [2, 3]}),
+], ids=["test1", "test5", "q2q1q1", "test3"])
+def test_convergence_checks_cover_every_threshold(tmp_path, name, overrides):
     from stokestab.scenarios import load_thresholds, run_scenario
-    res = run_scenario("test3", out_dir=str(tmp_path), check=True,
-                       levels=[2, 3])
-    keys = list(load_thresholds()["test3"])
+    res = run_scenario(name, out_dir=str(tmp_path), check=True, **overrides)
+    keys = list(load_thresholds()[name])
     assert [c.name.split("(")[0] for c in res.checks] == keys
+
+
+def test_run_rejects_unused_override(tmp_path, capsys):
+    assert main(["run", "test1", "--out-dir", str(tmp_path / "o"),
+                 "--r", "0.3"]) == 2
+    assert "scenario test1 takes no --r" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_failing_bound_exits_1(tmp_path, capsys, monkeypatch):
+    import stokestab.scenarios as scen
+    original = scen.load_thresholds
+
+    def strict():
+        cfg = original()
+        cfg["q2q1q1"]["max_residual"] = "0"
+        return cfg
+
+    monkeypatch.setattr(scen, "load_thresholds", strict)
+    assert main(["run", "q2q1q1", "--out-dir", str(tmp_path), "--check"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] max_residual(0):" in out
+    assert "[PASS] min_nullspace_dim(1):" in out
