@@ -165,7 +165,7 @@ def _star_oracles(mesh, combo, floor):
         # s descends, so the null rows of Vt are the trailing ones
         dims = (s <= floor * s.max(axis=1, initial=0.0)[:, None]).sum(axis=1)
         W = Vt @ V.transpose(0, 2, 1)
-        nrm = np.sqrt(np.einsum("mki,mij,mkj->mk", W, Mp, W))
+        nrm = np.sqrt(((W @ Mp) * W).sum(-1))
         W /= np.where(nrm > 0, nrm, 1.0)[:, :, None]
         _frozen(P, s, W, R)
         for i, star_id in enumerate(members):
@@ -384,7 +384,7 @@ def infsup_constant(mesh, combo, k=5):
     sys = assemble(mesh, combo)
     fact = SaddleFactorization(sys, _SHIFT)
     Mp = sys.Mp.tocsr()
-    n_p, nf = Mp.shape[0], fact.n_velocity
+    n_p = Mp.shape[0]
     k = min(k, n_p - 2)
     mp1 = Mp @ np.ones(n_p)
     m11 = float(mp1.sum())
@@ -392,9 +392,7 @@ def infsup_constant(mesh, combo, k=5):
     def op_inv(b):
         # pressure part of K^-1 [0; -b], i.e. (S + delta*Mp)^-1 b, with the
         # constant taken out of b (Mp-orthogonal side) and of the result
-        rhs = np.zeros(fact.unknowns)
-        rhs[nf:] = mp1 * (b.sum() / m11) - b
-        x = fact.solve(rhs)[nf:]
+        x = fact.solve_pressure(mp1 * (b.sum() / m11) - b)
         return x - (mp1 @ x) / m11
 
     def never(x):

@@ -14,6 +14,7 @@ the cell bubbles of P1b components are eliminated cellwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,12 +223,9 @@ def cavity_problem(mesh, combo, variant="dirichlet_lid"):
     xmax = mesh.vertices[:, 0].max()
 
     if variant == "dirichlet_lid":
-        coords = u_dm.coords
-        on_top = np.zeros(u_dm.n_dofs, dtype=bool)
-        for dof in u_dm.boundary_dofs:
-            x, y = coords[dof]
-            if abs(y - ymax) < 1e-12 and xmin + 1e-12 < x < xmax - 1e-12:
-                on_top[dof] = True
+        x, y = u_dm.coords.T
+        on_top = (u_dm.boundary_mask & (np.abs(y - ymax) < 1e-12)
+                  & (xmin + 1e-12 < x) & (x < xmax - 1e-12))
         sys.bc_values[0][on_top] = 1.0
     elif variant == "neumann_lid":
         # release the top dofs of the first component and add the flux term
@@ -271,30 +269,28 @@ def boundary_flux(sys, velocity):
     edgewise trapezoid/Simpson values are exact and the sum equals the
     integral of div(w) over the domain.
     """
-    import math
-
     mesh = sys.mesh
-    terms = []
     bf = np.array([f for f, _ in mesh.boundary_facets])
-    edge = mesh.edge_index(bf[:, 0], bf[:, 1])
+    a, b = bf[:, 0], bf[:, 1]
+    edge = mesh.edge_index(a, b)
     owners = mesh.facet_cells[edge, 0]   # in 2D the facets are the edges
-    for (a, b), owner, mid in zip(bf.tolist(), owners,
-                                  mesh.num_vertices + edge):
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        t = pb - pa
-        L = float(np.hypot(t[0], t[1]))
-        n = np.array([t[1], -t[0]]) / L
-        cc = mesh.vertices[mesh.cells[owner]].mean(axis=0)
-        if float(n @ (pa - cc)) < 0:
-            n = -n
-        for k, dm in enumerate(sys.vel_dofmaps):
-            w = velocity[k]
-            if dm.space == P2:
-                tr = L * (w[a] + 4.0 * w[mid] + w[b]) / 6.0
-            else:
-                tr = L * (w[a] + w[b]) / 2.0
-            terms.append(float(n[k]) * tr)
-    return math.fsum(terms)
+    pa = mesh.vertices[a]
+    t = mesh.vertices[b] - pa
+    L = np.hypot(t[:, 0], t[:, 1])
+    n = np.column_stack([t[:, 1], -t[:, 0]]) / L[:, None]
+    cc = mesh.vertices[mesh.cells[owners]].mean(axis=1)
+    n[((pa - cc) * n).sum(axis=1) < 0] *= -1.0
+    mid = mesh.num_vertices + edge
+    # one term per (facet, component), facet-major
+    terms = np.empty((len(bf), len(sys.vel_dofmaps)))
+    for k, dm in enumerate(sys.vel_dofmaps):
+        w = velocity[k]
+        if dm.space == P2:
+            tr = L * (w[a] + 4.0 * w[mid] + w[b]) / 6.0
+        else:
+            tr = L * (w[a] + w[b]) / 2.0
+        terms[:, k] = n[:, k] * tr
+    return math.fsum(terms.ravel())
 
 
 def _bubble_mask(sys):
@@ -304,6 +300,28 @@ def _bubble_mask(sys):
         if dm.space == P1B:
             mask[off + dm.cell_dofs[:, -1]] = True
     return mask
+
+
+def _condense(K, bub):
+    """Eliminate the bubble unknowns of K: the Schur complement on the other
+    unknowns (CSC), the bubble-row and bubble-column couplings and the
+    bubble diagonal."""
+    rest = ~bub
+    Kb, Kr = K[bub], K[rest]
+    Kbb, Kbr, Krb = Kb[:, bub], Kb[:, rest], Kr[:, bub]
+    d = Kbb.diagonal()
+    if np.any(d <= 0) or Kbb.count_nonzero() > np.count_nonzero(d):
+        raise StokesError("the bubble block of the saddle matrix is not "
+                          "a positive diagonal")
+    # sum the Schur update as COO triplets: explicit zeros of K stay in the
+    # pattern, so without bubbles the LU sees exactly K
+    Krr = Kr[:, rest].tocoo()
+    upd = (Krb @ sp.diags(-1.0 / d) @ Kbr).tocoo()
+    Kc = sp.csc_matrix((np.concatenate([Krr.data, upd.data]),
+                        (np.concatenate([Krr.row, upd.row]),
+                         np.concatenate([Krr.col, upd.col]))),
+                       shape=Krr.shape)
+    return Kc, Kbr, Krb, d
 
 
 class SaddleFactorization:
@@ -317,7 +335,19 @@ class SaddleFactorization:
     Brezzi & Fortin): each bubble couples only to its own cell, so the
     bubble block of K is diagonal and its Schur complement stays inside the
     pattern of the other unknowns.  `solve` recovers the bubbles cellwise.
-    Without bubbles the LU factorizes K itself.
+
+    The condensed matrix [[Aff, -Bf^T], [-Bf, -(delta*Mp + Bb D^-1 Bb^T)]]
+    is symmetric quasi-definite: its velocity block is positive definite
+    and its pressure block negative definite.  Such a matrix has an LDL^T
+    factorization under every symmetric permutation (Vanderbei, SIAM J.
+    Optim. 5, 1995), so it is factorized without row pivoting, in the
+    minimum-degree order of K + K^T (2.44M entries for L and U instead of
+    3.28M on the 64x64 level of the p1b-p1:p1 study).  Without bubbles the
+    LU factorizes K itself with SuperLU's defaults: the pressure block is
+    then only -delta*Mp, and pivot-free orders left relative residuals of
+    7e-9 to 2e-7 on the p2-p1:p1 lid cavities.  A nonzero diagonal
+    threshold is no middle way: at 1e-3 and 1e-2 it raised the fill of the
+    64x64 p2-p1:p1 cavity from 9.2M to 10.6M and 43M.
 
     `unknowns` is the order of K, `condensed` the number of bubbles
     eliminated and `lu_fill` the entries SuperLU stores for L and U
@@ -335,30 +365,21 @@ class SaddleFactorization:
         self.n_velocity = nf = int(free.sum())
         bub = np.zeros(self.K.shape[0], dtype=bool)
         bub[:nf] = _bubble_mask(sys)[free]
-        rest = ~bub
-        Kb, Kr = self.K[bub], self.K[rest]
-        Kbb, self._Kbr, self._Krb = Kb[:, bub], Kb[:, rest], Kr[:, bub]
-        d = Kbb.diagonal()
-        if np.any(d <= 0) or Kbb.count_nonzero() > np.count_nonzero(d):
-            raise StokesError("the bubble block of the saddle matrix is not "
-                              "a positive diagonal")
-        # sum the Schur update as COO triplets: explicit zeros of K stay in
-        # the pattern, so without bubbles the LU sees exactly K
-        Krr = Kr[:, rest].tocoo()
-        upd = (self._Krb @ sp.diags(-1.0 / d) @ self._Kbr).tocoo()
-        Kc = sp.csc_matrix((np.concatenate([Krr.data, upd.data]),
-                            (np.concatenate([Krr.row, upd.row]),
-                             np.concatenate([Krr.col, upd.col]))),
-                           shape=Krr.shape)
+        Kc, self._Kbr, self._Krb, d = _condense(self.K, bub)
+        self.condensed = int(bub.sum())
         try:
-            self._lu = spla.splu(Kc)
+            if self.condensed:
+                self._lu = spla.splu(Kc, permc_spec="MMD_AT_PLUS_A",
+                                     diag_pivot_thresh=0.0,
+                                     options=dict(SymmetricMode=True))
+            else:
+                self._lu = spla.splu(Kc)
         except RuntimeError as exc:
             raise StokesError(
                 "singular saddle factorization (the penalized system should "
                 "be regular; check assembly and boundary conditions)") from exc
-        self._bub, self._rest, self._d = bub, rest, d
+        self._bub, self._rest, self._d = bub, ~bub, d
         self.unknowns = self.K.shape[0]
-        self.condensed = int(bub.sum())
         self.lu_fill = int(self._lu.nnz)
 
     def solve(self, rhs):
@@ -369,6 +390,13 @@ class SaddleFactorization:
         x[rest] = self._lu.solve(rhs[rest] - self._Krb @ (rhs[bub] / d))
         x[bub] = (rhs[bub] - self._Kbr @ x[rest]) / d
         return x
+
+    def solve_pressure(self, b):
+        """Pressure part of K^-1 [0; b].  With no velocity load no bubble
+        enters the condensed right-hand side, and none is recovered."""
+        rhs = np.zeros(self._lu.shape[0])
+        rhs[-len(b):] = b
+        return self._lu.solve(rhs)[-len(b):]
 
 
 def solve_penalized(sys, eps=1e-10):

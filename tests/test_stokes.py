@@ -307,10 +307,18 @@ def test_condensed_counts_the_bubble_dofs(combo, per_cell):
         assert sol.diagnostics["lu_fill"] < fill
 
 
+# the structured grid's y-only pressure modes leave only delta*Mp in the
+# pressure block of the condensed p1b-p1:p1 matrix, which is factorized
+# without pivoting
 @pytest.mark.parametrize("delta", [1e-10, 1e-8])
-@pytest.mark.parametrize("combo", ["p1b-p1:p1", "p1b-p1b:p1", "p2-p1:p1"])
-def test_saddle_factorization_solves_the_full_system(combo, delta):
-    sys = assemble(gen_zigzag(5, 4), combo)
+@pytest.mark.parametrize("mesh_kind,combo", [
+    pytest.param("zigzag", c, id=c)
+    for c in ["p1b-p1:p1", "p1b-p1b:p1", "p2-p1:p1", "p1-p1b:p1"]
+] + [pytest.param("structured16", "p1b-p1:p1", id="structured16-p1b-p1:p1")])
+def test_saddle_factorization_solves_the_full_system(mesh_kind, combo, delta):
+    mesh = (gen_zigzag(5, 4) if mesh_kind == "zigzag"
+            else gen_structured_tri(16, 16))
+    sys = assemble(mesh, combo)
     fact = SaddleFactorization(sys, delta)
     free = sys.free_mask()
     assert fact.unknowns == fact.K.shape[0] == free.sum() + sys.Mp.shape[0]
@@ -320,8 +328,28 @@ def test_saddle_factorization_solves_the_full_system(combo, delta):
     # normwise backward error: the constant pressure makes x O(1/delta)
     scale = spla.norm(fact.K, np.inf) * np.abs(x).max() + np.abs(rhs).max()
     assert np.abs(fact.K @ x - rhs).max() <= 1e-14 * scale
+    # a pressure-only right-hand side skips the bubbles, to the last bit
+    rhs[:fact.n_velocity] = 0.0
+    assert np.array_equal(fact.solve_pressure(rhs[fact.n_velocity:]),
+                          fact.solve(rhs)[fact.n_velocity:])
     with pytest.raises(StokesError, match="positive"):
         SaddleFactorization(sys, 0.0)
+
+
+def test_condensed_factorization_orders_for_less_fill():
+    # minimum degree on K + K^T with diagonal pivots against SuperLU's
+    # default column order and partial pivoting, on the same matrix
+    from stokestab.mesh import gen_perturbed
+    from stokestab.stokes import _bubble_mask, _condense
+
+    mesh = gen_perturbed(gen_structured_tri(32, 32), 0.3 / 32, 5)
+    sys = assemble(mesh, "p1b-p1:p1")
+    fact = SaddleFactorization(sys, 1e-10)
+    bub = np.zeros(fact.unknowns, dtype=bool)
+    bub[:fact.n_velocity] = _bubble_mask(sys)[sys.free_mask()]
+    Kc = _condense(fact.K, bub)[0]
+    assert fact.condensed == bub.sum() > 0
+    assert fact.lu_fill < spla.splu(Kc).nnz
 
 
 def test_nonpositive_bubble_block_is_rejected():
