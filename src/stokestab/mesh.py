@@ -12,6 +12,7 @@ import csv
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def _cross2(u, v):
 def _signed_measures(vertices, cells):
     """Triangle areas, quadrilateral areas (shoelace) or tet volumes, positive
     for counterclockwise or right-handed vertex order."""
-    p = vertices[cells]
+    p = vertices.take(cells, axis=0)
     if cells.shape[1] == 3:
         return 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     if vertices.shape[1] == 2:
@@ -120,6 +121,25 @@ def _csr(rows, cols, n):
     return _frozen(offsets, cols[np.lexsort((cols, rows))])
 
 
+def _spans(offsets, rows):
+    """Positions offsets[r]:offsets[r + 1] of each CSR row r, concatenated."""
+    start = offsets[rows]
+    counts = offsets[rows + 1] - start
+    return np.repeat(start - np.cumsum(counts) + counts, counts) + \
+        np.arange(counts.sum())
+
+
+def _padded(offsets, values, rows, fill):
+    """The CSR rows `rows` of (offsets, values) as the rows of one array,
+    padded with `fill` to the longest, and the mask of the real entries."""
+    start = offsets[rows]
+    deg = offsets[rows + 1] - start
+    col = np.arange(deg.max(initial=0))
+    real = col < deg[:, None]
+    at = np.minimum(start[:, None] + col, len(values) - 1)
+    return np.where(real, values[at], fill), real
+
+
 def require_triangles(mesh, caller):
     """Raise MeshError unless `mesh` is made of triangles."""
     if mesh.cell_kind != TRIANGLE:
@@ -142,9 +162,10 @@ class Mesh:
         first appearance over the oriented cells) when omitted.
 
     Topology, derived from the oriented cells, is cached and read-only:
-    `edges()`, `cell_edges`, `facets`, `cell_facets`, `facet_cells` and the
-    CSR incidences `vertex_cells`, `vertex_neighbours`; `cells_of`,
-    `neighbours`, `edge_index`, `ccw_ring` and `safe_move` read it.
+    `edges()`, `cell_edges`, `facets`, `cell_facets`, `facet_cells`, the
+    CSR incidences `vertex_cells`, `vertex_neighbours` and the
+    `interior_waves` schedule; `cells_of`, `neighbours`,
+    `padded_neighbours`, `edge_index`, `ccw_ring` and `safe_move` read it.
     `derived(key, build)` keeps other data computed from the mesh, such as
     the operators the local oracle slices.
     """
@@ -254,6 +275,39 @@ class Mesh:
         offsets, nbrs = self.vertex_neighbours
         return nbrs[offsets[v]:offsets[v + 1]]
 
+    def padded_neighbours(self, v):
+        """Edge neighbours of each vertex in the array v as the rows of one
+        array, ascending and padded with the row's own vertex to the largest
+        degree, and the mask of the real entries."""
+        return _padded(*self.vertex_neighbours, v, v[:, None])
+
+    @cached_property
+    def interior_waves(self):
+        """The interior vertices in waves (level scheduling): no two
+        vertices of a wave are edge neighbours, and every interior neighbour
+        of lower index sits in an earlier wave.  A sweep that moves each
+        vertex using only its edge neighbours therefore gives the same
+        result run wave by wave, one array step per wave, as run one vertex
+        at a time in ascending order."""
+        n = self.num_vertices
+        inner = ~self.boundary_vertex_mask()
+        e = self.edges()  # rows a < b
+        e = e[inner[e].all(axis=1)]
+        # the interior neighbours b > a of each a, padded with a dummy n
+        later, _ = _padded(*_csr(e[:, 0], e[:, 1], n), np.arange(n), n)
+        # per vertex, its interior neighbours a < b not yet scheduled; -1
+        # once scheduled and for the boundary and the dummy
+        waiting = np.append(np.bincount(e[:, 1], minlength=n), -1)
+        waiting[:n][~inner] = -1
+        waves = []
+        while True:
+            wave = np.flatnonzero(waiting == 0)
+            if not len(wave):
+                return tuple(waves)
+            waiting[wave] = -1
+            waves.append(_frozen(wave))
+            waiting -= np.bincount(later[wave].ravel(), minlength=n + 1)
+
     def edge_index(self, a, b):
         """Index into edges() of the edge joining vertices a and b (arrays
         broadcast); raises MeshError when a pair is not an edge."""
@@ -277,21 +331,35 @@ class Mesh:
         return nbrs[order], ang[order]
 
     def safe_move(self, coords, v, axis, step):
-        """Move vertex v of the triangle-mesh coordinates `coords` in place
-        by `step` along `axis`, halving the step until every cell at v keeps
-        at least 10% of its area before the move.  Returns the scale applied
-        to the step, 0.0 when 60 halvings did not suffice and v stays put."""
-        tris = self.cells[self.cells_of(v)]
-        ref = 0.1 * _signed_measures(coords, tris)
+        """Move the vertices v (an array; no two may share a cell) of the
+        triangle-mesh coordinates `coords` in place by the steps `step`
+        along `axis`, halving each vertex's step until every cell at it
+        keeps at least 10% of its area before the move.  Returns the scale
+        applied to each step, 0.0 where 60 halvings did not suffice and the
+        vertex stays put."""
+        at, real = _padded(*self.vertex_cells, v, 0)
+        tris = self.cells.take(at, axis=0)
+
+        def measures(rows):
+            t = tris.take(rows, axis=0)
+            return _signed_measures(coords, t.reshape(-1, t.shape[-1])
+                                    ).reshape(t.shape[:2])
+
+        everyone = np.arange(len(v))
+        ref = 0.1 * measures(everyone)
         x0 = coords[v, axis]
-        scale = 1.0
+        scale = np.ones(len(v))
+        todo = everyone  # vertices still halving
         for _ in range(60):
-            coords[v, axis] = x0 + scale * step
-            if np.all(_signed_measures(coords, tris) >= ref):
+            coords[v[todo], axis] = x0[todo] + scale[todo] * step[todo]
+            kept = (measures(todo) >= ref[todo]) | ~real[todo]
+            todo = todo[~kept.all(axis=1)]
+            if not len(todo):
                 return scale
-            scale *= 0.5
-        coords[v, axis] = x0
-        return 0.0
+            scale[todo] *= 0.5
+        coords[v[todo], axis] = x0[todo]
+        scale[todo] = 0.0
+        return scale
 
     def derived(self, key, build):
         """build(), computed once per key and kept on this mesh like the
@@ -316,7 +384,7 @@ class Mesh:
         return np.abs(_signed_measures(self.vertices, self.cells))
 
     def cell_diameters(self):
-        pts = self.vertices[self.cells]
+        pts = self.vertices.take(self.cells, axis=0)
         k = pts.shape[1]
         dmax = np.zeros(len(pts))
         for i in range(k):
@@ -332,9 +400,16 @@ class Mesh:
                            shape_ratio=float((diam**2 / meas).max()))
 
     def replace_vertices(self, new_vertices):
-        """New mesh with the same topology and different coordinates."""
-        return Mesh(self.dim, self.cell_kind, new_vertices, self.cells,
-                    list(self.boundary_facets))
+        """New mesh with the same topology and different coordinates.  It
+        shares the vertex incidences and interior waves already computed
+        here: they do not depend on the coordinates or on the vertex order
+        within a cell."""
+        out = Mesh(self.dim, self.cell_kind, new_vertices, self.cells,
+                   list(self.boundary_facets))
+        for key in ("vertex_cells", "vertex_neighbours", "interior_waves"):
+            if key in self.__dict__:
+                out.__dict__[key] = self.__dict__[key]
+        return out
 
     # -- construction helpers -------------------------------------------
 
@@ -414,12 +489,55 @@ _MSH_LINE, _MSH_TRI, _MSH_QUAD, _MSH_TET = 1, 2, 3, 4
 _MSH_POINT = 15
 
 
+def _msh_nodes(block):
+    """Ids and (n, 3) coordinates of '$Nodes' records 'id x y z', parsed
+    with int() and float() like single values."""
+    rows = list(map(str.split, block))
+    if set(map(len, rows)) - {4}:
+        raise ValueError("a node record has other than 4 fields")
+    tokens = list(chain.from_iterable(rows))
+    ids = np.array(tokens[0::4], dtype=np.int64)
+    del tokens[0::4]
+    return ids, np.array(tokens, dtype=float).reshape(-1, 3)
+
+
+def _msh_elements(block):
+    """Types, first tags (0 without tags), node counts and the concatenated
+    nodes of '$Elements' records 'id type ntags tags... nodes...', in
+    record order.  The ids are not read."""
+    rows = list(map(str.split, block))
+    width = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    etype, tag, count = np.zeros((3, len(rows)), dtype=np.int64)
+    groups = []  # records of one width: (positions, fields after the id)
+    for w in np.unique(width).tolist():
+        if w < 3:
+            raise ValueError("an element record lacks its type or tag count")
+        at = np.flatnonzero(width == w)
+        tokens = list(chain.from_iterable(map(rows.__getitem__, at.tolist())))
+        del tokens[0::w]
+        fields = np.array(tokens, dtype=np.int64).reshape(len(at), w - 1)
+        if np.any((fields[:, 1] < 0) | (fields[:, 1] > w - 3)):
+            raise ValueError("an element record has fewer tags than it counts")
+        etype[at] = fields[:, 0]
+        if w > 3:
+            tag[at] = np.where(fields[:, 1] > 0, fields[:, 2], 0)
+        count[at] = w - 3 - fields[:, 1]
+        groups.append((at, fields))
+    offsets = np.concatenate([[0], np.cumsum(count)])
+    nodes = np.empty(offsets[-1], dtype=np.int64)
+    for at, fields in groups:
+        after_tags = np.arange(fields.shape[1] - 2) >= fields[:, 1:2]
+        nodes[_spans(offsets, at)] = fields[:, 2:][after_tags]
+    return etype, tag, count, nodes
+
+
 def load_msh(path):
     """Read a Gmsh MSH 2.2 ASCII file.
 
     Lines become tagged boundary facets in 2D, triangles become boundary
     facets in 3D; triangles/quads/tets become cells.  Raises MeshError with
     a line number on malformed input and rejects nonconforming meshes.
+    Each node and element block is parsed at once.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -427,9 +545,40 @@ def load_msh(path):
     def err(i, msg):
         return MeshError(f"{path}:{i + 1}: {msg}")
 
+    def block(i, what, parse, msg):
+        """(n, parse(records)) for the block whose count is on line i + 1.
+        A failing block is bisected to the first record that fails; each
+        record passes or fails on its own."""
+        try:
+            n = int(lines[i + 1])
+            if n < 0:
+                raise ValueError
+        except (ValueError, IndexError):
+            raise err(i + 1, f"bad {what} count") from None
+        first, end = i + 2, min(i + 2 + n, len(lines))
+
+        def fails(a, b):
+            try:
+                parse(lines[a:b])
+            except (ValueError, IndexError, OverflowError):
+                return True
+            return False
+
+        if end == first + n:
+            try:
+                return n, parse(lines[first:end])
+            except (ValueError, IndexError, OverflowError):
+                pass
+        lo, hi = first, end
+        if not fails(lo, hi):
+            raise err(end, msg)  # the records run past the end of the file
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if not fails(lo, mid) else (lo, mid)
+        raise err(lo, msg)
+
     i = 0
-    nodes = {}
-    elements = []  # (etype, tag, node ids)
+    nodes, elements = [], []  # parsed blocks
     saw_format = False
     while i < len(lines):
         tok = lines[i].strip()
@@ -441,68 +590,68 @@ def load_msh(path):
             saw_format = True
             i += 3
         elif tok == "$Nodes":
-            try:
-                n = int(lines[i + 1])
-            except (ValueError, IndexError):
-                raise err(i + 1, "bad node count")
-            for k in range(n):
-                try:
-                    nid, x, y, z = lines[i + 2 + k].split()
-                    nodes[int(nid)] = [float(x), float(y), float(z)]
-                except (ValueError, IndexError):
-                    raise err(i + 2 + k, "expected 'id x y z'")
+            n, parsed = block(i, "node", _msh_nodes, "expected 'id x y z'")
+            nodes.append(parsed)
             i += n + 3
         elif tok == "$Elements":
-            try:
-                n = int(lines[i + 1])
-            except (ValueError, IndexError):
-                raise err(i + 1, "bad element count")
-            for k in range(n):
-                try:
-                    parts = lines[i + 2 + k].split()
-                    etype = int(parts[1])
-                    ntags = int(parts[2])
-                    tags = [int(t) for t in parts[3:3 + ntags]]
-                    conn = [int(p) for p in parts[3 + ntags:]]
-                except (ValueError, IndexError):
-                    raise err(i + 2 + k, "malformed element record")
-                elements.append((etype, tags[0] if tags else 0, conn))
+            n, parsed = block(i, "element", _msh_elements,
+                              "malformed element record")
+            elements.append(parsed)
             i += n + 3
         else:
             i += 1
     if not saw_format:
         raise MeshError(f"{path}: missing $MeshFormat section")
-    if not nodes:
+
+    def joined(arrays):
+        return np.concatenate([np.zeros(0, dtype=np.int64), *arrays])
+
+    ids = joined(b[0] for b in nodes)
+    if not len(ids):
         raise MeshError(f"{path}: missing $Nodes section")
+    # a repeated id keeps its last coordinates; vertices in ascending id order
+    ids, last = np.unique(ids[::-1], return_index=True)
+    coords3 = np.concatenate([b[1] for b in nodes])[-1 - last]
+    etype, tags, count, conn = (joined(b[k] for b in elements)
+                                for k in range(4))
+    offsets = np.concatenate([[0], np.cumsum(count)])
 
-    ids = sorted(nodes)
-    remap = {nid: k for k, nid in enumerate(ids)}
-    coords3 = np.array([nodes[nid] for nid in ids])
+    def records(kind):
+        """Tags and 0-based nodes of the records of one element type, in
+        file order: the rows of an array when they have one node count,
+        else lists."""
+        rows = np.flatnonzero(etype == kind)
+        v = conn[_spans(offsets, rows)]
+        pos = np.minimum(np.searchsorted(ids, v), len(ids) - 1)
+        unknown = ids[pos] != v
+        if unknown.any():
+            raise MeshError(f"{path}: element references unknown node "
+                            f"{v[np.argmax(unknown)]}")
+        if len(set(count[rows].tolist())) > 1:
+            return tags[rows], [
+                c.tolist() for c in np.split(pos, np.cumsum(count[rows])[:-1])]
+        return tags[rows], pos.reshape(len(rows), -1 if len(rows) else 0)
 
-    tets = [(t, c) for e, t, c in elements if e == _MSH_TET]
-    tris = [(t, c) for e, t, c in elements if e == _MSH_TRI]
-    quads = [(t, c) for e, t, c in elements if e == _MSH_QUAD]
-    segs = [(t, c) for e, t, c in elements if e == _MSH_LINE]
-
-    if tets:
-        dim, kind, cellrecs, facetrecs = 3, TETRAHEDRON, tets, tris
-    elif tris and quads:
+    present = set(etype.tolist())
+    if _MSH_TET in present:
+        dim, kind, cellkind, facetkind = 3, TETRAHEDRON, _MSH_TET, _MSH_TRI
+    elif _MSH_TRI in present and _MSH_QUAD in present:
         raise MeshError(f"{path}: mixed triangle/quad meshes are not supported")
-    elif tris:
-        dim, kind, cellrecs, facetrecs = 2, TRIANGLE, tris, segs
-    elif quads:
-        dim, kind, cellrecs, facetrecs = 2, QUADRILATERAL, quads, segs
+    elif _MSH_TRI in present:
+        dim, kind, cellkind, facetkind = 2, TRIANGLE, _MSH_TRI, _MSH_LINE
+    elif _MSH_QUAD in present:
+        dim, kind, cellkind, facetkind = 2, QUADRILATERAL, _MSH_QUAD, _MSH_LINE
     else:
         raise MeshError(f"{path}: no triangle/quad/tet elements found")
 
     verts = coords3[:, :dim]
     if dim == 2 and np.abs(coords3[:, 2]).max(initial=0.0) > 1e-12:
         raise MeshError(f"{path}: 2D element mesh with nonzero z coordinates")
-    try:
-        cells = [[remap[v] for v in c] for _, c in cellrecs]
-        facets = [(tuple(remap[v] for v in c), t) for t, c in facetrecs] or None
-    except KeyError as exc:
-        raise MeshError(f"{path}: element references unknown node {exc}") from None
+    _, cells = records(cellkind)
+    facet_tags, facets = records(facetkind)
+    if isinstance(facets, np.ndarray):
+        facets = facets.tolist()
+    facets = list(zip(map(tuple, facets), facet_tags.tolist())) or None
     return Mesh(dim, kind, verts, cells, boundary_facets=facets)
 
 
@@ -512,27 +661,27 @@ _FACET_KIND = {TRIANGLE: _MSH_LINE, QUADRILATERAL: _MSH_LINE, TETRAHEDRON: _MSH_
 
 def save_msh(mesh, path):
     """Write the mesh as Gmsh MSH 2.2 ASCII (inverse of load_msh)."""
-    out = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes",
-           str(mesh.num_vertices)]
-    for i, p in enumerate(mesh.vertices):
-        x, y = p[0], p[1]
-        z = p[2] if mesh.dim == 3 else 0.0
-        out.append(f"{i + 1} {x:.17g} {y:.17g} {z:.17g}")
-    out.append("$EndNodes")
-    out.append("$Elements")
-    out.append(str(len(mesh.boundary_facets) + mesh.num_cells))
-    eid = 1
-    ft = _FACET_KIND[mesh.cell_kind]
-    for f, tag in mesh.boundary_facets:
-        conn = " ".join(str(v + 1) for v in f)
-        out.append(f"{eid} {ft} 2 {tag} {tag} {conn}")
-        eid += 1
-    ct = _MSH_KIND[mesh.cell_kind]
-    for c in mesh.cells:
-        conn = " ".join(str(v + 1) for v in c)
-        out.append(f"{eid} {ct} 2 0 0 {conn}")
-        eid += 1
-    out.append("$EndElements")
+    n, (m, k) = mesh.num_vertices, mesh.cells.shape
+    xyz = np.zeros((n, 3))
+    xyz[:, :mesh.dim] = mesh.vertices
+    nb = len(mesh.boundary_facets)
+    facets = np.array([f for f, _ in mesh.boundary_facets],
+                      dtype=np.int64).reshape(nb, mesh.dim)
+    tags = [t for _, t in mesh.boundary_facets]
+    ft, ct = _FACET_KIND[mesh.cell_kind], _MSH_KIND[mesh.cell_kind]
+
+    def fields(count):
+        return " ".join(["{}"] * count)
+
+    out = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(n),
+           *[f"{i} {x:.17g} {y:.17g} {z:.17g}"
+             for i, (x, y, z) in enumerate(xyz.tolist(), 1)],
+           "$EndNodes", "$Elements", str(nb + m),
+           *map(f"{{}} {ft} 2 {fields(2 + mesh.dim)}".format,
+                range(1, nb + 1), tags, tags, *(facets + 1).T.tolist()),
+           *map(f"{{}} {ct} 2 0 0 {fields(k)}".format,
+                range(nb + 1, nb + m + 1), *(mesh.cells + 1).T.tolist()),
+           "$EndElements"]
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
 
@@ -694,10 +843,13 @@ def gen_perturbed(base, amplitude, seed):
         raise MeshError("amplitude must be >= 0")
     rng = np.random.default_rng(seed)
     interior = base.interior_vertices()
-    disp = rng.uniform(-amplitude, amplitude, size=len(interior))
+    disp = np.zeros(base.num_vertices)
+    disp[interior] = rng.uniform(-amplitude, amplitude, size=len(interior))
     verts = base.vertices.copy()
-    for v, d in zip(interior, disp):
-        base.safe_move(verts, v, 0, d)
+    # a move reads the vertex's cells only, so waves reproduce the
+    # ascending per-vertex order exactly
+    for wave in base.interior_waves:
+        base.safe_move(verts, wave, 0, disp[wave])
     return base.replace_vertices(verts)
 
 

@@ -54,26 +54,39 @@ def apply_algorithm1(mesh, cfg):
     new alignment in an already visited macro.  Displacements that would
     invert or nearly collapse a cell are halved until the mesh stays valid,
     with a warning.
+
+    The sweep runs one wave of `Mesh.interior_waves` at a time, as array
+    operations.  A vertex's move reads only its edge neighbours (its spokes
+    and its cells), and a wave holds no two neighbours and follows every
+    lower-index neighbour, so the waves reproduce the ascending order
+    exactly.
     """
     require_triangles(mesh, "apply_algorithm1")
     h, h_r = cfg.resolve(mesh)
     ax = 0 if cfg.axis == "x" else 1
     verts = mesh.vertices.copy()
-    interior = [int(v) for v in mesh.interior_vertices()]
+    waves = [(q0, *mesh.padded_neighbours(q0)) for q0 in mesh.interior_waves]
     scaled_back = 0
     for sweep in range(5):
-        for q0 in interior:
-            ring, _ = mesh.ccw_ring(q0, verts)
-            d = verts[ring, ax] - verts[q0, ax]
+        for q0, ring, real in waves:
+            d = verts[ring, ax] - verts[q0, ax][:, None]
             # spokes parked at offset exactly h_r by an earlier move may
             # read a few ulps below it; do not count those as aligned
-            close = np.flatnonzero(np.abs(d) < h_r * (1.0 - 1e-9))
-            if len(close) < 2:
+            close = real & (np.abs(d) < h_r * (1.0 - 1e-9))
+            move = np.count_nonzero(close, axis=1) >= 2
+            if not move.any():
                 continue
-            di = d[close[0]]
-            step = -(h_r - di) if di > 0 else (h_r + di)
-            if 0.0 < mesh.safe_move(verts, q0, ax, step) < 1.0:
-                scaled_back += 1
+            q0, ring, d, close = q0[move], ring[move], d[move], close[move]
+            # the first close spoke counterclockwise: smallest angle, ties
+            # by vertex index (rows ascend), which is ccw_ring's order
+            rel = verts.take(ring, axis=0) - verts[q0][:, None]
+            ang = np.where(close, np.mod(np.arctan2(rel[..., 1], rel[..., 0]),
+                                         2 * np.pi), np.inf)
+            first = np.argmax(ang == ang.min(axis=1, keepdims=True), axis=1)
+            di = d[np.arange(len(q0)), first]
+            step = np.where(di > 0, -(h_r - di), h_r + di)
+            scale = mesh.safe_move(verts, q0, ax, step)
+            scaled_back += int(np.count_nonzero((0.0 < scale) & (scale < 1.0)))
         out = mesh.replace_vertices(verts)
         report = verify_uniform(out, cfg)
         if report.passed:
@@ -92,15 +105,14 @@ def verify_uniform(mesh, cfg):
     require_triangles(mesh, "verify_uniform")
     h, h_r = cfg.resolve(mesh)
     ax = 0 if cfg.axis == "x" else 1
-    offending = []
-    margin = np.inf
-    for q0 in map(int, mesh.interior_vertices()):
-        nbrs = mesh.neighbours(q0)
-        d = np.abs(mesh.vertices[nbrs, ax] - mesh.vertices[q0, ax])
-        d.sort()
-        if len(d) >= 2:
-            margin = min(margin, d[1] / h)
-        if len(d) >= 2 and d[1] < h_r * (1.0 - 1e-9):
-            offending.append(q0)
+    inner = mesh.interior_vertices()
+    nbrs, real = mesh.padded_neighbours(inner)
+    x = mesh.vertices[:, ax]
+    d = np.where(real, np.abs(x[nbrs] - x[inner][:, None]), np.inf)
+    # second-smallest offset; inf for vertices with fewer than two spokes
+    second = (np.partition(d, 1, axis=1)[:, 1] if d.shape[1] > 1
+              else np.full(len(inner), np.inf))
+    offending = inner[second < h_r * (1.0 - 1e-9)].tolist()
     return UniformityReport(passed=not offending, offending=offending,
-                            margin=float(margin), h_r=h_r)
+                            margin=float(np.min(second / h, initial=np.inf)),
+                            h_r=h_r)

@@ -94,6 +94,124 @@ def test_msh_round_trip_tets(tmp_path):
     assert np.allclose(back.vertices, mesh.vertices, atol=1e-12)
 
 
+def _reference_msh_text(mesh):
+    """save_msh as a per-line writer: the format the bulk writer keeps."""
+    out = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes",
+           str(mesh.num_vertices)]
+    for i, p in enumerate(mesh.vertices):
+        z = p[2] if mesh.dim == 3 else 0.0
+        out.append(f"{i + 1} {p[0]:.17g} {p[1]:.17g} {z:.17g}")
+    out += ["$EndNodes", "$Elements",
+            str(len(mesh.boundary_facets) + mesh.num_cells)]
+    eid = 1
+    ft = {"triangle": 1, "quadrilateral": 1, "tetrahedron": 2}[mesh.cell_kind]
+    for f, tag in mesh.boundary_facets:
+        out.append(f"{eid} {ft} 2 {tag} {tag} "
+                   + " ".join(str(v + 1) for v in f))
+        eid += 1
+    ct = {"triangle": 2, "quadrilateral": 3, "tetrahedron": 4}[mesh.cell_kind]
+    for c in mesh.cells:
+        out.append(f"{eid} {ct} 2 0 0 " + " ".join(str(v + 1) for v in c))
+        eid += 1
+    out.append("$EndElements")
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_perturbed(gen_structured_tri(12, 9), 0.3 / 12, 4),
+    lambda: gen_quad_macro((0.5, 1.5), (2.0, 0.25)),
+    lambda: gen_extruded_tet(gen_perturbed(gen_zigzag(4, 3), 0.05, 1), 2),
+    lambda: Mesh(2, "triangle", unit_square_two_tri().vertices,
+                 unit_square_two_tri().cells, boundary_facets=[]),
+], ids=["triangle", "quadrilateral", "tetrahedron", "no-boundary-facets"])
+def test_save_msh_matches_per_line_writer(tmp_path, make):
+    mesh = make()
+    p = tmp_path / "m.msh"
+    save_msh(mesh, p)
+    assert p.read_bytes() == _reference_msh_text(mesh).encode()
+    back = load_msh(p)
+    assert back.vertices.tobytes() == mesh.vertices.tobytes()
+    assert np.array_equal(back.cells, mesh.cells)
+    # a file without facet records gets the derived boundary
+    assert back.boundary_facets == (mesh.boundary_facets or Mesh(
+        mesh.dim, mesh.cell_kind, mesh.vertices, mesh.cells).boundary_facets)
+
+
+@pytest.fixture(scope="module")
+def msh64_lines(tmp_path_factory):
+    p = tmp_path_factory.mktemp("msh") / "grid.msh"
+    save_msh(gen_perturbed(gen_structured_tri(64, 64), 0.3 / 64, 2), p)
+    return p.read_text().splitlines()
+
+
+def _load_edited(tmp_path, lines, line_no, text):
+    """load_msh of `lines` with 1-based line `line_no` replaced by text."""
+    lines = list(lines)
+    lines[line_no - 1] = text
+    p = tmp_path / "edited.msh"
+    p.write_text("\n".join(lines) + "\n")
+    return load_msh(p)
+
+
+@pytest.mark.parametrize("where, text, message", [
+    ("node", "3000 0.5 0.25", "expected 'id x y z'"),
+    ("node", "3000 0.5 0.25 0 1", "expected 'id x y z'"),
+    ("node", "3000 0.5 x 0", "expected 'id x y z'"),
+    ("node", "3000.0 0.5 0.25 0", "expected 'id x y z'"),
+    ("node", "", "expected 'id x y z'"),
+    ("element", "7000 2 2 0 0 1 x 3", "malformed element record"),
+    ("element", "7000 2.0 2 0 0 1 2 3", "malformed element record"),
+    ("element", "7000 2", "malformed element record"),
+])
+def test_load_msh_names_the_bad_line_deep_in_a_large_file(
+        tmp_path, msh64_lines, where, text, message):
+    start = msh64_lines.index("$Nodes" if where == "node" else "$Elements")
+    line_no = start + 3 + {"node": 2999, "element": 6999}[where]
+    with pytest.raises(MeshError, match=f"edited.msh:{line_no}: {message}"):
+        _load_edited(tmp_path, msh64_lines, line_no, text)
+
+
+@pytest.mark.parametrize("text", ["7000 2 2 0", "7000 2 6 0 0 1 2 3",
+                                  "7000 2 -1 0 0 1 2 3"])
+def test_load_msh_rejects_tag_counts_beyond_the_record(
+        tmp_path, msh64_lines, text):
+    # a tag count must leave 0 <= ntags <= (fields after it) in the record
+    line_no = msh64_lines.index("$Elements") + 3 + 6999
+    message = f"edited.msh:{line_no}: malformed element record"
+    with pytest.raises(MeshError, match=message):
+        _load_edited(tmp_path, msh64_lines, line_no, text)
+
+
+def test_load_msh_element_with_unknown_node(tmp_path, msh64_lines):
+    line_no = msh64_lines.index("$Elements") + 3 + 6999
+    with pytest.raises(MeshError, match="unknown node 99999$"):
+        _load_edited(tmp_path, msh64_lines, line_no, "7000 2 2 0 0 1 99999 3")
+
+
+def test_load_msh_rejects_negative_counts(tmp_path, msh64_lines):
+    # a count of -3 or less used to send the section scan into a loop
+    line_no = msh64_lines.index("$Nodes") + 2
+    message = f"edited.msh:{line_no}: bad node count"
+    with pytest.raises(MeshError, match=message):
+        _load_edited(tmp_path, msh64_lines, line_no, "-3")
+
+
+def test_load_msh_reads_unordered_sparse_node_ids(tmp_path):
+    # ids in file order 10, 30, 20, 40, 30: a repeated id keeps its last
+    # record, and vertices follow ascending ids
+    nodes = "5\n10 0 0 0\n30 9 9 0\n20 1 0 0\n40 0 1 0\n30 1 1 0\n"
+    elements = ("6\n1 1 2 1 1 10 20\n2 1 2 2 2 20 30\n3 1 2 3 3 30 40\n"
+                "4 1 2 4 4 40 10\n5 2 2 0 0 10 20 30\n6 2 2 0 0 10 30 40\n")
+    p = tmp_path / "sparse.msh"
+    p.write_text(f"$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n{nodes}"
+                 f"$EndNodes\n$Elements\n{elements}$EndElements\n")
+    mesh = load_msh(p)
+    assert mesh.vertices.tolist() == [[0, 0], [1, 0], [1, 1], [0, 1]]
+    assert mesh.cells.tolist() == [[0, 1, 2], [0, 2, 3]]
+    assert mesh.boundary_facets == [((0, 1), 1), ((1, 2), 2), ((2, 3), 3),
+                                    ((3, 0), 4)]
+
+
 def _parse_vtk_points(path):
     lines = path.read_text().splitlines()
     i = next(k for k, ln in enumerate(lines) if ln.startswith("POINTS"))
