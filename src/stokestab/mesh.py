@@ -72,6 +72,12 @@ def _frozen(*arrays):
     return arrays if len(arrays) > 1 else arrays[0]
 
 
+def _check_nondegenerate(measures):
+    zero = measures == 0
+    if zero.any():
+        raise MeshError(f"degenerate cell(s) {np.flatnonzero(zero)[:5].tolist()}")
+
+
 def _keys(rows, n):
     """One integer per row of sorted vertex ids (its base-n digits), so that
     key order is lexicographic row order."""
@@ -372,8 +378,8 @@ class Mesh:
 
     def boundary_vertex_mask(self):
         mask = np.zeros(self.num_vertices, dtype=bool)
-        for f, _ in self.boundary_facets:
-            mask[list(f)] = True
+        facets = [f for f, _ in self.boundary_facets]
+        mask[np.array(facets, dtype=np.int64)] = True
         return mask
 
     def interior_vertices(self):
@@ -400,13 +406,33 @@ class Mesh:
                            shape_ratio=float((diam**2 / meas).max()))
 
     def replace_vertices(self, new_vertices):
-        """New mesh with the same topology and different coordinates.  It
-        shares the vertex incidences and interior waves already computed
-        here: they do not depend on the coordinates or on the vertex order
-        within a cell."""
-        out = Mesh(self.dim, self.cell_kind, new_vertices, self.cells,
-                   list(self.boundary_facets))
-        for key in ("vertex_cells", "vertex_neighbours", "interior_waves"):
+        """New mesh with the same cells, boundary facets and topology and
+        different coordinates.  It shares the vertex incidences and interior
+        waves already computed here: they do not depend on the coordinates
+        or on the vertex order within a cell.  When the new coordinates turn
+        no cell over, the cells stay as they are, so it shares the edge and
+        facet topology too and skips the conformity checks, which read only
+        that; it still rejects degenerate cells and duplicate coordinates.
+        Otherwise the mesh is built anew."""
+        keys = ["vertex_cells", "vertex_neighbours", "interior_waves"]
+        s = None
+        if (isinstance(new_vertices, np.ndarray)
+                and new_vertices.shape == self.vertices.shape):
+            vertices = np.array(new_vertices, dtype=float)
+            s = _signed_measures(vertices, self.cells)
+        if s is None or (s < 0).any():
+            out = Mesh(self.dim, self.cell_kind, new_vertices, self.cells,
+                       list(self.boundary_facets))
+        else:
+            out = Mesh.__new__(Mesh)
+            out.dim, out.cell_kind, out.cells = (self.dim, self.cell_kind,
+                                                 self.cells)
+            out.vertices = _frozen(vertices)
+            out.boundary_facets = list(self.boundary_facets)
+            _check_nondegenerate(s)
+            out._check_distinct_vertices()
+            keys += ["_facet_topology", "_edge_topology"]
+        for key in keys:
             if key in self.__dict__:
                 out.__dict__[key] = self.__dict__[key]
         return out
@@ -419,9 +445,7 @@ class Mesh:
         flip = {TRIANGLE: [0, 2, 1], TETRAHEDRON: [0, 1, 3, 2],
                 QUADRILATERAL: [3, 2, 1, 0]}[self.cell_kind]
         c[s < 0] = c[s < 0][:, flip]
-        zero = s == 0
-        if zero.any():
-            raise MeshError(f"degenerate cell(s) {np.flatnonzero(zero)[:5].tolist()}")
+        _check_nondegenerate(s)
 
     def _check_conforming(self, check_boundary=True):
         t = self._facet_topology
@@ -433,12 +457,26 @@ class Mesh:
                 f"nonconforming mesh: facet {tuple(t.rows[f].tolist())} shared "
                 f"by cells {c0} and {c1} plus {t.counts[f] - 2} more")
         if check_boundary and self.boundary_facets:
-            given = np.sort([f for f, _ in self.boundary_facets], axis=1)
+            facets = [f for f, _ in self.boundary_facets]
+            width = t.rows.shape[1]
+            wrong = next((f for f in facets if len(f) != width), None)
+            if wrong is not None:
+                raise MeshError(f"boundary facet {wrong} has {len(wrong)} "
+                                f"vertices; {self.cell_kind} facets have "
+                                f"{width}")
+            given = np.sort(facets, axis=1)
+            outside = (given[:, 0] < 0) | (given[:, -1] >= self.num_vertices)
+            if outside.any():
+                raise MeshError(f"boundary facet {facets[np.argmax(outside)]}"
+                                " has a vertex index out of range")
             pos = _lookup(t.keys, _keys(given, self.num_vertices))
             bad = np.flatnonzero((pos < 0) | (t.counts[pos] != 1))
             if len(bad):
                 raise MeshError(f"boundary facet {self.boundary_facets[bad[0]][0]}"
                                 " does not bound exactly one cell")
+        self._check_distinct_vertices()
+
+    def _check_distinct_vertices(self):
         # duplicated vertex coordinates are the usual source of nonconformity
         order = np.lexsort(self.vertices.T[::-1])
         sv = self.vertices[order]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,28 +94,51 @@ def operator_matrix(mesh, row_dm, col_dm, kind, qdeg, deriv_axis=None):
                     (row_dm.n_dofs, col_dm.n_dofs))
 
 
-def element_matrices(mesh, row_space, col_space, kind, qdeg, deriv_axis=None):
-    """(cells, row local dofs, col local dofs) blocks of operator_matrix."""
-    rule = quadrature(mesh.cell_kind, qdeg)
-    _, invJT, meas = cell_geometry(mesh)
-    rv, rg = eval_basis(row_space, mesh.cell_kind, rule.points)
-    cv, cg = eval_basis(col_space, mesh.cell_kind, rule.points)
+@lru_cache(maxsize=None)
+def reference_tensor(row_space, col_space, cell_kind, kind, qdeg):
+    """Quadrature sums of the reference shape functions, read-only and
+    computed once per argument tuple: 'mass' [i, j] = sum_q w_q phi_i psi_j,
+    'deriv' [d, i, j] = sum_q w_q phi_i d_d psi_j and 'stiffness'
+    [d, e, i, j] = sum_q w_q d_d phi_i d_e psi_j, phi of the row space and
+    psi of the column space, with the weights of quadrature(cell_kind, qdeg)
+    (fractions of the cell measure)."""
+    rule = quadrature(cell_kind, qdeg)
+    rv, rg = eval_basis(row_space, cell_kind, rule.points)
+    cv, cg = eval_basis(col_space, cell_kind, rule.points)
     w = rule.weights
-
     if kind == "mass":
-        elm = np.einsum("q,qi,qj->ij", w, rv, cv)
-        elmats = meas[:, None, None] * elm[None, :, :]
-    elif kind == "stiffness":
-        gphys = np.einsum("ckd,qid->cqik", invJT, cg, optimize=True)
-        elmats = np.einsum("q,cqik,cqjk->cij", w, gphys, gphys, optimize=True)
-        elmats *= meas[:, None, None]
+        ref = np.einsum("q,qi,qj->ij", w, rv, cv)
     elif kind == "deriv":
-        gaxis = np.einsum("cd,qid->cqi", invJT[:, deriv_axis], cg)
-        elmats = np.einsum("q,qi,cqj->cij", w, rv, gaxis)
-        elmats *= meas[:, None, None]
+        ref = np.einsum("q,qi,qjd->dij", w, rv, cg)
+    elif kind == "stiffness":
+        ref = np.einsum("q,qid,qje->deij", w, rg, cg)
     else:
         raise ValueError(kind)
-    return elmats
+    return _frozen(ref)
+
+
+def element_matrices(mesh, row_space, col_space, kind, qdeg, deriv_axis=None):
+    """(cells, row local dofs, col local dofs) blocks of operator_matrix.
+
+    Every cell map the library supports is affine: triangles and tets, and
+    axis-aligned rectangles (cell_geometry rejects any other quad).  So the
+    physical gradient is invJT times the reference one at every point, and
+    each block is the cell's geometry factor times a reference_tensor, one
+    matmul per block:
+
+        mass      meas * M
+        deriv     (meas * invJT[axis, :]) @ D
+        stiffness (meas * invJT^T invJT) @ K, summed over both reference
+                  gradient components
+    """
+    _, invJT, meas = cell_geometry(mesh)
+    ref = reference_tensor(row_space, col_space, mesh.cell_kind, kind, qdeg)
+    if kind == "mass":
+        return meas[:, None, None] * ref
+    geo = (invJT[:, deriv_axis] if kind == "deriv"
+           else (invJT.transpose(0, 2, 1) @ invJT).reshape(len(meas), -1))
+    elmats = (meas[:, None] * geo) @ ref.reshape(geo.shape[1], -1)
+    return elmats.reshape(len(meas), *ref.shape[-2:])
 
 
 def load_vector(mesh, dm, fn):

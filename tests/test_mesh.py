@@ -488,3 +488,83 @@ def test_derived_data_is_built_once_per_mesh():
     assert mesh.derived("other", build) == 2
     moved = mesh.replace_vertices(mesh.vertices * 2.0)
     assert moved.derived("k", build) == 3
+
+
+def test_ragged_boundary_facet_is_a_mesh_error():
+    base = gen_structured_tri(2, 2)
+    facets = list(base.boundary_facets)
+    facets[0] = ((0, 1, 4), facets[0][1])
+    with pytest.raises(MeshError, match=r"boundary facet \(0, 1, 4\) has 3"):
+        Mesh(2, "triangle", base.vertices, base.cells, facets)
+    # (0, 11) has the facet key of the boundary edge (1, 2) on 9 vertices
+    facets[0] = ((0, 11), facets[0][1])
+    with pytest.raises(MeshError, match=r"\(0, 11\) has a vertex index out"):
+        Mesh(2, "triangle", base.vertices, base.cells, facets)
+
+
+def test_load_msh_rejects_a_line_element_with_three_nodes(tmp_path):
+    p = tmp_path / "ragged.msh"
+    p.write_text(TWO_TRI_MSH.replace("\n1 1 2 1 1 1 2\n", "\n1 1 2 1 1 1 2 3\n"))
+    with pytest.raises(MeshError, match=r"boundary facet \(0, 1, 2\) has 3"):
+        load_msh(p)
+
+
+def test_boundary_vertex_mask_matches_per_facet_loop():
+    def reference(mesh):
+        mask = np.zeros(mesh.num_vertices, dtype=bool)
+        for f, _ in mesh.boundary_facets:
+            mask[list(f)] = True
+        return mask
+
+    base = gen_zigzag(4, 3)
+    subset = Mesh(2, "triangle", base.vertices, base.cells,
+                  base.boundary_facets[::3])
+    for mesh in [*(make() for make in TOPOLOGY_MESHES.values()), subset]:
+        assert np.array_equal(mesh.boundary_vertex_mask(), reference(mesh))
+    assert reference(subset).sum() < reference(base).sum()
+
+
+def _cached_topology(mesh):
+    arrays = {"cells": mesh.cells, "vertex_cells": mesh.vertex_cells,
+              "vertex_neighbours": mesh.vertex_neighbours,
+              "interior_waves": mesh.interior_waves}
+    for name in ("_facet_topology", "_edge_topology"):
+        arrays.update({f"{name}.{k}": v for k, v in
+                       getattr(mesh, name)._asdict().items()})
+    return arrays
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_replace_vertices_topology_equals_a_fresh_mesh(flip):
+    base = gen_perturbed(gen_structured_tri(6, 5), 0.05, seed=2)
+    _cached_topology(base)
+    moved = base.vertices * 1.5
+    if flip:  # a mirror image turns every cell over
+        moved[:, 0] *= -1
+    out = base.replace_vertices(moved)
+    fresh = Mesh(2, "triangle", moved, base.cells, base.boundary_facets)
+    assert (out._facet_topology is base._facet_topology) is not flip
+    assert out.boundary_facets == fresh.boundary_facets
+    got, want = _cached_topology(out), _cached_topology(fresh)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert len(got[key]) == len(want[key]), key
+        for a, b in zip(got[key], want[key]):
+            assert np.array_equal(a, b), key
+
+
+def test_replace_vertices_still_rejects_bad_coordinates():
+    base = gen_structured_tri(2, 2)
+    flat = base.vertices.copy()
+    flat[:, 1] = 0.0
+    with pytest.raises(MeshError, match="degenerate cell"):
+        base.replace_vertices(flat)
+    # two triangles apart, then translated onto a shared corner point
+    apart = Mesh(2, "triangle", [(0, 0), (1, 0), (0, 1), (-0.5, -0.5),
+                                 (-1.5, -0.5), (-0.5, -1.5)],
+                 [(0, 1, 2), (3, 4, 5)])
+    touching = apart.vertices.copy()
+    touching[3:] += 0.5
+    with pytest.raises(MeshError, match="duplicate vertex coordinates at "
+                                        "indices 0 and 3"):
+        apart.replace_vertices(touching)

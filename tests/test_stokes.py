@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from stokestab.mesh import Mesh, TRIANGLE, gen_structured_tri, gen_zigzag
+from stokestab.mesh import (Mesh, TRIANGLE, gen_structured_tri, gen_zigzag,
+                            gen_extruded_tet, gen_quad_macro)
+from stokestab.scenarios import unstructured_family_mesh
 from stokestab.fespace import build_dofmap, eval_basis, quadrature
 from stokestab.stokes import (
     SaddleFactorization, StokesError, assemble, cavity_problem,
     solve_penalized, operator_matrix, load_vector, trig_solution,
-    convergence_study, cell_geometry,
+    convergence_study, cell_geometry, element_matrices, reference_tensor,
 )
 
 
@@ -373,6 +375,62 @@ def test_stiffness_matches_the_pointwise_contraction():
             g = grads @ invJT[c].T            # (points, dofs, dim)
             ref = sum(w * g[q] @ g[q].T for q, w in enumerate(rule.weights))
             assert np.allclose(got[c], meas[c] * ref, rtol=1e-14, atol=1e-14)
+
+
+ELEMENT_MESHES = {
+    "zigzag": (lambda: gen_zigzag(4, 3), ["p1", "p1b", "p2"]),
+    "family": (lambda: unstructured_family_mesh(2), ["p1", "p1b", "p2"]),
+    "extruded-tet": (lambda: gen_extruded_tet(gen_zigzag(2, 2), 2),
+                     ["p1", "p1b"]),
+    "quad-macro": (lambda: gen_quad_macro((0.5, 1.5), (2.0, 0.25)),
+                   ["q1", "q2"]),
+}
+
+
+@pytest.mark.parametrize("qdeg", [5, 6])
+@pytest.mark.parametrize("name", sorted(ELEMENT_MESHES))
+def test_element_matrices_match_the_pointwise_quadrature(name, qdeg):
+    # each block is a reference tensor times the cell's geometry factor; the
+    # reference is the plain sum over quadrature points of the physical
+    # shape functions and gradients
+    make, spaces = ELEMENT_MESHES[name]
+    mesh = make()
+    rule = quadrature(mesh.cell_kind, qdeg)
+    _, invJT, meas = cell_geometry(mesh)
+
+    basis = {}  # values (points, dofs), gradients (cells, points, dofs, dim)
+    for space in spaces:
+        vals, grads = eval_basis(space, mesh.cell_kind, rule.points)
+        basis[space] = vals, grads @ invJT.transpose(0, 2, 1)[:, None]
+
+    def pointwise(row, col, product):
+        return meas[:, None, None] * sum(
+            w * product(q, basis[row], basis[col])
+            for q, w in enumerate(rule.weights))
+
+    def close(got, ref):
+        scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+    for row in spaces:
+        for col in spaces:
+            close(element_matrices(mesh, row, col, "mass", qdeg), pointwise(
+                row, col, lambda q, r, c: np.outer(r[0][q], c[0][q])))
+            for axis in range(mesh.dim):
+                close(element_matrices(mesh, row, col, "deriv", qdeg, axis),
+                      pointwise(row, col, lambda q, r, c: r[0][q][:, None]
+                                * c[1][:, q, None, :, axis]))
+        close(element_matrices(mesh, row, row, "stiffness", qdeg), pointwise(
+            row, row, lambda q, r, c: r[1][:, q] @ c[1][:, q].transpose(
+                0, 2, 1)))
+
+
+def test_reference_tensors_are_shared_and_read_only():
+    for kind in ("mass", "deriv", "stiffness"):
+        ref = reference_tensor("p1", "p2", TRIANGLE, kind, 5)
+        assert reference_tensor("p1", "p2", TRIANGLE, kind, 5) is ref
+        with pytest.raises(ValueError, match="read-only"):
+            ref[...] = 0
 
 
 def test_cell_geometry_is_kept_per_mesh_and_read_only():
