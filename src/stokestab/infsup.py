@@ -32,8 +32,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fespace import FECombo, FESpaceError, build_dofmap, P1, P1B, P2, Q1, Q2
-from .macroelement import (build_macroelements, predict_regularity,
-                           predict_regularity_3d, _star_splits)
+from .macroelement import (predict_regularity, predict_regularity_3d,
+                           _star_splits, _stars)
 from .mesh import (MeshError, TRIANGLE, TETRAHEDRON, QUADRILATERAL,
                    _frozen, _lookup)
 from .stokes import (SaddleFactorization, assemble, element_matrices,
@@ -107,13 +107,13 @@ def _star_oracles(mesh, combo, floor):
     are read from the divergence operator by key, and the stars are
     factorized together, one stacked SVD per (rows, cols) shape.
     """
-    macros = build_macroelements(mesh)
-    if not macros:
+    t = _stars(mesh)
+    n_stars, cells = len(t.centers), t.cells
+    if not n_stars:
         return {}
     op = _divergence(mesh, combo)
-    n_stars, n = len(macros), op.n_cols
-    cells = np.concatenate([m.cells for m in macros])
-    cell_star = np.repeat(np.arange(n_stars), [len(m.cells) for m in macros])
+    n = op.n_cols
+    cell_star = np.repeat(np.arange(n_stars), np.diff(t.cell_offsets))
     keys, held = np.unique(cell_star[:, None] * n + op.cell_cols[cells],
                            return_counts=True)
     star, cols = np.divmod(keys, n)
@@ -127,9 +127,10 @@ def _star_oracles(mesh, combo, floor):
     n_cols = np.bincount(star, minlength=n_stars)
     col_start = np.cumsum(n_cols) - n_cols
 
-    ids = np.concatenate([m.vertex_ids() for m in macros])
-    n_rows = np.array([m.n_v + 1 for m in macros])
-    row_start = np.cumsum(n_rows) - n_rows
+    # each star's vertices, center first then ring order
+    ids = np.insert(t.ring, t.ring_offsets[:-1], t.centers)
+    n_rows = np.diff(t.ring_offsets) + 1
+    row_start = t.ring_offsets[:-1] + np.arange(n_stars)
     # each star cell's vertices as rows of its star
     row_keys = np.repeat(np.arange(n_stars), n_rows) * mesh.num_vertices + ids
     order = np.argsort(row_keys)
@@ -170,7 +171,7 @@ def _star_oracles(mesh, combo, floor):
         _frozen(P, s, W, R)
         for i, star_id in enumerate(members):
             dim = int(dims[i])
-            out[macros[star_id].center] = LocalNullspace(
+            out[int(t.centers[star_id])] = LocalNullspace(
                 dim, W[i, len(s[i]) - dim:], s[i], P[i], R[i])
     return out
 
@@ -380,6 +381,9 @@ def infsup_constant(mesh, combo, k=5):
     deflated by the pair of Mp-projectors around that solve.  An eigenvalue
     at or below 1e-12 is an exact spurious mode and gives beta = 0.
     """
+    if k < 1:
+        raise StokesError(f"k, the number of eigenvalues, must be >= 1, "
+                          f"got {k}")
     combo = FECombo.parse(combo)
     sys = assemble(mesh, combo)
     fact = SaddleFactorization(sys, _SHIFT)

@@ -28,15 +28,15 @@ the local oracle does.  Alignment is decided to 1e-9 of the star diameter.
 
 from __future__ import annotations
 
-import functools
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fespace import FECombo, FESpaceError, P1, P1B, P2
-from .mesh import MeshError, TRIANGLE, _lookup
+from .mesh import MeshError, TRIANGLE, _frozen, _lookup, _padded
 
 _ALIGN_TOL = 1e-9   # alignment, relative to the star diameter
 _S_TOL = 1e-10      # |S| against zero, relative to sum(1/area)
@@ -67,15 +67,10 @@ class MacroElement:
         return self.mesh.vertices[self.ring_vertices]
 
     def diameter(self):
-        """Largest distance between two star vertices.  Mesh vertices are
-        read-only, so it is computed once per macro."""
-        return self._diameter
-
-    @functools.cached_property
-    def _diameter(self):
-        pts = np.vstack([self.q0[None, :], self.ring_coords()])
-        d = pts[:, None, :] - pts[None, :, :]
-        return float(np.sqrt((d ** 2).sum(-1)).max())
+        """Largest distance between two star vertices, read from the star
+        table of the mesh."""
+        t = _stars(self.mesh)
+        return float(t.diameters[t.star_of[self.center]])
 
     def vertex_ids(self):
         """All macro vertices, center first then ring order."""
@@ -110,58 +105,110 @@ def build_macroelements(mesh):
     """One MacroElement per interior vertex.
 
     The list is built once per mesh and kept on it (`Mesh.derived`), so
-    every caller on the same mesh shares it.  Building also checks that
-    every cell touches at least one interior vertex; cells that do not are
-    reported with a warning because such meshes cannot be covered by
-    vertex-centered macro-elements.
+    every caller on the same mesh shares it.  Its macros are read-only
+    views of the mesh's star table.  Building also checks that every cell
+    touches at least one interior vertex; cells that do not are reported
+    with a warning because such meshes cannot be covered by vertex-centered
+    macro-elements.
     """
     return mesh.derived("macroelements", lambda: _build_macroelements(mesh))
 
 
 def _build_macroelements(mesh):
-    interior = mesh.interior_vertices()
-    covered = (~mesh.boundary_vertex_mask()[mesh.cells]).any(axis=1)
+    t = _stars(mesh)
+    r, c = t.ring_offsets.tolist(), t.cell_offsets.tolist()
+    return [MacroElement(mesh, q0, t.ring[r[s]:r[s + 1]],
+                         t.cells[c[s]:c[s + 1]],
+                         None if t.angles is None else t.angles[r[s]:r[s + 1]],
+                         t.areas[c[s]:c[s + 1]])
+            for s, q0 in enumerate(t.centers.tolist())]
+
+
+# Every interior-vertex star of a mesh, read-only.  Star s is centered at
+# centers[s].  Its ring vertices (ccw in 2D, ascending otherwise) are
+# ring[ring_offsets[s]:ring_offsets[s + 1]], with their 2D spoke angles in
+# angles.  Its cells (in 2D, cell k spans ring[k], ring[k + 1]) are
+# cells[cell_offsets[s]:cell_offsets[s + 1]], with their measures in areas.
+# star_of is the star of each mesh vertex, -1 off the centers.
+_Stars = namedtuple("_Stars", "centers star_of ring_offsets ring angles "
+                    "cell_offsets cells areas diameters")
+
+
+def _stars(mesh):
+    """The star table of `mesh`, built once and kept on it."""
+    return mesh.derived("stars", lambda: _build_stars(mesh))
+
+
+def _build_stars(mesh):
+    inner = ~mesh.boundary_vertex_mask()
+    covered = inner[mesh.cells].any(axis=1)
     if not covered.all():
         bad = np.flatnonzero(~covered).tolist()
         warnings.warn(
             f"{len(bad)} cell(s) have no interior vertex (e.g. {bad[:5]}); "
             "the mesh is not coverable by vertex-centered macro-elements")
-    if len(interior) == 0:
+    centers = np.flatnonzero(inner)
+    if len(centers) == 0:
         warnings.warn("mesh has no interior vertices; no macro-elements built")
-        return []
 
-    measures = mesh.cell_measures()
-    macros = []
-    for q0 in map(int, interior):
-        cids = mesh.cells_of(q0)
-        if mesh.cell_kind == TRIANGLE:
-            macros.append(_build_macro_2d(mesh, q0, cids, measures))
-        else:
-            ring = np.setdiff1d(mesh.cells[cids], [q0])
-            macros.append(MacroElement(mesh, q0, ring, cids, None,
-                                       measures[cids]))
-    return macros
+    n, nv = len(centers), mesh.num_vertices
+    star_of = np.full(nv, -1)
+    star_of[centers] = np.arange(n)
+    # every (cell, center) incidence, to be grouped by center
+    cells, j = np.nonzero(inner[mesh.cells])
+    center = mesh.cells[cells, j]
+    angles = None
+    if mesh.cell_kind == TRIANGLE:
+        # Cells are positively oriented, so a star cell spans the spokes to
+        # its vertex a after the center and b after a, counterclockwise.
+        # The a are the ring, sorted as Mesh.ccw_ring sorts it, and cell k
+        # is the cell of edge (center, ring[k]) that holds ring[k + 1].
+        a, b = mesh.cells[cells, (j + 1) % 3], mesh.cells[cells, (j + 2) % 3]
+        rel = mesh.vertices[a] - mesh.vertices[center]
+        angles = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2 * np.pi)
+        order = np.lexsort((a, angles, center))
+        ring, b, angles, cells = a[order], b[order], angles[order], cells[order]
+        ring_offsets = cell_offsets = np.searchsorted(
+            center[order], np.append(centers, nv))
+        size = np.diff(cell_offsets)
+        star = np.repeat(np.arange(n), size)
+        first = cell_offsets[star]
+        after = ring[first + (np.arange(len(ring)) - first + 1) % size[star]]
+        degree = np.bincount(mesh.edges().ravel(), minlength=nv)[centers]
+        miscounted = size != degree
+        bad = miscounted[star] | (b != after)
+        if bad.any():
+            k = np.argmax(bad)
+            s = star[k]
+            if miscounted[s]:
+                raise MeshError(
+                    f"vertex {centers[s]}: star has {size[s]} cells but "
+                    f"{degree[s]} ring vertices; not a valid interior vertex "
+                    "star")
+            raise MeshError(f"vertex {centers[s]}: ring vertices {ring[k]} and "
+                            f"{after[k]} bound no common cell of the star")
+    else:
+        order = np.lexsort((cells, center))
+        cells, center = cells[order], center[order]
+        cell_offsets = np.searchsorted(center, np.append(centers, nv))
+        star, ring = np.divmod(np.unique(star_of[center][:, None] * nv
+                                         + mesh.cells[cells]), nv)
+        spoke = ring != centers[star]
+        ring = ring[spoke]
+        ring_offsets = np.searchsorted(star[spoke], np.arange(n + 1))
 
-
-def _build_macro_2d(mesh, q0, cids, measures):
-    ring, ang = mesh.ccw_ring(q0)
-    if len(ring) != len(cids):
-        raise MeshError(
-            f"vertex {q0}: star has {len(cids)} cells but {len(ring)} ring "
-            "vertices; not a valid interior vertex star")
-
-    bycell = {frozenset(int(v) for v in mesh.cells[ci]): ci for ci in cids}
-    n = len(ring)
-    ordered = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        key = frozenset((q0, int(ring[k]), int(ring[(k + 1) % n])))
-        ci = bycell.get(key)
-        if ci is None:
-            raise MeshError(
-                f"vertex {q0}: ring vertices {ring[k]} and {ring[(k + 1) % n]} "
-                "bound no common cell of the star")
-        ordered[k] = ci
-    return MacroElement(mesh, q0, ring, ordered, ang, measures[ordered])
+    # all pairs at once, a block of stars at a time to bound the temporaries
+    padded, _ = _padded(ring_offsets, ring, np.arange(n), centers[:, None])
+    pts = mesh.vertices[np.column_stack([centers, padded])]
+    diameters = np.zeros(n)
+    block = max(1, (1 << 20) // pts.shape[1] ** 2)
+    for i in range(0, n, block):
+        d = pts[i:i + block, :, None] - pts[i:i + block, None]
+        diameters[i:i + block] = np.sqrt((d ** 2).sum(-1)).max(axis=(1, 2))
+    t = _Stars(centers, star_of, ring_offsets, ring, angles, cell_offsets,
+               cells, mesh.cell_measures()[cells], diameters)
+    _frozen(*(x for x in t if x is not None))
+    return t
 
 
 # ----------------------------------------------------------------------
@@ -340,29 +387,23 @@ def _find_star_splits(mesh, axis):
     # imported here: only 3D queries need it, and loading it adds about
     # 1 MB to every process that imports the package
     from scipy.sparse.csgraph import connected_components
-    macros = build_macroelements(mesh)
-    if not macros:
+    t = _stars(mesh)
+    n_stars = len(t.centers)
+    if not n_stars:
         return {}
-    n_stars = len(macros)
-    cells = np.concatenate([m.cells for m in macros])
-    node_star = np.repeat(np.arange(n_stars), [len(m.cells) for m in macros])
-    centers = np.array([m.center for m in macros])
-    diam = np.array([m.diameter() for m in macros])
+    cells, centers, diam, star_of = t.cells, t.centers, t.diameters, t.star_of
+    node_star = np.repeat(np.arange(n_stars), np.diff(t.cell_offsets))
     q0 = mesh.vertices[centers]
-
-    star_of = np.full(mesh.num_vertices, -1)
-    star_of[centers] = np.arange(n_stars)
     inner = np.flatnonzero(mesh.facet_cells[:, 1] >= 0)
     rows, slot = np.nonzero(star_of[mesh.facets[inner]] >= 0)
     face = inner[rows]
     faces = mesh.facets[face]
     star = star_of[faces[np.arange(len(face)), slot]]
-    node_keys = node_star * mesh.num_cells + cells
-    order = np.argsort(node_keys)
-    pos = _lookup(node_keys[order],
-                  star[:, None] * mesh.num_cells + mesh.facet_cells[face])
-    assert np.all(pos >= 0), "interior face outside its star"
-    ends = order[pos]
+    # the nodes ascend by star, then by cell: a tet star lists its cells
+    # in ascending order
+    ends = _lookup(node_star * mesh.num_cells + cells,
+                   star[:, None] * mesh.num_cells + mesh.facet_cells[face])
+    assert np.all(ends >= 0), "interior face outside its star"
 
     def labels(keep):
         a, b = ends[keep].T
@@ -414,11 +455,10 @@ def _find_star_splits(mesh, axis):
     count = np.bincount(g_star, minlength=n_stars)
     dirs = np.split(g_dir[np.lexsort((g_dir, g_star))], np.cumsum(count)[:-1])
     out = {}
-    for s, m in enumerate(macros):
+    for s, center in enumerate(centers.tolist()):
         ds = tuple(dirs[s].tolist())
         aligned = len(ds) == 2 and abs(abs(ds[0] - ds[1]) - np.pi) <= _ALIGN_TOL
-        out[m.center] = (bool(plane_split[s]), int(count[s]), bool(aligned),
-                         ds)
+        out[center] = (bool(plane_split[s]), int(count[s]), bool(aligned), ds)
     return out
 
 

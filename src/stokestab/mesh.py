@@ -926,6 +926,8 @@ def gen_structured_cube(nx, ny, nz):
     All tets in a hexahedron share its main diagonal; the pattern is
     translation invariant, hence conforming across hexahedra.
     """
+    if nx < 1 or ny < 1 or nz < 1:
+        raise MeshError("nx, ny, nz must be >= 1")
     xs = np.linspace(0.0, 1.0, nx + 1)
     ys = np.linspace(0.0, 1.0, ny + 1)
     zs = np.linspace(0.0, 1.0, nz + 1)

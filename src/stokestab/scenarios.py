@@ -179,7 +179,10 @@ def run_test9(out_dir, seed=42, eps=1e-10):
 
 
 def _convergence_scenario(name, combo, out_dir, seed, levels):
-    levels = levels or [3, 4, 5, 6]
+    levels = [3, 4, 5, 6] if levels is None else levels
+    if len(levels) < 2:
+        raise StokestabError(f"{name} measures orders between levels and "
+                             f"needs at least 2, got {len(levels)}")
     meshes = [unstructured_family_mesh(l, seed) for l in levels]
     rep = convergence_study(combo, meshes)
     csv = os.path.join(out_dir, f"{name}_orders.csv")

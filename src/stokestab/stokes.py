@@ -141,16 +141,27 @@ def element_matrices(mesh, row_space, col_space, kind, qdeg, deriv_axis=None):
     return elmats.reshape(len(meas), *ref.shape[-2:])
 
 
+def _data_points(mesh):
+    """The points of the quadrature rule of smooth data on every cell, as
+    one (cells * points, dim) array."""
+    rule = quadrature(mesh.cell_kind, _DATA_QDEG)
+    xq = np.einsum("cdk,qk->cqd", cell_geometry(mesh)[0], rule.points,
+                   optimize=True) + mesh.vertices[mesh.cells[:, 0]][:, None, :]
+    return xq.reshape(-1, mesh.dim)
+
+
 def load_vector(mesh, dm, fn):
     """Assemble (f, phi_i) for a scalar callable fn(points)."""
+    return _project(mesh, dm, fn(_data_points(mesh)))
+
+
+def _project(mesh, dm, fq):
+    """(f, phi_i) from the values fq of f at `_data_points(mesh)`."""
     rule = quadrature(mesh.cell_kind, _DATA_QDEG)
-    J, _, meas = cell_geometry(mesh)
     vals, _ = eval_basis(dm.space, mesh.cell_kind, rule.points)
-    v0 = mesh.vertices[mesh.cells[:, 0]]
+    meas = cell_geometry(mesh)[2]
     out = np.zeros(dm.n_dofs)
-    xq = np.einsum("cdk,qk->cqd", J, rule.points, optimize=True) \
-        + v0[:, None, :]
-    fq = fn(xq.reshape(-1, mesh.dim)).reshape(len(meas), len(rule.points))
+    fq = fq.reshape(len(meas), len(rule.points))
     contrib = np.einsum("q,cq,qi->ci", rule.weights, fq, vals,
                         optimize=True) * meas[:, None]
     np.add.at(out, dm.cell_dofs, contrib)
@@ -516,12 +527,9 @@ def trig_solution():
 
 def _field_errors(mesh, dm, dofs, exact, exact_grad):
     rule = quadrature(mesh.cell_kind, _DATA_QDEG)
-    J, invJT, meas = cell_geometry(mesh)
+    _, invJT, meas = cell_geometry(mesh)
+    flat = _data_points(mesh)
     vals, grads = eval_basis(dm.space, mesh.cell_kind, rule.points)
-    v0 = mesh.vertices[mesh.cells[:, 0]]
-    xq = np.einsum("cdk,qk->cqd", J, rule.points, optimize=True) \
-        + v0[:, None, :]
-    flat = xq.reshape(-1, mesh.dim)
     cd = dofs[dm.cell_dofs]
     uh = np.einsum("qi,ci->cq", vals, cd, optimize=True)
     err2 = (uh - exact(flat).reshape(uh.shape)) ** 2
@@ -577,6 +585,8 @@ def convergence_study(combo, meshes, exact=None, eps=1e-10):
     this is spot-checked on the first mesh before any solve.
     """
     combo = FECombo.parse(combo)
+    if not meshes:
+        raise StokesError("a convergence study needs at least one mesh")
     if exact is None:
         exact = trig_solution()
 
@@ -591,9 +601,11 @@ def convergence_study(combo, meshes, exact=None, eps=1e-10):
     rows = []
     for mesh in meshes:
         sys = assemble(mesh, combo)
+        f = exact.f(_data_points(mesh))
         for k, dm in enumerate(sys.vel_dofmaps):
-            sys.rhs[sys.offsets[k]:sys.offsets[k + 1]] = load_vector(
-                mesh, dm, lambda x, k=k: exact.f(x)[:, k])
+            sys.rhs[sys.offsets[k]:sys.offsets[k + 1]] = _project(
+                mesh, dm, f[:, k])
+        del f  # not held through the solve
         sol = solve_penalized(sys, eps)
         ul2, uh1 = _field_errors(mesh, sys.vel_dofmaps[0], sol.velocity[0],
                                  exact.u, exact.grad_u)

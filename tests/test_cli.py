@@ -74,6 +74,45 @@ def test_infsup_cli(tmp_path, capsys):
     assert "unknowns, L+U fill" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_infsup_cli_rejects_k_below_one(tmp_path, capsys, k):
+    mesh_path = tmp_path / "m.msh"
+    save_msh(gen_zigzag(4, 4), mesh_path)
+    assert main(["infsup", str(mesh_path), "-k", k]) == 2
+    assert capsys.readouterr().err == "error: k, the number of eigenvalues, " \
+        f"must be >= 1, got {k}\n"
+
+
+def test_gen_cube_rejects_empty_sizes(tmp_path, capsys):
+    out = tmp_path / "c.msh"
+    assert main(["gen", "--kind", "cube", "--nx", "0", "--out",
+                 str(out)]) == 2
+    assert capsys.readouterr().err == "error: nx, ny, nz must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["convergence", "--levels", "0"], "at least one mesh"),
+    (["run", "test3", "--levels", "1"], "test3 measures orders between "
+     "levels and needs at least 2, got 1"),
+    (["run", "test8", "--levels", "1"], "test8 measures orders between "
+     "levels and needs at least 2, got 1"),
+    (["run", "test3", "--levels", "0"], "needs at least 2, got 0"),
+], ids=["convergence-0", "test3-1", "test8-1", "test3-0"])
+def test_too_few_levels_is_clean_error(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_convergence_cli_one_level(tmp_path, capsys):
+    assert main(["convergence", "--levels", "1", "--out-dir",
+                 str(tmp_path)]) == 0
+    assert "levels=[3]" in capsys.readouterr().out
+    rows = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert len(rows) == 2
+
+
 def test_run_scenario_unknown():
     with pytest.raises(SystemExit):
         main(["run", "nope"])

@@ -432,6 +432,13 @@ def test_infsup_h_independence_stable_family():
     assert max(betas) / min(betas) <= 2.0
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_infsup_rejects_fewer_than_one_eigenvalue(k):
+    with pytest.raises(StokesError, match=f"^k, the number of eigenvalues, "
+                       f"must be >= 1, got {k}$"):
+        infsup_constant(gen_zigzag(4, 4), "p1b-p1:p1", k=k)
+
+
 def test_infsup_lanczos_path_is_reproducible():
     # the Lanczos start vector is fixed, so repeated calls agree bitwise
     for level in (2, 3):

@@ -479,3 +479,88 @@ def test_diameter_is_the_all_pairs_maximum_computed_once(monkeypatch):
         # a second call reads no coordinates
         monkeypatch.setattr(macro, "ring_coords", None)
         assert macro.diameter() == diam
+
+
+def _reference_macros(mesh):
+    """The per-vertex construction the star table replaced: ccw_ring,
+    frozenset cell matching and the all-pairs diameter, one interior vertex
+    at a time."""
+    measures = mesh.cell_measures()
+    out = []
+    for q0 in map(int, mesh.interior_vertices()):
+        cids = mesh.cells_of(q0)
+        angles = None
+        if mesh.cell_kind == TRIANGLE:
+            ring, angles = mesh.ccw_ring(q0)
+            bycell = {frozenset(int(v) for v in mesh.cells[ci]): ci
+                      for ci in cids}
+            cids = np.array([bycell[frozenset((q0, int(a), int(b)))]
+                             for a, b in zip(ring, np.roll(ring, -1))],
+                            dtype=np.int64)
+        else:
+            ring = np.setdiff1d(mesh.cells[cids], [q0])
+        pts = np.vstack([mesh.vertices[q0][None, :], mesh.vertices[ring]])
+        d = pts[:, None, :] - pts[None, :, :]
+        out.append((q0, ring, cids, angles, measures[cids],
+                    float(np.sqrt((d ** 2).sum(-1)).max())))
+    return out
+
+
+def _same(a, b):
+    return a is b is None or (a.dtype == b.dtype and a.shape == b.shape
+                              and a.tobytes() == b.tobytes())
+
+
+def test_star_table_matches_per_vertex_reference():
+    from stokestab.mesh import (gen_extruded_tet, gen_perturbed,
+                                gen_quad_macro, gen_structured_cube)
+    from stokestab.scenarios import unstructured_family_mesh
+    rng = np.random.default_rng(13)
+    with pytest.warns(UserWarning, match="no interior vertex"):
+        meshes = [gen_structured_tri(6, 5), gen_zigzag(6, 6),
+                  gen_perturbed(gen_structured_tri(7, 7), 0.04, 1),
+                  unstructured_family_mesh(4),
+                  gen_extruded_tet(gen_perturbed(gen_zigzag(4, 4), 0.06, 5),
+                                   3),
+                  gen_structured_cube(3, 3, 2), gen_quad_macro((1.0, 2.5),
+                                                               (0.5, 1.5))]
+        for mesh in meshes:
+            build_macroelements(mesh)
+    meshes += [random_star_2d(rng, aligned=k % 3).mesh for k in range(6)]
+    meshes += [random_star_3d(rng).mesh for _ in range(4)]
+    for mesh in meshes:
+        macros = build_macroelements(mesh)
+        ref = _reference_macros(mesh)
+        assert len(macros) == len(ref) > 0
+        for m, (q0, ring, cells, angles, areas, diam) in zip(macros, ref):
+            assert m.center == q0 and type(m.center) is int
+            assert _same(m.ring_vertices, ring) and _same(m.cells, cells)
+            assert _same(m.angles, angles) and _same(m.areas, areas)
+            assert m.diameter() == diam
+
+
+def test_star_winding_twice_is_rejected():
+    from stokestab.mesh import MeshError
+    # ring vertices 1-6 on the unit circle, 7-12 on the circle of radius 2
+    # turned by 0.1: the fan around vertex 0 winds twice
+    k = np.arange(12)
+    ang = k * np.pi / 3 + np.where(k < 6, 0.0, 0.1)
+    r = np.where(k < 6, 1.0, 2.0)
+    verts = np.vstack([[0.0, 0.0],
+                       np.column_stack([r * np.cos(ang), r * np.sin(ang)])])
+    fan = Mesh(2, TRIANGLE, verts, [(0, 1 + j, 1 + (j + 1) % 12) for j in k])
+    with pytest.raises(MeshError, match="^vertex 0: ring vertices 1 and 7 "
+                       "bound no common cell of the star$"):
+        build_macroelements(fan)
+
+
+def test_boundary_vertex_taken_as_interior_is_rejected():
+    from stokestab.mesh import MeshError
+    mesh = gen_structured_tri(3, 3)
+    mesh = Mesh(2, TRIANGLE, mesh.vertices, mesh.cells,
+                [(f, t) for f, t in mesh.boundary_facets if 1 not in f])
+    with pytest.warns(UserWarning, match="no interior vertex"), \
+            pytest.raises(MeshError, match="^vertex 1: star has 3 cells but "
+                          "4 ring vertices; not a valid interior vertex "
+                          "star$"):
+        build_macroelements(mesh)

@@ -355,6 +355,12 @@ def test_structured_cube_kuhn():
     mesh.validate()
 
 
+@pytest.mark.parametrize("sizes", [(0, 2, 2), (2, -1, 2), (2, 2, 0)])
+def test_structured_cube_rejects_empty_sizes(sizes):
+    with pytest.raises(MeshError, match="^nx, ny, nz must be >= 1$"):
+        gen_structured_cube(*sizes)
+
+
 def test_quad_macro():
     mesh = gen_quad_macro()
     assert mesh.num_vertices == 9

@@ -168,6 +168,25 @@ def test_manufactured_interpolation_error_orders():
     assert 0.9 < r_h1 < 1.1
 
 
+def test_convergence_study_evaluates_the_forcing_once_per_mesh():
+    import dataclasses
+    from stokestab.stokes import _data_points, _project
+    exact = trig_solution()
+    calls = []
+    counted = dataclasses.replace(
+        exact, f=lambda x: calls.append(len(x)) or exact.f(x))
+    meshes = [gen_zigzag(4, 4), gen_zigzag(6, 6)]
+    convergence_study("p2-p1:p1", meshes, exact=counted)
+    assert len(calls) == len(meshes)
+    # each column, projected, is bitwise the component's own load vector
+    for mesh in meshes:
+        f = exact.f(_data_points(mesh))
+        for k, tag in enumerate(["p1b", "p2"]):
+            dm = build_dofmap(mesh, tag)
+            ref = load_vector(mesh, dm, lambda x: exact.f(x)[:, k])
+            assert _project(mesh, dm, f[:, k]).tobytes() == ref.tobytes()
+
+
 def test_solver_reproduces_interpolation_scale_errors():
     # one coarse solve; errors should be within a small factor of the
     # best-approximation scale
