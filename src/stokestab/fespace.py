@@ -356,9 +356,7 @@ class DofMap:
             if use_vertices:
                 bmask[:nv] = vb
             if use_edges:
-                bf = np.array([f for f, _ in mesh.boundary_facets],
-                              dtype=np.int64).reshape(-1, 2)
-                bmask[nv + mesh.edge_index(bf[:, 0], bf[:, 1])] = True
+                bmask[nv + mesh.edge_index(*mesh.boundary_facets.T)] = True
         self.boundary_mask = bmask
 
     @property

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .macroelement import build_macroelements, s_condition
-from .mesh import Mesh, TRIANGLE, TETRAHEDRON
+from .macroelement import alternating_sum, build_macroelements
+from .mesh import Mesh, TRIANGLE, TETRAHEDRON, _signed_measures
 
 
 def star_mesh_2d(ring_points, q0=(0.0, 0.0)):
@@ -75,10 +75,26 @@ def symmetric_hexagon(a=1.0, b=0.5):
     return star_macro_2d(pts)
 
 
+def _fan_s(pts, axis):
+    """s_condition of star_macro_2d(pts) from the fan's coordinates, nan if
+    a cell turns clockwise.  As in the star table the ring goes by angle in
+    [0, 2pi), ties by vertex, so a vertex crossing angle 0 rotates it."""
+    n = len(pts)
+    k = np.arange(1, n + 1)
+    measures = _signed_measures(np.vstack([np.zeros(2), pts]),
+                                np.column_stack([0 * k, k, k % n + 1]))
+    if (measures <= 0).any():
+        return np.nan
+    angles = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * np.pi)
+    order = np.lexsort((k, angles))
+    return alternating_sum(angles[order], measures[order], axis)
+
+
 def random_s_zero_star(rng, n_v=6, axis="y"):
     """Random even star tuned by bisection until the alternating sum
     vanishes to machine precision.  Returns None when the drawn geometry
-    admits no sign change."""
+    admits no sign change.  The probes read the fan's coordinates; only the
+    returned star is built as a mesh."""
     assert n_v % 2 == 0
     for _ in range(50):
         macro = random_star_2d(rng, n_v=n_v, aligned=0, axis=axis)
@@ -91,41 +107,36 @@ def random_s_zero_star(rng, n_v=6, axis="y"):
             continue
         r = np.linalg.norm(ring[k])
 
-        def s_of(theta):
+        def fan(theta):
             pts = ring.copy()
             pts[k] = (r * np.cos(theta), r * np.sin(theta))
+            return pts
+
+        def s_of(theta):
             if abs(np.sin(theta)) < 1e-7 or abs(np.cos(theta)) < 1e-7:
-                return None
-            m = star_macro_2d(pts)
-            return s_condition(m, axis), pts
+                return np.nan
+            return _fan_s(fan(theta), axis)
 
         grid = np.linspace(lo + 1e-3, hi - 1e-3, 40)
-        vals = []
-        for t in grid:
-            out = s_of(t)
-            vals.append(np.nan if out is None else out[0])
-        vals = np.array(vals)
-        sign = np.sign(vals)
-        idx = np.flatnonzero(np.diff(sign) != 0)
-        idx = [i for i in idx if np.isfinite(vals[i]) and np.isfinite(vals[i + 1])]
+        vals = np.array([s_of(t) for t in grid])
+        ok = np.isfinite(vals)
+        idx = np.flatnonzero((np.sign(vals[1:]) != np.sign(vals[:-1]))
+                             & ok[1:] & ok[:-1])
         if not len(idx):
             continue
         a_, b_ = grid[idx[0]], grid[idx[0] + 1]
         for _ in range(200):
             mid = 0.5 * (a_ + b_)
-            out = s_of(mid)
-            if out is None:
+            sm = s_of(mid)
+            if sm == 0.0 or np.isnan(sm):
                 break
-            sm, pts = out
-            if sm == 0.0:
-                return star_macro_2d(pts)
             if np.sign(sm) == np.sign(vals[idx[0]]):
                 a_ = mid
             else:
                 b_ = mid
-        out = s_of(0.5 * (a_ + b_))
-        if out is not None:
-            return star_macro_2d(out[1])
+        mid = 0.5 * (a_ + b_)
+        if np.isfinite(s_of(mid)):
+            return star_macro_2d(fan(mid))
     return None
 
 

@@ -174,19 +174,14 @@ def _build_stars(mesh):
         star = np.repeat(np.arange(n), size)
         first = cell_offsets[star]
         after = ring[first + (np.arange(len(ring)) - first + 1) % size[star]]
-        degree = np.bincount(mesh.edges().ravel(), minlength=nv)[centers]
-        miscounted = size != degree
-        bad = miscounted[star] | (b != after)
+        # Every spoke has two cells, so cells and spokes alternate in cycles
+        # around the center; a star of two cycles fails b == after.
+        bad = b != after
         if bad.any():
             k = np.argmax(bad)
-            s = star[k]
-            if miscounted[s]:
-                raise MeshError(
-                    f"vertex {centers[s]}: star has {size[s]} cells but "
-                    f"{degree[s]} ring vertices; not a valid interior vertex "
-                    "star")
-            raise MeshError(f"vertex {centers[s]}: ring vertices {ring[k]} and "
-                            f"{after[k]} bound no common cell of the star")
+            raise MeshError(f"vertex {centers[star[k]]}: ring vertices "
+                            f"{ring[k]} and {after[k]} bound no common cell "
+                            "of the star")
     else:
         order = np.lexsort((cells, center))
         cells, center = cells[order], center[order]
@@ -260,20 +255,23 @@ def s_condition(macro, axis="y"):
     """
     if macro.dim != 2:
         raise MeshError("s_condition needs a 2D macro-element")
-    ang = macro.angles
+    return alternating_sum(macro.angles, macro.areas, axis)
+
+
+def alternating_sum(angles, areas, axis="y"):
+    """s_condition's sum from the spoke angles and the cell areas of a star,
+    in ring order (cell k between spokes k and k + 1)."""
     if axis == "y":
-        trig_num, trig_den = np.cos(ang), np.sin(ang)
+        trig_num, trig_den = np.cos(angles), np.sin(angles)
     else:
-        trig_num, trig_den = np.sin(ang), np.cos(ang)
+        trig_num, trig_den = np.sin(angles), np.cos(angles)
     if np.any(np.abs(trig_den) < 1e-14):
         raise MeshError(
             "macro has a spoke aligned with the splitting axis; the aligned "
             "cases must be handled before evaluating the sum")
     cot = trig_num / trig_den
-    areas = macro.areas
-    n = macro.n_v
     s = 0.0
-    for k in range(n):
+    for k in range(len(angles)):
         pair = 1.0 / areas[k - 1] + 1.0 / areas[k]
         s += (-1.0) ** (k + 1) * cot[k] * pair
     return float(s)

@@ -160,12 +160,17 @@ class Mesh:
     ----------
     dim : 2 or 3
     cell_kind : one of 'triangle', 'tetrahedron', 'quadrilateral'
-    vertices : (n, dim) float array
+    vertices : (n, dim) float array; every vertex must belong to a cell
     cells : (m, k) int array, k = 3 (tri) or 4 (tet/quad); copied and
         reordered to positive orientation
-    boundary_facets : optional list of (vertex tuple, tag); derived from the
-        cell graph (facets incident to exactly one cell, tag 0, in order of
-        first appearance over the oriented cells) when omitted.
+    boundary_facets, boundary_tags : optional facets (vertex rows in any
+        order) and their tags.  They only tag the boundary, which comes from
+        the cells: each must bound exactly one cell, a facet listed twice
+        keeps its last tag and an unlisted one gets 0.
+
+    `boundary_facets` (nb, f) and `boundary_tags` (nb,) are read-only int64:
+    the facets of exactly one cell as sorted rows, in order of first
+    appearance over the oriented cells, and their tags.
 
     Topology, derived from the oriented cells, is cached and read-only:
     `edges()`, `cell_edges`, `facets`, `cell_facets`, `facet_cells`, the
@@ -176,33 +181,36 @@ class Mesh:
     the operators the local oracle slices.
     """
 
-    def __init__(self, dim, cell_kind, vertices, cells, boundary_facets=None):
+    def __init__(self, dim, cell_kind, vertices, cells, boundary_facets=None,
+                 boundary_tags=None):
         if cell_kind not in _CELL_SIZES:
             raise MeshError(f"unknown cell kind {cell_kind!r}")
         try:
             vertices = np.array(vertices, dtype=float).reshape(-1, dim)
             cells = np.array(cells, dtype=np.int64).reshape(
                 -1, _CELL_SIZES[cell_kind])
+            given = np.array([] if boundary_facets is None else
+                             boundary_facets, dtype=np.int64)
+            tags = np.zeros(len(given), dtype=np.int64)
+            tags[:] = 0 if boundary_tags is None else boundary_tags
         except ValueError as exc:
-            raise MeshError(f"malformed vertex or cell array: {exc}") from None
+            raise MeshError(f"malformed mesh array: {exc}") from None
         if cells.size and (cells.min() < 0 or cells.max() >= len(vertices)):
             raise MeshError("cell vertex index out of range")
+        orphans = np.bincount(cells.ravel(), minlength=len(vertices)) == 0
+        if orphans.any():
+            raise MeshError(f"vertex {np.argmax(orphans)} belongs to no cell")
         self.dim = int(dim)
         self.cell_kind = cell_kind
         self.vertices = vertices
         self.cells = cells
         self._orient()
         _frozen(self.vertices, self.cells)
-        given = boundary_facets is not None
-        if given:
-            self.boundary_facets = [(tuple(int(v) for v in f), int(t))
-                                    for f, t in boundary_facets]
-        else:
-            t = self._facet_topology
-            b = np.flatnonzero(t.counts == 1)
-            self.boundary_facets = [(tuple(f), 0) for f in
-                                    t.rows[b[np.argsort(t.first[b])]].tolist()]
-        self._check_conforming(check_boundary=given)
+        self._check_conforming()
+        t = self._facet_topology
+        b = t.cell_index.ravel()[np.sort(t.first[t.counts == 1])]
+        self.boundary_facets = _frozen(t.rows[b])
+        self.boundary_tags = _frozen(self._facet_tags(given, tags)[b])
 
     # -- basic queries -------------------------------------------------
 
@@ -378,8 +386,7 @@ class Mesh:
 
     def boundary_vertex_mask(self):
         mask = np.zeros(self.num_vertices, dtype=bool)
-        facets = [f for f, _ in self.boundary_facets]
-        mask[np.array(facets, dtype=np.int64)] = True
+        mask[self.boundary_facets] = True
         return mask
 
     def interior_vertices(self):
@@ -411,9 +418,9 @@ class Mesh:
         waves already computed here: they do not depend on the coordinates
         or on the vertex order within a cell.  When the new coordinates turn
         no cell over, the cells stay as they are, so it shares the edge and
-        facet topology too and skips the conformity checks, which read only
-        that; it still rejects degenerate cells and duplicate coordinates.
-        Otherwise the mesh is built anew."""
+        facet topology and the boundary too and skips the conformity checks,
+        which read only that; it still rejects degenerate cells and duplicate
+        coordinates.  Otherwise the mesh is built anew."""
         keys = ["vertex_cells", "vertex_neighbours", "interior_waves"]
         s = None
         if (isinstance(new_vertices, np.ndarray)
@@ -422,13 +429,14 @@ class Mesh:
             s = _signed_measures(vertices, self.cells)
         if s is None or (s < 0).any():
             out = Mesh(self.dim, self.cell_kind, new_vertices, self.cells,
-                       list(self.boundary_facets))
+                       self.boundary_facets, self.boundary_tags)
         else:
             out = Mesh.__new__(Mesh)
             out.dim, out.cell_kind, out.cells = (self.dim, self.cell_kind,
                                                  self.cells)
             out.vertices = _frozen(vertices)
-            out.boundary_facets = list(self.boundary_facets)
+            out.boundary_facets = self.boundary_facets
+            out.boundary_tags = self.boundary_tags
             _check_nondegenerate(s)
             out._check_distinct_vertices()
             keys += ["_facet_topology", "_edge_topology"]
@@ -447,7 +455,7 @@ class Mesh:
         c[s < 0] = c[s < 0][:, flip]
         _check_nondegenerate(s)
 
-    def _check_conforming(self, check_boundary=True):
+    def _check_conforming(self):
         t = self._facet_topology
         over = np.flatnonzero(t.counts > 2)
         if len(over):
@@ -456,25 +464,34 @@ class Mesh:
             raise MeshError(
                 f"nonconforming mesh: facet {tuple(t.rows[f].tolist())} shared "
                 f"by cells {c0} and {c1} plus {t.counts[f] - 2} more")
-        if check_boundary and self.boundary_facets:
-            facets = [f for f, _ in self.boundary_facets]
-            width = t.rows.shape[1]
-            wrong = next((f for f in facets if len(f) != width), None)
-            if wrong is not None:
-                raise MeshError(f"boundary facet {wrong} has {len(wrong)} "
-                                f"vertices; {self.cell_kind} facets have "
-                                f"{width}")
-            given = np.sort(facets, axis=1)
-            outside = (given[:, 0] < 0) | (given[:, -1] >= self.num_vertices)
-            if outside.any():
-                raise MeshError(f"boundary facet {facets[np.argmax(outside)]}"
-                                " has a vertex index out of range")
-            pos = _lookup(t.keys, _keys(given, self.num_vertices))
-            bad = np.flatnonzero((pos < 0) | (t.counts[pos] != 1))
-            if len(bad):
-                raise MeshError(f"boundary facet {self.boundary_facets[bad[0]][0]}"
-                                " does not bound exactly one cell")
         self._check_distinct_vertices()
+
+    def _facet_tags(self, given, tags):
+        """The tag of every facet: the last of the `tags` given to it in the
+        rows of `given`, else 0.  A given facet must bound one cell only."""
+        t = self._facet_topology
+        out = np.zeros(len(t.rows), dtype=np.int64)
+        if not given.size:
+            return out
+        given = given.reshape(len(given), -1)
+
+        def check(bad, problem):
+            if np.any(bad):
+                row = given[np.argmax(bad)].tolist()
+                raise MeshError(f"boundary facet {tuple(row)} {problem}")
+
+        width = t.rows.shape[1]
+        check(given.shape[1] != width, f"has {given.shape[1]} vertices; "
+              f"{self.cell_kind} facets have {width}")
+        check(((given < 0) | (given >= self.num_vertices)).any(axis=1),
+              "has a vertex index out of range")
+        pos = _lookup(t.keys, _keys(np.sort(given, axis=1), self.num_vertices))
+        check((pos < 0) | (t.counts[pos] != 1),
+              "does not bound exactly one cell")
+        # reversed, the last row of a facet comes first
+        facet, first = np.unique(pos[::-1], return_index=True)
+        out[facet] = tags[::-1][first]
+        return out
 
     def _check_distinct_vertices(self):
         # duplicated vertex coordinates are the usual source of nonconformity
@@ -572,10 +589,10 @@ def _msh_elements(block):
 def load_msh(path):
     """Read a Gmsh MSH 2.2 ASCII file.
 
-    Lines become tagged boundary facets in 2D, triangles become boundary
-    facets in 3D; triangles/quads/tets become cells.  Raises MeshError with
-    a line number on malformed input and rejects nonconforming meshes.
-    Each node and element block is parsed at once.
+    Triangles/quads/tets become cells, which define the boundary; lines in
+    2D and triangles in 3D only tag it (see Mesh).  Raises MeshError with a
+    line number on malformed input and rejects nonconforming meshes.  Each
+    node and element block is parsed at once.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -654,21 +671,22 @@ def load_msh(path):
                                 for k in range(4))
     offsets = np.concatenate([[0], np.cumsum(count)])
 
-    def records(kind):
-        """Tags and 0-based nodes of the records of one element type, in
-        file order: the rows of an array when they have one node count,
-        else lists."""
-        rows = np.flatnonzero(etype == kind)
+    def records(code, what, width):
+        """Tags and (records, width) 0-based nodes of one element type."""
+        rows = np.flatnonzero(etype == code)
         v = conn[_spans(offsets, rows)]
         pos = np.minimum(np.searchsorted(ids, v), len(ids) - 1)
         unknown = ids[pos] != v
         if unknown.any():
             raise MeshError(f"{path}: element references unknown node "
                             f"{v[np.argmax(unknown)]}")
-        if len(set(count[rows].tolist())) > 1:
-            return tags[rows], [
-                c.tolist() for c in np.split(pos, np.cumsum(count[rows])[:-1])]
-        return tags[rows], pos.reshape(len(rows), -1 if len(rows) else 0)
+        n = count[rows]
+        if np.any(n != width):
+            i = np.argmax(n != width)
+            nodes = np.split(pos, np.cumsum(n)[:-1])[i].tolist()
+            raise MeshError(f"{path}: {what} {tuple(nodes)} has {n[i]} "
+                            f"vertices; {kind} {what}s have {width}")
+        return tags[rows], pos.reshape(len(rows), width)
 
     present = set(etype.tolist())
     if _MSH_TET in present:
@@ -685,12 +703,9 @@ def load_msh(path):
     verts = coords3[:, :dim]
     if dim == 2 and np.abs(coords3[:, 2]).max(initial=0.0) > 1e-12:
         raise MeshError(f"{path}: 2D element mesh with nonzero z coordinates")
-    _, cells = records(cellkind)
-    facet_tags, facets = records(facetkind)
-    if isinstance(facets, np.ndarray):
-        facets = facets.tolist()
-    facets = list(zip(map(tuple, facets), facet_tags.tolist())) or None
-    return Mesh(dim, kind, verts, cells, boundary_facets=facets)
+    _, cells = records(cellkind, "cell", _CELL_SIZES[kind])
+    facet_tags, facets = records(facetkind, "boundary facet", dim)
+    return Mesh(dim, kind, verts, cells, facets, facet_tags)
 
 
 _MSH_KIND = {TRIANGLE: _MSH_TRI, QUADRILATERAL: _MSH_QUAD, TETRAHEDRON: _MSH_TET}
@@ -702,10 +717,8 @@ def save_msh(mesh, path):
     n, (m, k) = mesh.num_vertices, mesh.cells.shape
     xyz = np.zeros((n, 3))
     xyz[:, :mesh.dim] = mesh.vertices
-    nb = len(mesh.boundary_facets)
-    facets = np.array([f for f, _ in mesh.boundary_facets],
-                      dtype=np.int64).reshape(nb, mesh.dim)
-    tags = [t for _, t in mesh.boundary_facets]
+    facets, tags = mesh.boundary_facets, mesh.boundary_tags.tolist()
+    nb = len(tags)
     ft, ct = _FACET_KIND[mesh.cell_kind], _MSH_KIND[mesh.cell_kind]
 
     def fields(count):
@@ -791,22 +804,15 @@ def write_csv(path, header, rows):
 # generators
 # ----------------------------------------------------------------------
 
-def _tag_boundary(mesh, tags):
-    """Give the derived boundary facets of a just-built mesh their tags."""
-    mesh.boundary_facets = [(f, t) for (f, _), t in
-                            zip(mesh.boundary_facets, tags.tolist())]
-    return mesh
-
-
 def _tag_rectangle(mesh, lo, hi):
     """Tag rectangle boundary edges: bottom=1, right=2, top=3, left=4."""
-    mid = mesh.vertices[[f for f, _ in mesh.boundary_facets]].mean(axis=1)
-    x, y = mid[:, 0], mid[:, 1]
+    x, y = mesh.vertices[mesh.boundary_facets].mean(axis=1).T
     tol = 1e-12
-    tags = np.select([np.abs(y - lo[1]) < tol, np.abs(x - hi[0]) < tol,
-                      np.abs(y - hi[1]) < tol, np.abs(x - lo[0]) < tol],
-                     [BOTTOM, RIGHT, TOP, LEFT], 0)
-    return _tag_boundary(mesh, tags)
+    mesh.boundary_tags = _frozen(np.select(
+        [np.abs(y - lo[1]) < tol, np.abs(x - hi[0]) < tol,
+         np.abs(y - hi[1]) < tol, np.abs(x - lo[0]) < tol],
+        [BOTTOM, RIGHT, TOP, LEFT], 0))
+    return mesh
 
 
 def _grid_vertices(nx, ny, lo, hi):
@@ -912,11 +918,11 @@ def gen_extruded_tet(base2d, layers, height=1.0):
     prisms = np.concatenate([lower, lower + nv], axis=2)
     cells = prisms[:, :, [[0, 1, 2, 5], [0, 1, 5, 4], [0, 4, 5, 3]]]
     mesh = Mesh(3, TETRAHEDRON, verts, cells.reshape(-1, 4))
-    z = verts[[f for f, _ in mesh.boundary_facets], 2]
-    tags = np.where(np.all(np.abs(z) < 1e-12, axis=1), BOTTOM,
-                    np.where(np.all(np.abs(z - height) < 1e-12, axis=1),
-                             TOP, RIGHT))
-    return _tag_boundary(mesh, tags)
+    z = verts[mesh.boundary_facets, 2]
+    mesh.boundary_tags = _frozen(np.where(
+        np.all(np.abs(z) < 1e-12, axis=1), BOTTOM,
+        np.where(np.all(np.abs(z - height) < 1e-12, axis=1), TOP, RIGHT)))
+    return mesh
 
 
 def gen_structured_cube(nx, ny, nz):

@@ -234,25 +234,16 @@ def assemble(mesh, combo):
                         bc_mask, bc_values)
 
 
-def _top_facets(mesh):
-    tops = [f for f, tag in mesh.boundary_facets if tag == TOP]
-    if not tops:
-        raise StokesError("mesh has no boundary facets tagged as top")
-    return tops
-
-
 def cavity_problem(mesh, combo, variant="dirichlet_lid"):
     """Lid-driven cavity boundary conditions on a rectangle mesh.
 
     dirichlet_lid: first velocity component equals 1 on the top boundary
-    (0 at the corners, no-slip wins) and 0 elsewhere; second component 0 on
-    the whole boundary.  neumann_lid: the first component is free on the top
-    with a unit conormal flux added to its load, fixed to 0 on the rest.
+    (largest y, corners 0) and 0 elsewhere; second component 0 on the whole
+    boundary.  neumann_lid: the first component is free on the facets tagged
+    TOP with a unit conormal flux added to its load, fixed to 0 on the rest.
     """
     sys = assemble(mesh, combo)
     u_dm = sys.vel_dofmaps[0]
-    tops = _top_facets(mesh)
-    top_vertices = {v for f in tops for v in f}
     ymax = mesh.vertices[:, 1].max()
     xmin = mesh.vertices[:, 0].min()
     xmax = mesh.vertices[:, 0].max()
@@ -263,28 +254,24 @@ def cavity_problem(mesh, combo, variant="dirichlet_lid"):
                   & (xmin + 1e-12 < x) & (x < xmax - 1e-12))
         sys.bc_values[0][on_top] = 1.0
     elif variant == "neumann_lid":
+        tops = mesh.boundary_facets[mesh.boundary_tags == TOP]
+        if not len(tops):
+            raise StokesError("mesh has no boundary facets tagged as top")
         # release the top dofs of the first component and add the flux term
         mask = sys.bc_mask[0]
-        edge_w = {
-            "p1": [0.5, 0.5], "p1b": [0.5, 0.5],
-            "p2": [1 / 6, 1 / 6, 2 / 3],
-        }[u_dm.space]
-        nv = mesh.num_vertices
-        top_edges = mesh.edge_index(*np.array(tops).T)
-        for f, edge in zip(tops, top_edges):
-            a, b = int(f[0]), int(f[1])
-            L = float(np.linalg.norm(mesh.vertices[a] - mesh.vertices[b]))
-            sys.rhs[a] += edge_w[0] * L
-            sys.rhs[b] += edge_w[1] * L
-            mask[a] = mask[b] = False
-            if u_dm.space == "p2":
-                sys.rhs[nv + edge] += edge_w[2] * L
-                mask[nv + edge] = False
+        edge_w = np.array({"p1": [0.5, 0.5], "p1b": [0.5, 0.5],
+                           "p2": [1 / 6, 1 / 6, 2 / 3]}[u_dm.space])
+        a, b = tops.T
+        L = np.linalg.norm(mesh.vertices[a] - mesh.vertices[b], axis=1)
+        ends = tops.ravel()
+        np.add.at(sys.rhs, ends, (L[:, None] * edge_w[:2]).ravel())
+        if u_dm.space == "p2":
+            mid = mesh.num_vertices + mesh.edge_index(a, b)
+            sys.rhs[mid] += edge_w[2] * L
+            mask[mid] = False
         # corners stay fixed (they also belong to the side walls)
-        for v in top_vertices:
-            x = mesh.vertices[int(v), 0]
-            if abs(x - xmin) < 1e-12 or abs(x - xmax) < 1e-12:
-                mask[int(v)] = True
+        x = mesh.vertices[ends, 0]
+        mask[ends] = (np.abs(x - xmin) < 1e-12) | (np.abs(x - xmax) < 1e-12)
     else:
         raise StokesError(f"unknown cavity variant {variant!r}")
     return sys
@@ -305,8 +292,7 @@ def boundary_flux(sys, velocity):
     integral of div(w) over the domain.
     """
     mesh = sys.mesh
-    bf = np.array([f for f, _ in mesh.boundary_facets])
-    a, b = bf[:, 0], bf[:, 1]
+    a, b = mesh.boundary_facets.T
     edge = mesh.edge_index(a, b)
     owners = mesh.facet_cells[edge, 0]   # in 2D the facets are the edges
     pa = mesh.vertices[a]
@@ -317,7 +303,7 @@ def boundary_flux(sys, velocity):
     n[((pa - cc) * n).sum(axis=1) < 0] *= -1.0
     mid = mesh.num_vertices + edge
     # one term per (facet, component), facet-major
-    terms = np.empty((len(bf), len(sys.vel_dofmaps)))
+    terms = np.empty((len(a), len(sys.vel_dofmaps)))
     for k, dm in enumerate(sys.vel_dofmaps):
         w = velocity[k]
         if dm.space == P2:

@@ -227,3 +227,38 @@ def test_run_failing_bound_exits_1(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "[FAIL] max_residual(0):" in out
     assert "[PASS] min_nullspace_dim(1):" in out
+
+
+def _drop_facet_records(path):
+    """Rewrite the MSH file at path without its line (facet) records."""
+    lines = path.read_text().splitlines()
+    start, end = lines.index("$Elements") + 2, lines.index("$EndElements")
+    cells = [ln for ln in lines[start:end] if ln.split()[1] != "1"]
+    lines[start - 1:end] = [str(len(cells)), *cells]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_solve_cavity_cli_without_facet_records(tmp_path, capsys):
+    mesh_path = tmp_path / "m.msh"
+    save_msh(gen_zigzag(8, 8), mesh_path)
+    _drop_facet_records(mesh_path)
+    assert not load_msh(mesh_path).boundary_tags.any()
+    argv = ["solve-cavity", str(mesh_path), "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert (tmp_path / "cavity.vtk").exists()
+    capsys.readouterr()
+    assert main(argv + ["--variant", "neumann_lid"]) == 2
+    assert capsys.readouterr().err == \
+        "error: mesh has no boundary facets tagged as top\n"
+
+
+def test_analyze_orphan_node_is_clean_error(tmp_path, capsys):
+    # node 5 belongs to no triangle
+    mesh_path = tmp_path / "orphan.msh"
+    mesh_path.write_text(
+        "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n5\n1 0 0 0\n2 1 0 0\n"
+        "3 1 1 0\n4 0 1 0\n5 0.5 2 0\n$EndNodes\n$Elements\n2\n"
+        "1 2 2 0 0 1 2 3\n2 2 2 0 0 1 3 4\n$EndElements\n")
+    assert main(["analyze", str(mesh_path), "--out",
+                 str(tmp_path / "a.csv")]) == 2
+    assert capsys.readouterr().err == "error: vertex 4 belongs to no cell\n"

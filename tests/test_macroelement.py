@@ -554,13 +554,16 @@ def test_star_winding_twice_is_rejected():
         build_macroelements(fan)
 
 
-def test_boundary_vertex_taken_as_interior_is_rejected():
-    from stokestab.mesh import MeshError
-    mesh = gen_structured_tri(3, 3)
-    mesh = Mesh(2, TRIANGLE, mesh.vertices, mesh.cells,
-                [(f, t) for f, t in mesh.boundary_facets if 1 not in f])
-    with pytest.warns(UserWarning, match="no interior vertex"), \
-            pytest.raises(MeshError, match="^vertex 1: star has 3 cells but "
-                          "4 ring vertices; not a valid interior vertex "
-                          "star$"):
-        build_macroelements(mesh)
+def test_partial_boundary_list_keeps_vertex_1_on_the_boundary():
+    # listing the boundary facets without those at vertex 1 only tags the
+    # others: vertex 1 stays a boundary vertex and no star center
+    base = gen_structured_tri(3, 3)
+    keep = ~(base.boundary_facets == 1).any(axis=1)
+    mesh = Mesh(2, TRIANGLE, base.vertices, base.cells,
+                base.boundary_facets[keep], base.boundary_tags[keep])
+    assert np.array_equal(mesh.boundary_facets, base.boundary_facets)
+    assert np.array_equal(mesh.boundary_tags,
+                          np.where(keep, base.boundary_tags, 0))
+    with pytest.warns(UserWarning, match="no interior vertex"):
+        centers = [m.center for m in build_macroelements(mesh)]
+    assert centers == [5, 6, 9, 10]

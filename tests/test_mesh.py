@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stokestab.mesh import (
-    Mesh, MeshError, TOP, BOTTOM,
+    Mesh, MeshError, TOP, BOTTOM, LEFT, RIGHT,
     load_msh, save_msh, save_vtk,
     gen_structured_tri, gen_zigzag, gen_perturbed,
     gen_extruded_tet, gen_structured_cube, gen_quad_macro,
 )
+from stokestab.scenarios import decay_family_mesh, unstructured_family_mesh
+from stokestab.unstructure import UnstructureConfig, apply_algorithm1
 
 TWO_TRI_MSH = """$MeshFormat
 2.2 0 8
@@ -44,8 +47,7 @@ def test_load_msh_two_triangles(tmp_path):
     assert mesh.num_vertices == 4
     assert mesh.num_cells == 2
     assert mesh.cell_kind == "triangle"
-    tags = sorted(t for _, t in mesh.boundary_facets)
-    assert tags == [1, 2, 3, 4]
+    assert sorted(mesh.boundary_tags.tolist()) == [1, 2, 3, 4]
 
 
 def test_load_msh_rejects_other_versions(tmp_path):
@@ -81,7 +83,8 @@ def test_msh_round_trip(tmp_path):
     a = {tuple(sorted(c)) for c in mesh.cells}
     b = {tuple(sorted(c)) for c in back.cells}
     assert a == b
-    assert sorted(back.boundary_facets) == sorted(mesh.boundary_facets)
+    assert np.array_equal(back.boundary_facets, mesh.boundary_facets)
+    assert np.array_equal(back.boundary_tags, mesh.boundary_tags)
 
 
 def test_msh_round_trip_tets(tmp_path):
@@ -105,7 +108,8 @@ def _reference_msh_text(mesh):
             str(len(mesh.boundary_facets) + mesh.num_cells)]
     eid = 1
     ft = {"triangle": 1, "quadrilateral": 1, "tetrahedron": 2}[mesh.cell_kind]
-    for f, tag in mesh.boundary_facets:
+    for f, tag in zip(mesh.boundary_facets.tolist(),
+                      mesh.boundary_tags.tolist()):
         out.append(f"{eid} {ft} 2 {tag} {tag} "
                    + " ".join(str(v + 1) for v in f))
         eid += 1
@@ -132,9 +136,8 @@ def test_save_msh_matches_per_line_writer(tmp_path, make):
     back = load_msh(p)
     assert back.vertices.tobytes() == mesh.vertices.tobytes()
     assert np.array_equal(back.cells, mesh.cells)
-    # a file without facet records gets the derived boundary
-    assert back.boundary_facets == (mesh.boundary_facets or Mesh(
-        mesh.dim, mesh.cell_kind, mesh.vertices, mesh.cells).boundary_facets)
+    assert np.array_equal(back.boundary_facets, mesh.boundary_facets)
+    assert np.array_equal(back.boundary_tags, mesh.boundary_tags)
 
 
 @pytest.fixture(scope="module")
@@ -208,8 +211,9 @@ def test_load_msh_reads_unordered_sparse_node_ids(tmp_path):
     mesh = load_msh(p)
     assert mesh.vertices.tolist() == [[0, 0], [1, 0], [1, 1], [0, 1]]
     assert mesh.cells.tolist() == [[0, 1, 2], [0, 2, 3]]
-    assert mesh.boundary_facets == [((0, 1), 1), ((1, 2), 2), ((2, 3), 3),
-                                    ((3, 0), 4)]
+    # the facet records (3, 0) and the rest tag the derived boundary rows
+    assert mesh.boundary_facets.tolist() == [[0, 1], [1, 2], [2, 3], [0, 3]]
+    assert mesh.boundary_tags.tolist() == [1, 2, 3, 4]
 
 
 def _parse_vtk_points(path):
@@ -342,8 +346,7 @@ def test_extruded_tet_counts():
 
 def test_extruded_tags():
     mesh = gen_extruded_tet(gen_structured_tri(2, 2), 2, 1.0)
-    tags = {t for _, t in mesh.boundary_facets}
-    assert {BOTTOM, TOP}.issubset(tags)
+    assert {BOTTOM, TOP}.issubset(mesh.boundary_tags.tolist())
     assert np.isclose(mesh.cell_measures().sum(), 1.0)
 
 
@@ -457,7 +460,7 @@ def test_topology_matches_reference_scan(name):
     with pytest.raises(MeshError, match="not mesh edges"):
         mesh.edge_index(0, far)
 
-    assert [f for f, _ in mesh.boundary_facets] == \
+    assert [tuple(f) for f in mesh.boundary_facets.tolist()] == \
         [f for f, cs in fmap.items() if len(cs) == 1]
     assert [tuple(f) for f in mesh.facets.tolist()] == sorted(fmap)
     assert mesh.facet_cells.tolist() == \
@@ -481,6 +484,99 @@ def test_topology_matches_reference_scan(name):
             assert angles.tolist() == sorted(ang.tolist())
 
 
+def _rectangle_tag(lo, hi):
+    """The tag of a facet of the rectangle [lo, hi] from its midpoint."""
+    def tag(points):
+        x, y = points.mean(axis=0)
+        for off, t in [(y - lo[1], BOTTOM), (x - hi[0], RIGHT),
+                       (y - hi[1], TOP), (x - lo[0], LEFT)]:
+            if abs(off) < 1e-12:
+                return t
+        return 0
+    return tag
+
+
+def _layer_tag(height):
+    """The tag of a facet of a mesh extruded to `height`."""
+    def tag(points):
+        z = points[:, 2]
+        if np.all(np.abs(z) < 1e-12):
+            return BOTTOM
+        return TOP if np.all(np.abs(z - height) < 1e-12) else RIGHT
+    return tag
+
+
+def _untagged(points):
+    return 0
+
+
+UNIT = _rectangle_tag((0, 0), (1, 1))
+BOUNDARY_MESHES = {
+    "structured": (lambda: gen_structured_tri(4, 3), UNIT),
+    "zigzag": (lambda: gen_zigzag(5, 4), UNIT),
+    "perturbed": (lambda: gen_perturbed(gen_structured_tri(5, 5), 0.05, 3),
+                  UNIT),
+    "quad-macro": (lambda: gen_quad_macro((0.5, 1.5), (2.0, 0.25)),
+                   _rectangle_tag((-0.5, -2.0), (1.5, 0.25))),
+    "extruded-tet": (lambda: gen_extruded_tet(gen_zigzag(3, 3), 2, 1.5),
+                     _layer_tag(1.5)),
+    "kuhn-cube": (lambda: gen_structured_cube(2, 3, 2), _untagged),
+    "unstructured-family": (lambda: unstructured_family_mesh(3), UNIT),
+    # the swap of x and y builds the mesh anew, without tags
+    "decay-family": (lambda: decay_family_mesh(1), _untagged),
+    "extruded-repaired": (lambda: gen_extruded_tet(apply_algorithm1(
+        unstructured_family_mesh(3), UnstructureConfig(r=0.15, axis="x")),
+        4, 1.0), _layer_tag(1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_MESHES))
+def test_boundary_rows_match_the_per_facet_reference(name):
+    make, tag = BOUNDARY_MESHES[name]
+    mesh = make()
+    fmap = reference_topology(mesh)[1]
+    want = [(f, tag(mesh.vertices[list(f)])) for f, cs in fmap.items()
+            if len(cs) == 1]
+    got = list(zip(map(tuple, mesh.boundary_facets.tolist()),
+                   mesh.boundary_tags.tolist()))
+    assert got == want
+    for a in (mesh.boundary_facets, mesh.boundary_tags):
+        assert a.dtype == np.int64 and not a.flags.writeable
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_given_facets_only_tag_the_derived_boundary(tmp_path_factory, data):
+    n = data.draw(st.integers(2, 5), label="n")
+    mesh = gen_perturbed(gen_structured_tri(n, n + 1), 0.2 / n,
+                         data.draw(st.integers(0, 99), label="seed"))
+    layers = data.draw(st.integers(0, 2), label="layers")
+    if layers:
+        mesh = gen_extruded_tet(mesh, layers)
+    nb = len(mesh.boundary_facets)
+    # a shuffled selection of the facets, some listed twice, vertices
+    # reversed, with tags of their own
+    picks = data.draw(st.lists(st.integers(0, nb - 1), max_size=nb + 5),
+                      label="picks")
+    tags = data.draw(st.lists(st.integers(-2, 9), min_size=len(picks),
+                              max_size=len(picks)), label="tags")
+    out = Mesh(mesh.dim, mesh.cell_kind, mesh.vertices, mesh.cells,
+               mesh.boundary_facets[picks][:, ::-1], tags)
+    want = [0] * nb
+    for i, t in zip(picks, tags):
+        want[i] = t
+    assert np.array_equal(out.boundary_facets, mesh.boundary_facets)
+    assert out.boundary_tags.tolist() == want
+
+    p = tmp_path_factory.mktemp("tagged") / "m.msh"
+    save_msh(out, p)
+    back = load_msh(p)
+    assert back.vertices.tobytes() == out.vertices.tobytes()
+    assert np.array_equal(back.cells, out.cells)
+    assert np.array_equal(back.boundary_facets, out.boundary_facets)
+    assert np.array_equal(back.boundary_tags, out.boundary_tags)
+
+
 def test_derived_data_is_built_once_per_mesh():
     mesh = gen_structured_tri(2, 2)
     calls = []
@@ -498,14 +594,21 @@ def test_derived_data_is_built_once_per_mesh():
 
 def test_ragged_boundary_facet_is_a_mesh_error():
     base = gen_structured_tri(2, 2)
-    facets = list(base.boundary_facets)
-    facets[0] = ((0, 1, 4), facets[0][1])
     with pytest.raises(MeshError, match=r"boundary facet \(0, 1, 4\) has 3"):
-        Mesh(2, "triangle", base.vertices, base.cells, facets)
+        Mesh(2, "triangle", base.vertices, base.cells, [(0, 1, 4)])
+    with pytest.raises(MeshError, match="malformed mesh array"):
+        Mesh(2, "triangle", base.vertices, base.cells, [(0, 1), (0, 1, 4)])
     # (0, 11) has the facet key of the boundary edge (1, 2) on 9 vertices
-    facets[0] = ((0, 11), facets[0][1])
+    facets = base.boundary_facets.copy()
+    facets[2] = (0, 11)
     with pytest.raises(MeshError, match=r"\(0, 11\) has a vertex index out"):
         Mesh(2, "triangle", base.vertices, base.cells, facets)
+    # the interior edge (0, 4)
+    with pytest.raises(MeshError, match=r"boundary facet \(4, 0\) does not "
+                                        "bound exactly one cell"):
+        Mesh(2, "triangle", base.vertices, base.cells, [(0, 1), (4, 0)])
+    with pytest.raises(MeshError, match="malformed mesh array"):
+        Mesh(2, "triangle", base.vertices, base.cells, [(0, 1)], [1, 2])
 
 
 def test_load_msh_rejects_a_line_element_with_three_nodes(tmp_path):
@@ -515,19 +618,29 @@ def test_load_msh_rejects_a_line_element_with_three_nodes(tmp_path):
         load_msh(p)
 
 
+def test_load_msh_rejects_a_triangle_element_with_four_nodes(tmp_path):
+    p = tmp_path / "ragged.msh"
+    p.write_text(TWO_TRI_MSH.replace("\n6 2 2 0 0 1 3 4\n",
+                                     "\n6 2 2 0 0 1 3 4 2\n"))
+    with pytest.raises(MeshError, match=r"ragged.msh: cell \(0, 2, 3, 1\) has "
+                                        "4 vertices; triangle cells have 3"):
+        load_msh(p)
+
+
 def test_boundary_vertex_mask_matches_per_facet_loop():
     def reference(mesh):
         mask = np.zeros(mesh.num_vertices, dtype=bool)
-        for f, _ in mesh.boundary_facets:
-            mask[list(f)] = True
+        for f in mesh.boundary_facets.tolist():
+            mask[f] = True
         return mask
 
     base = gen_zigzag(4, 3)
+    # a subset of the facets only tags the boundary; it stays complete
     subset = Mesh(2, "triangle", base.vertices, base.cells,
-                  base.boundary_facets[::3])
+                  base.boundary_facets[::3], base.boundary_tags[::3])
     for mesh in [*(make() for make in TOPOLOGY_MESHES.values()), subset]:
         assert np.array_equal(mesh.boundary_vertex_mask(), reference(mesh))
-    assert reference(subset).sum() < reference(base).sum()
+    assert np.array_equal(reference(subset), reference(base))
 
 
 def _cached_topology(mesh):
@@ -548,9 +661,17 @@ def test_replace_vertices_topology_equals_a_fresh_mesh(flip):
     if flip:  # a mirror image turns every cell over
         moved[:, 0] *= -1
     out = base.replace_vertices(moved)
-    fresh = Mesh(2, "triangle", moved, base.cells, base.boundary_facets)
+    fresh = Mesh(2, "triangle", moved, base.cells, base.boundary_facets,
+                 base.boundary_tags)
     assert (out._facet_topology is base._facet_topology) is not flip
-    assert out.boundary_facets == fresh.boundary_facets
+    assert np.array_equal(out.boundary_facets, fresh.boundary_facets)
+    assert np.array_equal(out.boundary_tags, fresh.boundary_tags)
+
+    def tag_of(mesh):
+        return dict(zip(map(tuple, mesh.boundary_facets.tolist()),
+                        mesh.boundary_tags.tolist()))
+
+    assert tag_of(out) == tag_of(base)
     got, want = _cached_topology(out), _cached_topology(fresh)
     assert got.keys() == want.keys()
     for key in want:
@@ -574,3 +695,10 @@ def test_replace_vertices_still_rejects_bad_coordinates():
     with pytest.raises(MeshError, match="duplicate vertex coordinates at "
                                         "indices 0 and 3"):
         apart.replace_vertices(touching)
+
+
+def test_vertex_of_no_cell_is_a_mesh_error():
+    base = gen_structured_tri(2, 2)
+    verts = np.vstack([base.vertices, [(0.5, 2.0)]])
+    with pytest.raises(MeshError, match="^vertex 9 belongs to no cell$"):
+        Mesh(2, "triangle", verts, base.cells)

@@ -136,9 +136,22 @@ def test_cavity_neumann_rhs():
 
 
 def test_cavity_missing_top_tag():
+    # the traction lid needs the TOP facets; the Dirichlet lid does not
     mesh = two_tri_mesh()  # derived facets carry tag 0
-    with pytest.raises(StokesError, match="top"):
-        cavity_problem(mesh, "p1b-p1:p1")
+    with pytest.raises(StokesError, match="tagged as top"):
+        cavity_problem(mesh, "p1b-p1:p1", "neumann_lid")
+
+
+@pytest.mark.parametrize("combo", ["p1b-p1:p1", "p2-p1:p1"])
+def test_dirichlet_lid_needs_no_top_tags(combo):
+    tagged = gen_zigzag(6, 5)
+    untagged = Mesh(2, TRIANGLE, tagged.vertices, tagged.cells)
+    assert not untagged.boundary_tags.any()
+    want = solve_penalized(cavity_problem(tagged, combo), 1e-10)
+    got = solve_penalized(cavity_problem(untagged, combo), 1e-10)
+    for a, b in zip(got.velocity + [got.pressure],
+                    want.velocity + [want.pressure]):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_penalized_cavity_mean_pressure_small():
