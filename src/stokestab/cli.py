@@ -97,8 +97,11 @@ def cmd_solve_cavity(args):
     path = os.path.join(args.out_dir, "cavity.vtk")
     save_vtk(mesh, {"u": sol.velocity[0][:nv], "v": sol.velocity[1][:nv],
                     "p": sol.pressure}, path)
-    print(f"solved {combo} {args.variant}: int_p={sol.diagnostics['int_p']:.3e}"
-          f" residual={sol.diagnostics['residual']:.2e} -> {path}")
+    diag = sol.diagnostics
+    print(f"solved {combo} {args.variant}: int_p={diag['int_p']:.3e}"
+          f" residual={diag['residual']:.2e} -> {path}")
+    print(f"saddle LU: {diag['unknowns']} unknowns, L+U fill "
+          f"{diag['lu_fill']}, {diag['refinements']} refinements")
     return 0
 
 

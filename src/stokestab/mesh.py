@@ -883,8 +883,11 @@ def gen_perturbed(base, amplitude, seed):
     Deterministic for a given seed.
     """
     require_triangles(base, "gen_perturbed")
-    if amplitude < 0:
-        raise MeshError("amplitude must be >= 0")
+    # the draw needs the width 2 * amplitude to be a finite float; nan
+    # fails both comparisons
+    if not 0 <= amplitude <= np.finfo(float).max / 2:
+        raise MeshError(f"amplitude must be finite and >= 0 (at most half "
+                        f"the largest float), got {amplitude}")
     rng = np.random.default_rng(seed)
     interior = base.interior_vertices()
     disp = np.zeros(base.num_vertices)

@@ -20,10 +20,10 @@ import numpy as np
 from .infsup import infsup_constant, local_nullspace, nullspace_residual
 from .macroelement import (build_macroelements, classify_3d,
                            predict_regularity_3d)
-from .mesh import (Mesh, StokestabError, TRIANGLE, gen_extruded_tet,
-                   gen_perturbed, gen_quad_macro, gen_structured_cube,
-                   gen_structured_tri, gen_zigzag, save_msh, save_vtk,
-                   write_csv)
+from .mesh import (BOTTOM, LEFT, RIGHT, TOP, Mesh, StokestabError, TRIANGLE,
+                   gen_extruded_tet, gen_perturbed, gen_quad_macro,
+                   gen_structured_cube, gen_structured_tri, gen_zigzag,
+                   save_msh, save_vtk, write_csv)
 from .stokes import cavity_problem, convergence_study, solve_penalized
 from .unstructure import UnstructureConfig, apply_algorithm1, verify_uniform
 
@@ -87,8 +87,14 @@ def unstructured_family_mesh(level, seed=42, r=0.15):
     return apply_algorithm1(mesh, UnstructureConfig(r=r, axis="y"))
 
 
+# the rectangle tag of each side after swapping x and y, indexed by its tag
+# before (0 untagged, bottom <-> left, right <-> top)
+_SWAPPED_TAGS = np.array([0, LEFT, TOP, RIGHT, BOTTOM])
+
+
 def _swap_xy(mesh):
-    return Mesh(2, TRIANGLE, mesh.vertices[:, ::-1], mesh.cells)
+    return Mesh(2, TRIANGLE, mesh.vertices[:, ::-1], mesh.cells,
+                mesh.boundary_facets, _SWAPPED_TAGS[mesh.boundary_tags])
 
 
 def decay_family_mesh(level, seed=10):
@@ -128,7 +134,8 @@ def run_test1(out_dir, seed=42, eps=1e-10):
                f"solver residual = {diag['residual']:.2e}",
                f"saddle system: {diag['unknowns']} unknowns, "
                f"{diag['condensed']} bubbles condensed, "
-               f"L+U fill {diag['lu_fill']}"]
+               f"L+U fill {diag['lu_fill']}, "
+               f"{diag['refinements']} refinements"]
     return ScenarioResult("test1", summary, [vtk], {"abs_int_p": abs(int_p)})
 
 

@@ -8,8 +8,9 @@ which fixes the pressure constant; the assembled system
     [ A   -B^T ] [w]   [f]
     [ -B  -eps*Mp ] [p] = [g]
 
-is symmetric indefinite and solved by a direct sparse factorization, after
-the cell bubbles of P1b components are eliminated cellwise.
+is symmetric quasi-definite.  It is solved by one pivot-free sparse
+factorization, after the cell bubbles of P1b components are eliminated
+cellwise, and the solution is refined with that same factor.
 """
 
 from __future__ import annotations
@@ -357,18 +358,24 @@ class SaddleFactorization:
     bubble block of K is diagonal and its Schur complement stays inside the
     pattern of the other unknowns.  `solve` recovers the bubbles cellwise.
 
-    The condensed matrix [[Aff, -Bf^T], [-Bf, -(delta*Mp + Bb D^-1 Bb^T)]]
-    is symmetric quasi-definite: its velocity block is positive definite
-    and its pressure block negative definite.  Such a matrix has an LDL^T
-    factorization under every symmetric permutation (Vanderbei, SIAM J.
-    Optim. 5, 1995), so it is factorized without row pivoting, in the
-    minimum-degree order of K + K^T (2.44M entries for L and U instead of
-    3.28M on the 64x64 level of the p1b-p1:p1 study).  Without bubbles the
-    LU factorizes K itself with SuperLU's defaults: the pressure block is
-    then only -delta*Mp, and pivot-free orders left relative residuals of
-    7e-9 to 2e-7 on the p2-p1:p1 lid cavities.  A nonzero diagonal
-    threshold is no middle way: at 1e-3 and 1e-2 it raised the fill of the
-    64x64 p2-p1:p1 cavity from 9.2M to 10.6M and 43M.
+    Every matrix is factorized the same way: without row pivoting, in the
+    minimum-degree order of K + K^T.  The matrix is symmetric
+    quasi-definite, its velocity block positive definite and its pressure
+    block -(delta*Mp + Bb D^-1 Bb^T) negative definite, and such a matrix
+    has an LDL^T factorization under every symmetric permutation
+    (Vanderbei, SIAM J. Optim. 5, 1995).  With nothing to condense (P2, P1)
+    that block is only -delta*Mp and the pivot-free factor is less
+    accurate: its solves of the p2-p1:p1 lid cavities leave relative
+    residuals of 3e-9 to 1.4e-7.  `solve` therefore refines its answer with
+    the same factor (classical iterative refinement; Arioli, Demmel & Duff,
+    SIAM J. Matrix Anal. Appl. 10, 1989) while the residual is above
+    1e-14 ||rhs|| and each step at least halves it, and keeps only the
+    steps that do.  One step brings those cavities (8x8 to 64x64) to 3e-16
+    to 3e-14, where SuperLU's pivoting LU of K leaves up to 1.1e-13.  The
+    factor is of K itself, so refinement also converges along the O(delta)
+    eigenvalues of spurious pressure modes.  On the 64x64 level of the
+    p2-p1:p1 family cavity L and U hold 7.05M entries, against 9.16M for
+    SuperLU's default column order with partial pivoting.
 
     `unknowns` is the order of K, `condensed` the number of bubbles
     eliminated and `lu_fill` the entries SuperLU stores for L and U
@@ -376,8 +383,9 @@ class SaddleFactorization:
     """
 
     def __init__(self, sys, delta):
-        if delta <= 0:
-            raise StokesError("penalization parameter must be positive")
+        if not (delta > 0 and math.isfinite(delta)):
+            raise StokesError(f"penalization parameter must be positive and "
+                              f"finite, got {delta}")
         free = sys.free_mask()
         A, B = sys.A.tocsr(), sys.B.tocsr()
         Bf = B[:, free]
@@ -389,12 +397,9 @@ class SaddleFactorization:
         Kc, self._Kbr, self._Krb, d = _condense(self.K, bub)
         self.condensed = int(bub.sum())
         try:
-            if self.condensed:
-                self._lu = spla.splu(Kc, permc_spec="MMD_AT_PLUS_A",
-                                     diag_pivot_thresh=0.0,
-                                     options=dict(SymmetricMode=True))
-            else:
-                self._lu = spla.splu(Kc)
+            self._lu = spla.splu(Kc, permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0,
+                                 options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise StokesError(
                 "singular saddle factorization (the penalized system should "
@@ -405,7 +410,28 @@ class SaddleFactorization:
 
     def solve(self, rhs):
         """K^-1 rhs for one right-hand side on the free velocity dofs
-        followed by the pressures."""
+        followed by the pressures, refined with the factor."""
+        return self._refined(rhs)[0]
+
+    def _refined(self, rhs):
+        """The refined solution, the norm of its residual rhs - K x and the
+        number of refinement steps kept."""
+        x = self._factor_solve(rhs)
+        r = rhs - self.K @ x
+        norm = np.linalg.norm(r)
+        target = 1e-14 * np.linalg.norm(rhs)
+        steps = 0
+        while norm > target:
+            y = x + self._factor_solve(r)
+            ry = rhs - self.K @ y
+            ny = np.linalg.norm(ry)
+            if not ny <= 0.5 * norm:
+                break
+            x, r, norm = y, ry, ny
+            steps += 1
+        return x, norm, steps
+
+    def _factor_solve(self, rhs):
         bub, rest, d = self._bub, self._rest, self._d
         x = np.empty_like(rhs)
         x[rest] = self._lu.solve(rhs[rest] - self._Krb @ (rhs[bub] / d))
@@ -413,8 +439,9 @@ class SaddleFactorization:
         return x
 
     def solve_pressure(self, b):
-        """Pressure part of K^-1 [0; b].  With no velocity load no bubble
-        enters the condensed right-hand side, and none is recovered."""
+        """Pressure part of K^-1 [0; b], one solve with the factor and no
+        refinement.  With no velocity load no bubble enters the condensed
+        right-hand side, and none is recovered."""
         rhs = np.zeros(self._lu.shape[0])
         rhs[-len(b):] = b
         return self._lu.solve(rhs)[-len(b):]
@@ -422,11 +449,13 @@ class SaddleFactorization:
 
 def solve_penalized(sys, eps=1e-10):
     """Direct solve of the penalized saddle system through one
-    `SaddleFactorization`, which condenses the P1b cell bubbles.
+    `SaddleFactorization`, which condenses the P1b cell bubbles and refines
+    the solution with its factor.
 
     Reports the mean pressure (expected O(eps)), the relative residual of
-    the full assembled equations and the factorization's `unknowns`,
-    `condensed` and `lu_fill` in the diagnostics.
+    the full assembled equations, the refinement steps kept and the
+    factorization's `unknowns`, `condensed` and `lu_fill` in the
+    diagnostics.
     """
     fact = SaddleFactorization(sys, eps)
     free = sys.free_mask()
@@ -435,11 +464,10 @@ def solve_penalized(sys, eps=1e-10):
     gC = g[~free]
     f_f = sys.rhs[free] - A[free][:, ~free] @ gC
     rhs = np.concatenate([f_f, B[:, ~free] @ gC])
-    x = fact.solve(rhs)
+    x, rnorm, refinements = fact._refined(rhs)
     nf = fact.n_velocity
     wf, p = x[:nf], x[nf:]
-    resid = (np.linalg.norm(fact.K @ x - rhs)
-             / max(np.linalg.norm(rhs), 1e-300))
+    resid = rnorm / max(np.linalg.norm(rhs), 1e-300)
 
     full = np.empty(sys.n_velocity)
     full[free] = wf
@@ -461,7 +489,8 @@ def solve_penalized(sys, eps=1e-10):
                                   "flux": flux, "eps": eps,
                                   "unknowns": fact.unknowns,
                                   "condensed": fact.condensed,
-                                  "lu_fill": fact.lu_fill})
+                                  "lu_fill": fact.lu_fill,
+                                  "refinements": refinements})
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -54,13 +55,37 @@ def test_unstructure_cli(tmp_path):
     assert repaired.num_vertices == 81
 
 
-def test_solve_cavity_cli(tmp_path):
+def test_solve_cavity_cli(tmp_path, capsys):
     mesh_path = tmp_path / "m.msh"
     save_msh(gen_zigzag(8, 8), mesh_path)
     rc = main(["solve-cavity", str(mesh_path), "--combo", "p1b-p1:p1",
                "--out-dir", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "cavity.vtk").exists()
+    assert re.search(r"saddle LU: \d+ unknowns, L\+U fill \d+, "
+                     r"\d+ refinements\n", capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+def test_solve_cavity_cli_rejects_a_bad_penalty(tmp_path, capsys, eps):
+    mesh_path = tmp_path / "m.msh"
+    save_msh(gen_zigzag(4, 4), mesh_path)
+    assert main(["solve-cavity", str(mesh_path), "--eps", eps, "--out-dir",
+                 str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("error: penalization parameter must "
+                                       "be positive and finite, got "
+                                       f"{float(eps)}\n")
+
+
+@pytest.mark.parametrize("amplitude", ["nan", "inf", "1e308"])
+def test_gen_rejects_an_amplitude_it_cannot_draw(tmp_path, capsys, amplitude):
+    out = tmp_path / "p.msh"
+    assert main(["gen", "--kind", "perturbed-zigzag", "--amplitude",
+                 amplitude, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: amplitude must be finite and >= 0")
+    assert err.endswith(f"got {float(amplitude)}\n")
+    assert not out.exists()
 
 
 def test_infsup_cli(tmp_path, capsys):
@@ -190,9 +215,11 @@ def test_run_oscillation_ratio_is_gated(tmp_path, capsys, scenario):
 
 def test_run_test1_reports_solver_diagnostics(tmp_path, capsys):
     assert main(["run", "test1", "--out-dir", str(tmp_path), "--check"]) == 0
-    # 15x15 herringbone: 256 vertices, 450 cells; 450 bubbles condensed
-    assert ("saddle system: 1098 unknowns, 450 bubbles condensed"
-            in capsys.readouterr().out)
+    # 15x15 herringbone: 256 vertices, 450 cells; 450 bubbles condensed,
+    # and the first solve is already at rounding level
+    out = capsys.readouterr().out
+    assert re.search(r"saddle system: 1098 unknowns, 450 bubbles condensed, "
+                     r"L\+U fill \d+, 0 refinements\n", out)
 
 
 @pytest.mark.parametrize("name, overrides", [

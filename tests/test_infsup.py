@@ -510,7 +510,7 @@ def test_infsup_matches_dense_schur_reference(make, combo, singular):
 def test_infsup_reports_the_shared_saddle_factorization():
     for combo, condensed in [("p1b-p1:p1", True), ("p2-p1:p1", False)]:
         mesh = gen_zigzag(6, 5)
-        fact = SaddleFactorization(assemble(mesh, combo), 1e-8)
+        fact = SaddleFactorization(assemble(mesh, combo), infsup._SHIFT)
         res = infsup_constant(mesh, combo, k=2)
         assert (res.unknowns, res.lu_fill) == (fact.unknowns, fact.lu_fill)
         assert (fact.condensed == mesh.num_cells) == condensed

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from stokestab.mesh import (
     Mesh, MeshError, TOP, BOTTOM, LEFT, RIGHT,
     load_msh, save_msh, save_vtk,
     gen_structured_tri, gen_zigzag, gen_perturbed,
-    gen_extruded_tet, gen_structured_cube, gen_quad_macro,
+    gen_extruded_tet, gen_structured_cube, gen_quad_macro, _tag_rectangle,
 )
 from stokestab.scenarios import decay_family_mesh, unstructured_family_mesh
 from stokestab.unstructure import UnstructureConfig, apply_algorithm1
@@ -336,6 +338,22 @@ def test_perturbed_clipping_keeps_positive_cells():
     assert out.cell_measures().min() > 0
 
 
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf, -0.1,
+                                       1e308, np.finfo(float).max])
+def test_perturbed_rejects_amplitudes_it_cannot_draw(amplitude):
+    # uniform(-a, a) needs 2a finite: 1e308 and the largest float overflow
+    with pytest.raises(MeshError, match=re.escape(f"got {amplitude}") + "$"):
+        gen_perturbed(gen_zigzag(4, 4), amplitude, seed=1)
+
+
+def test_decay_family_keeps_the_rectangle_tags():
+    for level in range(1, 6):
+        mesh = decay_family_mesh(level)
+        tags = mesh.boundary_tags
+        assert np.array_equal(tags, _tag_rectangle(mesh, (0.0, 0.0),
+                                                   (1.0, 1.0)).boundary_tags)
+
+
 def test_extruded_tet_counts():
     mesh = gen_extruded_tet(unit_square_two_tri(), 1, 1.0)
     assert mesh.num_cells == 6
@@ -522,8 +540,7 @@ BOUNDARY_MESHES = {
                      _layer_tag(1.5)),
     "kuhn-cube": (lambda: gen_structured_cube(2, 3, 2), _untagged),
     "unstructured-family": (lambda: unstructured_family_mesh(3), UNIT),
-    # the swap of x and y builds the mesh anew, without tags
-    "decay-family": (lambda: decay_family_mesh(1), _untagged),
+    "decay-family": (lambda: decay_family_mesh(1), UNIT),
     "extruded-repaired": (lambda: gen_extruded_tet(apply_algorithm1(
         unstructured_family_mesh(3), UnstructureConfig(r=0.15, axis="x")),
         4, 1.0), _layer_tag(1.0)),
