@@ -13,12 +13,13 @@ exactness is verified against closed-form monomial integrals in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .mesh import StokestabError, TRIANGLE, TETRAHEDRON, QUADRILATERAL
+from .mesh import (StokestabError, TRIANGLE, TETRAHEDRON, QUADRILATERAL,
+                   _frozen)
 
 P0, P1, P1B, P2, Q1, Q2 = "p0", "p1", "p1b", "p2", "q1", "q2"
 _KNOWN = {P0, P1, P1B, P2, Q1, Q2}
@@ -362,6 +363,19 @@ class DofMap:
     @property
     def boundary_dofs(self):
         return np.flatnonzero(self.boundary_mask)
+
+    @cached_property
+    def locations(self):
+        """Mesh location of every dof, read-only: a vertex dof is at its
+        vertex v, an edge dof at nv + e and a cell dof at nv + ne + c (nv
+        vertices, ne edges).  Dofs of different spaces at one place share
+        its location."""
+        loc = np.arange(self.n_dofs)
+        if self.space in (P1B, Q2, P0):
+            mesh = self.mesh
+            loc[self.cell_dofs[:, -1]] = (mesh.num_vertices + len(mesh.edges())
+                                          + np.arange(mesh.num_cells))
+        return _frozen(loc)
 
     def interpolate(self, fn):
         """Nodal interpolation of a callable fn(points) -> values.

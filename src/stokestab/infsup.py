@@ -162,10 +162,14 @@ def _star_oracles(mesh, combo, floor):
         v[:, 0] += np.copysign(np.linalg.norm(v, axis=1), v[:, 0])
         V = (np.eye(r)[:, 1:] - 2 * v[:, :, None] * v[:, None, 1:]
              / np.einsum("mi,mi->m", v, v)[:, None, None])
+        # with fewer interior velocity dofs than pressures modulo constants
+        # (c < r - 1), the last r - 1 - c rows of the full Vt are null
+        # directions that have no singular value
         _, s, Vt = np.linalg.svd(P.transpose(0, 2, 1) @ V,
-                                 full_matrices=False)
+                                 full_matrices=c < r - 1)
         # s descends, so the null rows of Vt are the trailing ones
-        dims = (s <= floor * s.max(axis=1, initial=0.0)[:, None]).sum(axis=1)
+        dims = ((s <= floor * s.max(axis=1, initial=0.0)[:, None]).sum(axis=1)
+                + max(r - 1 - c, 0))
         W = Vt @ V.transpose(0, 2, 1)
         nrm = np.sqrt(((W @ Mp) * W).sum(-1))
         W /= np.where(nrm > 0, nrm, 1.0)[:, :, None]
@@ -173,7 +177,7 @@ def _star_oracles(mesh, combo, floor):
         for i, star_id in enumerate(members):
             dim = int(dims[i])
             out[int(t.centers[star_id])] = LocalNullspace(
-                dim, W[i, len(s[i]) - dim:], s[i], P[i], R[i])
+                dim, W[i, r - 1 - dim:], s[i], P[i], R[i])
     return out
 
 
@@ -182,7 +186,9 @@ def local_nullspace(macro, combo, floor=1e-10):
 
     Returns the full singular spectrum of the pairing restricted to the
     Mp-orthogonal complement of the constant pressure; dim counts the
-    singular values at or below floor times the largest one.  The first
+    singular values at or below floor times the largest one, plus the
+    r - 1 - c null directions of a star with c interior velocity dofs and
+    r pressures when c < r - 1 (P1-P1 stars, for one).  The first
     query computes every star of the mesh for this combination and floor
     and keeps them on the mesh, so a sweep over the stars pays once.
     """

@@ -102,9 +102,11 @@ def decay_family_mesh(level, seed=10):
     with 3, 7, 15, 31 intervals carries a vertical jitter of relative
     amplitude 0.4, 0.2, 0.1, 0.05; level 5 is the exact structured grid with
     63 intervals, where the alternating-layer pressure is an exact spurious
-    mode."""
+    mode.  Other levels raise StokestabError."""
     ns = [3, 7, 15, 31, 63]
     amps = [0.4, 0.2, 0.1, 0.05, 0.0]
+    if not (isinstance(level, (int, np.integer)) and 1 <= level <= 5):
+        raise StokestabError(f"decay family levels are 1-5, got {level!r}")
     n, amp = ns[level - 1], amps[level - 1]
     base = gen_structured_tri(n, n)
     if amp == 0.0:

@@ -10,7 +10,9 @@ which fixes the pressure constant; the assembled system
 
 is symmetric quasi-definite.  It is solved by one pivot-free sparse
 factorization, after the cell bubbles of P1b components are eliminated
-cellwise, and the solution is refined with that same factor.
+cellwise, and the solution is refined with that same factor.  The
+factorization takes the unknowns mesh location by mesh location (the u, v
+and p of a vertex together), the locations in minimum-degree order.
 """
 
 from __future__ import annotations
@@ -324,26 +326,65 @@ def _bubble_mask(sys):
     return mask
 
 
-def _condense(K, bub):
-    """Eliminate the bubble unknowns of K: the Schur complement on the other
-    unknowns (CSC), the bubble-row and bubble-column couplings and the
-    bubble diagonal."""
-    rest = ~bub
-    Kb, Kr = K[bub], K[rest]
-    Kbb, Kbr, Krb = Kb[:, bub], Kb[:, rest], Kr[:, bub]
+def _location_order(mesh, loc):
+    """An order of the unknowns at mesh locations `loc` (numbered as
+    `DofMap.locations`) for a factorization with little fill: location by
+    location, in the minimum-degree order of the graph of locations that
+    share a cell, and by index within one location.
+
+    Minimum degree on K + K^T sees the u, v and p of a vertex as separate
+    nodes, since u couples only to u and v only to v.  The graph of the
+    locations that hold an unknown is that graph compressed (Ashcraft, SIAM
+    J. Sci. Comput. 16, 1995) and much cheaper to order.  SuperLU's
+    MMD_AT_PLUS_A orders it, read as the column order of a factor of a
+    diagonally dominant matrix with its pattern.
+    """
+    nv, ne, nc = mesh.num_vertices, len(mesh.edges()), mesh.num_cells
+    held = np.zeros(nv + ne + nc, dtype=bool)
+    held[loc] = True
+    node = np.where(held, np.cumsum(held) - 1, -1)   # graph node or -1
+    span = (0, nv, nv + ne, nv + ne + nc)
+    table = np.hstack([node[t] for t, lo, hi in zip(
+        (mesh.cells, nv + mesh.cell_edges, nv + ne + np.arange(nc)[:, None]),
+        span, span[1:]) if held[lo:hi].any()])
+    # Each cell's clique, as entries with row <= col.  Minimum degree reads
+    # the pattern of G + G^T, which for an upper triangular G lists every
+    # node's neighbours in ascending order, as for the symmetric graph, so
+    # ties are broken alike; and half the entries cost less to order.
+    m = table.shape[1]
+    i, j = np.triu_indices(m)
+    a, b = table[:, i].ravel(), table[:, j].ravel()
+    keep = (a >= 0) & (b >= 0)
+    a, b = a[keep], b[keep]
+    # each cell adds m on the diagonal and -1 off it: strictly dominant
+    vals = np.tile(np.where(i == j, float(m), -1.0), nc)[keep]
+    n = int(held.sum())
+    G = sp.csc_matrix((vals, (np.minimum(a, b), np.maximum(a, b))),
+                      shape=(n, n))
+    # An incomplete factor that drops every entry off the diagonal has the
+    # complete factor's column order, at a quarter of its cost on the
+    # 128x128 P2 graph.  SymmetricMode post-orders it by the elimination
+    # tree of G + G^T, which keeps its fill, and not by that of G^T G.
+    rank = spla.spilu(G, drop_tol=1.0, fill_factor=1,
+                      permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options=dict(SymmetricMode=True)).perm_c
+    return np.argsort(rank[node[loc]], kind="stable")
+
+
+def _condense(K, bub, perm):
+    """Eliminate the bubble unknowns of K: the Schur complement (CSC) on the
+    other unknowns, taken in the order `perm` (indices into K), the bubble-
+    row and bubble-column couplings in that order and the bubble
+    diagonal."""
+    Kb, Kr = K[bub], K[perm]
+    Kbb, Kbr, Krb = Kb[:, bub], Kb[:, perm], Kr[:, bub]
     d = Kbb.diagonal()
     if np.any(d <= 0) or Kbb.count_nonzero() > np.count_nonzero(d):
         raise StokesError("the bubble block of the saddle matrix is not "
                           "a positive diagonal")
-    # sum the Schur update as COO triplets: explicit zeros of K stay in the
-    # pattern, so without bubbles the LU sees exactly K
-    Krr = Kr[:, rest].tocoo()
-    upd = (Krb @ sp.diags(-1.0 / d) @ Kbr).tocoo()
-    Kc = sp.csc_matrix((np.concatenate([Krr.data, upd.data]),
-                        (np.concatenate([Krr.row, upd.row]),
-                         np.concatenate([Krr.col, upd.col]))),
-                       shape=Krr.shape)
-    return Kc, Kbr, Krb, d
+    Krr = Kr[:, perm]
+    del Kb, Kr   # freed before the complement is formed: a lower peak
+    return (Krr + Krb @ sp.diags(-1.0 / d) @ Kbr).tocsc(), Kbr, Krb, d
 
 
 class SaddleFactorization:
@@ -359,22 +400,25 @@ class SaddleFactorization:
     pattern of the other unknowns.  `solve` recovers the bubbles cellwise.
 
     Every matrix is factorized the same way: without row pivoting, in the
-    minimum-degree order of K + K^T.  The matrix is symmetric
-    quasi-definite, its velocity block positive definite and its pressure
-    block -(delta*Mp + Bb D^-1 Bb^T) negative definite, and such a matrix
-    has an LDL^T factorization under every symmetric permutation
-    (Vanderbei, SIAM J. Optim. 5, 1995).  With nothing to condense (P2, P1)
-    that block is only -delta*Mp and the pivot-free factor is less
-    accurate: its solves of the p2-p1:p1 lid cavities leave relative
-    residuals of 3e-9 to 1.4e-7.  `solve` therefore refines its answer with
-    the same factor (classical iterative refinement; Arioli, Demmel & Duff,
-    SIAM J. Matrix Anal. Appl. 10, 1989) while the residual is above
-    1e-14 ||rhs|| and each step at least halves it, and keeps only the
-    steps that do.  One step brings those cavities (8x8 to 64x64) to 3e-16
-    to 3e-14, where SuperLU's pivoting LU of K leaves up to 1.1e-13.  The
-    factor is of K itself, so refinement also converges along the O(delta)
-    eigenvalues of spurious pressure modes.  On the 64x64 level of the
-    p2-p1:p1 family cavity L and U hold 7.05M entries, against 9.16M for
+    order of `_location_order`, which takes the unknowns location by
+    location and the locations in the minimum-degree order of the graph of
+    locations that share a cell.  The condensed matrix is formed in that
+    order.  It is symmetric quasi-definite, its velocity block positive
+    definite and its pressure block -(delta*Mp + Bb D^-1 Bb^T) negative
+    definite, and such a matrix has an LDL^T factorization under every
+    symmetric permutation (Vanderbei, SIAM J. Optim. 5, 1995).  With
+    nothing to condense (P2, P1) that block is only -delta*Mp and the
+    pivot-free factor is less accurate: its solves of the p2-p1:p1 lid
+    cavities (8x8 to 64x64) leave relative residuals of up to 9e-8.
+    `solve` therefore refines its answer with the same factor (classical
+    iterative refinement; Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl.
+    10, 1989) while the residual is above 1e-14 ||rhs|| and each step at
+    least halves it, and keeps only the steps that do.  One step brings
+    those cavities to 4e-16 to 3e-14, where SuperLU's pivoting LU of K
+    leaves up to 1.1e-13.  The factor is of K itself, so refinement also
+    converges along the O(delta) eigenvalues of spurious pressure modes.
+    On the 64x64 level of the p2-p1:p1 family cavity L and U hold 3.68M
+    entries, against 7.05M for minimum degree on K + K^T and 9.16M for
     SuperLU's default column order with partial pivoting.
 
     `unknowns` is the order of K, `condensed` the number of bubbles
@@ -391,21 +435,30 @@ class SaddleFactorization:
         Bf = B[:, free]
         self.K = sp.bmat([[A[free][:, free], -Bf.T],
                           [-Bf, -delta * sys.Mp.tocsr()]], format="csr")
+        del Bf   # a copy, not held through the LU
         self.n_velocity = nf = int(free.sum())
-        bub = np.zeros(self.K.shape[0], dtype=bool)
+        self.unknowns = n = self.K.shape[0]
+        bub = np.zeros(n, dtype=bool)
         bub[:nf] = _bubble_mask(sys)[free]
-        Kc, self._Kbr, self._Krb, d = _condense(self.K, bub)
+        loc = np.concatenate(
+            [np.concatenate([dm.locations for dm in sys.vel_dofmaps])[free],
+             sys.p_dofmap.locations])
+        rest = np.flatnonzero(~bub)
+        perm = rest[_location_order(sys.mesh, loc[rest])]
+        Kc, self._Kbr, self._Krb, d = _condense(self.K, bub, perm)
         self.condensed = int(bub.sum())
         try:
-            self._lu = spla.splu(Kc, permc_spec="MMD_AT_PLUS_A",
+            self._lu = spla.splu(Kc, permc_spec="NATURAL",
                                  diag_pivot_thresh=0.0,
                                  options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise StokesError(
                 "singular saddle factorization (the penalized system should "
                 "be regular; check assembly and boundary conditions)") from exc
-        self._bub, self._rest, self._d = bub, ~bub, d
-        self.unknowns = self.K.shape[0]
+        # factor row of each pressure
+        at = np.empty(n, dtype=np.int64)
+        at[perm] = np.arange(len(perm))
+        self._bub, self._perm, self._d, self._p_at = bub, perm, d, at[nf:]
         self.lu_fill = int(self._lu.nnz)
 
     def solve(self, rhs):
@@ -432,10 +485,10 @@ class SaddleFactorization:
         return x, norm, steps
 
     def _factor_solve(self, rhs):
-        bub, rest, d = self._bub, self._rest, self._d
+        bub, perm, d = self._bub, self._perm, self._d
         x = np.empty_like(rhs)
-        x[rest] = self._lu.solve(rhs[rest] - self._Krb @ (rhs[bub] / d))
-        x[bub] = (rhs[bub] - self._Kbr @ x[rest]) / d
+        x[perm] = self._lu.solve(rhs[perm] - self._Krb @ (rhs[bub] / d))
+        x[bub] = (rhs[bub] - self._Kbr @ x[perm]) / d
         return x
 
     def solve_pressure(self, b):
@@ -443,8 +496,8 @@ class SaddleFactorization:
         refinement.  With no velocity load no bubble enters the condensed
         right-hand side, and none is recovered."""
         rhs = np.zeros(self._lu.shape[0])
-        rhs[-len(b):] = b
-        return self._lu.solve(rhs)[-len(b):]
+        rhs[self._p_at] = b
+        return self._lu.solve(rhs)[self._p_at]
 
 
 def solve_penalized(sys, eps=1e-10):

@@ -186,6 +186,24 @@ def test_dofmap_boundary_sets():
     assert len(dmb.boundary_dofs) == 4  # bubbles stay interior
 
 
+@pytest.mark.parametrize("tag,kind", [
+    ("p1", "tri"), ("p1b", "tri"), ("p2", "tri"), ("p0", "tri"),
+    ("p1b", "tet"), ("q2", "quad"), ("q1", "quad")])
+def test_dof_locations_are_the_places_of_the_dofs(tag, kind):
+    # a vertex dof sits at its vertex, an edge dof at the edge midpoint and a
+    # cell dof at the centroid, located as v, nv + e and nv + ne + c
+    from stokestab.mesh import gen_quad_macro, gen_structured_cube
+    mesh = {"tri": two_tri_mesh, "tet": lambda: gen_structured_cube(1, 1, 1),
+            "quad": gen_quad_macro}[kind]()
+    dm = build_dofmap(mesh, tag)
+    v, edges = mesh.vertices, mesh.edges()
+    places = np.vstack([v, v[edges].mean(axis=1),
+                        v[mesh.cells].mean(axis=1)])
+    assert np.allclose(places[dm.locations], dm.coords)
+    assert len(np.unique(dm.locations)) == dm.n_dofs
+    assert not dm.locations.flags.writeable
+
+
 def test_incompatible_space_mesh():
     mesh = two_tri_mesh()
     with pytest.raises(FESpaceError):

@@ -166,8 +166,11 @@ def reference_star_oracle(macro, combo, floor=1e-10):
     q, _ = np.linalg.qr(np.column_stack([Mp.sum(axis=1),
                                          np.eye(n_p)[:, :-1]]))
     V = q[:, 1:]
-    _, s, Vt = np.linalg.svd(B.T @ V, full_matrices=False)
-    return B, Mp, s, V @ Vt[s <= floor * s.max()].T
+    _, s, Vt = np.linalg.svd(B.T @ V)
+    # rows of the full Vt beyond the singular values are null directions
+    null = np.ones(n_p - 1, dtype=bool)
+    null[:len(s)] = s <= floor * s.max()
+    return B, Mp, s, V @ Vt[null].T
 
 
 def _combos(kind):
@@ -227,6 +230,28 @@ def test_local_nullspace_matches_star_assembly(name):
     for combo in _combos(mesh.cell_kind):
         for macro in macros:
             assert_oracle_matches_reference(macro, combo)
+
+
+@pytest.mark.parametrize("name", ["structured", "kuhn-cube", "valence-3"])
+def test_local_nullspace_matches_the_null_space_of_the_pairing(name):
+    # null_space of the transposed pairing holds the constant and every
+    # null direction, including those a star with fewer interior velocity
+    # dofs than pressures modulo constants gets no singular value for
+    # (P1-P1 stars, and every valence-3 star but the bubble ones)
+    mesh = {"structured": lambda: gen_structured_tri(6, 6),
+            "kuhn-cube": lambda: gen_structured_cube(3, 3, 3),
+            "valence-3": lambda: star_macro_2d(
+                [(1.0, 0.1), (-0.4, 0.9), (-0.6, -0.8)]).mesh}[name]()
+    structural = 0
+    for combo in _combos(mesh.cell_kind):
+        for macro in build_macroelements(mesh):
+            ns = local_nullspace(macro, combo)
+            null = sla.null_space(ns.matrix.T)
+            assert ns.dim == null.shape[1] - 1, (macro.center, str(combo))
+            span = np.column_stack([np.ones(len(null)), ns.basis.T])
+            assert sla.subspace_angles(null, span).max() <= 1e-9
+            structural += ns.matrix.shape[1] < ns.matrix.shape[0] - 1
+    assert structural > 0
 
 
 def test_oracle_meshes_span_several_shape_groups():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stokestab.mesh import (
-    Mesh, MeshError, TOP, BOTTOM, LEFT, RIGHT,
+    Mesh, MeshError, StokestabError, TOP, BOTTOM, LEFT, RIGHT,
     load_msh, save_msh, save_vtk,
     gen_structured_tri, gen_zigzag, gen_perturbed,
     gen_extruded_tet, gen_structured_cube, gen_quad_macro, _tag_rectangle,
@@ -352,6 +352,13 @@ def test_decay_family_keeps_the_rectangle_tags():
         tags = mesh.boundary_tags
         assert np.array_equal(tags, _tag_rectangle(mesh, (0.0, 0.0),
                                                    (1.0, 1.0)).boundary_tags)
+
+
+@pytest.mark.parametrize("level", [0, 6, -1, 2.0])
+def test_decay_family_rejects_levels_outside_1_to_5(level):
+    # level 0 used to wrap round to level 5 and level 6 to raise IndexError
+    with pytest.raises(StokestabError, match="levels are 1-5"):
+        decay_family_mesh(level)
 
 
 def test_extruded_tet_counts():

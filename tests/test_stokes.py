@@ -332,14 +332,15 @@ def test_solve_without_bubbles_is_the_uncondensed_solve(mesh_kind, variant):
     # mode amplifies by up to 1/eps (1e-6 relative, as above)
     sys = cavity_problem(_MESHES[mesh_kind](), "p2-p1:p1", variant)
     sol = solve_penalized(sys)
-    velocity, p, _, fill = uncondensed_reference(sys)
+    velocity, p, resid, fill = uncondensed_reference(sys)
     for w, ref in zip(sol.velocity, velocity):
         assert _rel(w, ref) <= 1e-12
     assert _rel(sol.pressure, p) <= (1e-6 if mesh_kind == "structured"
                                      else 1e-12)
     assert sol.diagnostics["condensed"] == 0
     assert sol.diagnostics["lu_fill"] < fill
-    assert sol.diagnostics["refinements"] >= 1
+    # refinement stops at 1e-14 ||rhs||, as in the test below
+    assert sol.diagnostics["residual"] <= max(resid, 1e-14)
 
 
 _RESIDUAL_MESHES = {"zigzag16": lambda: gen_zigzag(16, 16),
@@ -415,20 +416,72 @@ def test_saddle_factorization_solves_the_full_system(mesh_kind, combo, delta):
             SaddleFactorization(sys, bad)
 
 
-def test_condensed_factorization_orders_for_less_fill():
-    # minimum degree on K + K^T with diagonal pivots against SuperLU's
-    # default column order and partial pivoting, on the same matrix
-    from stokestab.mesh import gen_perturbed
-    from stokestab.stokes import _bubble_mask, _condense
+@pytest.mark.parametrize("mesh_kind,combo", [("family5", "p1b-p1:p1"),
+                                            ("family5", "p2-p1:p1"),
+                                            ("zigzag32", "p1b-p1:p1")])
+def test_location_order_has_less_fill_than_minimum_degree_on_K(mesh_kind,
+                                                              combo):
+    # both orders with diagonal pivots, on the same condensed matrix
+    from stokestab.stokes import _condense
 
-    mesh = gen_perturbed(gen_structured_tri(32, 32), 0.3 / 32, 5)
-    sys = assemble(mesh, "p1b-p1:p1")
-    fact = SaddleFactorization(sys, 1e-10)
-    bub = np.zeros(fact.unknowns, dtype=bool)
-    bub[:fact.n_velocity] = _bubble_mask(sys)[sys.free_mask()]
-    Kc = _condense(fact.K, bub)[0]
-    assert fact.condensed == bub.sum() > 0
-    assert fact.lu_fill < spla.splu(Kc).nnz
+    mesh = (unstructured_family_mesh(5, 42) if mesh_kind == "family5"
+            else gen_zigzag(32, 32))
+    fact = SaddleFactorization(assemble(mesh, combo), 1e-10)
+    Kc = _condense(fact.K, fact._bub, np.flatnonzero(~fact._bub))[0]
+    mmd = spla.splu(Kc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
+    assert fact.lu_fill < mmd.nnz
+
+
+def _unknown_locations(sys):
+    free = sys.free_mask()
+    return np.concatenate([
+        np.concatenate([dm.locations for dm in sys.vel_dofmaps])[free],
+        sys.p_dofmap.locations])
+
+
+@pytest.mark.parametrize("combo", ["p1b-p1:p1", "p2-p1:p1", "p1-p2:p1",
+                                   "p1b-p1b:p1", "p1-p1:p1", "p1b-p1:p0",
+                                   "p2-p2:p0"])
+def test_factor_takes_the_unknowns_location_by_location(combo):
+    # every unknown but the bubbles enters the factor once; the unknowns of
+    # one location are consecutive and in index order
+    sys = cavity_problem(gen_zigzag(6, 5), combo, "neumann_lid")
+    fact = SaddleFactorization(sys, 1e-8)
+    perm = fact._perm
+    assert np.array_equal(np.sort(perm), np.flatnonzero(~fact._bub))
+    loc = _unknown_locations(sys)[perm]
+    runs = np.flatnonzero(np.diff(loc)) + 1
+    assert len(runs) + 1 == len(np.unique(loc))
+    for run in np.split(perm, runs):
+        assert np.all(np.diff(run) > 0)
+    x = np.random.default_rng(2).standard_normal(fact.unknowns)
+    assert np.allclose(fact.solve(fact.K @ x), x, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("combo", ["p1b-p1:p1", "p2-p1:p1", "p1b-p1:p0"])
+def test_location_order_is_minimum_degree_on_the_location_graph(combo):
+    # against the complete factor's column order of the graph built from the
+    # dof maps: two locations are adjacent when one cell has unknowns at both
+    import scipy.sparse as sp
+    from stokestab.stokes import _location_order
+
+    mesh = unstructured_family_mesh(4, 42)
+    sys = assemble(mesh, combo)
+    fact = SaddleFactorization(sys, 1e-8)
+    loc = _unknown_locations(sys)[~fact._bub]
+    held = np.unique(loc)
+    cell_locs = np.hstack([dm.locations[dm.cell_dofs]
+                           for dm in sys.vel_dofmaps + [sys.p_dofmap]])
+    cell, at = np.nonzero(np.isin(cell_locs, held))
+    T = sp.csr_matrix((np.ones(len(cell)),
+                       (cell, np.searchsorted(held, cell_locs[cell, at]))),
+                      shape=(mesh.num_cells, len(held)))
+    G = (T.T @ T + 1e6 * sp.identity(len(held))).tocsc()
+    rank = spla.splu(G, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True)).perm_c
+    expected = np.argsort(rank[np.searchsorted(held, loc)], kind="stable")
+    assert np.array_equal(_location_order(mesh, loc), expected)
 
 
 def test_nonpositive_bubble_block_is_rejected():
