@@ -4,10 +4,9 @@ Supported spaces: P1, P1b (P1 plus one cell bubble), P2 on triangles and
 tetrahedra; Q1, Q2 on axis-aligned rectangles; P0 anywhere.  Reference cells:
 unit triangle (0,0)-(1,0)-(0,1), unit tetrahedron, unit square [0,1]^2.
 
-The vertex and midpoint triangle rules are kept as named rules because their
-exactness classes (P1 and P2 respectively) are what several of the regularity
-arguments rely on; higher degrees come from conical-product Gauss rules whose
-exactness is verified against closed-form monomial integrals in the tests.
+Quadrature rules are conical-product Gauss rules on simplices and tensor
+Gauss rules on rectangles; their exactness is verified against closed-form
+monomial integrals in the tests.
 """
 
 from __future__ import annotations
@@ -178,40 +177,6 @@ def _quad_basis(tag, pts):
     raise FESpaceError(f"space {tag} not available on quadrilaterals")
 
 
-def local_dof_coords(tag, cell_kind):
-    """Reference coordinates of the local dofs, in eval_basis order."""
-    tag = _norm_tag(tag)
-    if cell_kind == TRIANGLE:
-        v = np.array([[0.0, 0], [1, 0], [0, 1]])
-        if tag == P1:
-            return v
-        if tag == P1B:
-            return np.vstack([v, v.mean(axis=0)])
-        if tag == P2:
-            mids = np.array([(v[i] + v[j]) / 2 for i, j in [(0, 1), (1, 2), (2, 0)]])
-            return np.vstack([v, mids])
-        if tag == P0:
-            return v.mean(axis=0)[None]
-    if cell_kind == TETRAHEDRON:
-        v = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        if tag == P1:
-            return v
-        if tag == P1B:
-            return np.vstack([v, v.mean(axis=0)])
-        if tag == P0:
-            return v.mean(axis=0)[None]
-    if cell_kind == QUADRILATERAL:
-        v = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]])
-        if tag == Q1:
-            return v
-        if tag == Q2:
-            mids = np.array([[0.5, 0], [1, 0.5], [0.5, 1], [0, 0.5]])
-            return np.vstack([v, mids, [[0.5, 0.5]]])
-        if tag == P0:
-            return v.mean(axis=0)[None]
-    raise FESpaceError(f"unsupported pair ({tag}, {cell_kind})")
-
-
 # ----------------------------------------------------------------------
 # quadrature
 # ----------------------------------------------------------------------
@@ -244,24 +209,15 @@ def _jacobi01(n, alpha):
 
 @lru_cache(maxsize=None)
 def quadrature(cell_kind, exact_degree):
-    """Quadrature rule of the requested polynomial exactness.
-
-    Degree 1 on simplices is the vertex (mass-lumping) rule; degree 2 on
-    triangles is the edge-midpoint rule; degree 1 on rectangles the corner
-    trapezoidal rule (exact on Q1).  Everything else is a conical-product /
-    tensor Gauss rule.  Rules are computed once and shared, so their points
-    and weights are read-only.
+    """Quadrature rule of the requested polynomial exactness: a
+    conical-product Gauss rule on simplices, a tensor Gauss rule on
+    rectangles.  Rules are computed once and shared, so their points and
+    weights are read-only.
     """
     d = int(exact_degree)
     if d < 1:
         raise FESpaceError("exact_degree must be >= 1")
     if cell_kind == TRIANGLE:
-        if d == 1:
-            pts = np.array([[0.0, 0], [1, 0], [0, 1]])
-            return QuadratureRule(cell_kind, pts, np.full(3, 1 / 3), 1)
-        if d == 2:
-            pts = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
-            return QuadratureRule(cell_kind, pts, np.full(3, 1 / 3), 2)
         n = (d + 2) // 2
         gx, gw = _gauss01(n)
         jy, jw = _jacobi01(n, 1.0)
@@ -273,9 +229,6 @@ def quadrature(cell_kind, exact_degree):
         w = np.array(wts)
         return QuadratureRule(cell_kind, np.array(pts), w / w.sum() * 1.0, d)
     if cell_kind == TETRAHEDRON:
-        if d == 1:
-            pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-            return QuadratureRule(cell_kind, pts, np.full(4, 0.25), 1)
         n = (d + 2) // 2
         gx, gw = _gauss01(n)
         j1, w1 = _jacobi01(n, 1.0)
@@ -289,9 +242,6 @@ def quadrature(cell_kind, exact_degree):
         w = np.array(wts)
         return QuadratureRule(cell_kind, np.array(pts), w / w.sum(), d)
     if cell_kind == QUADRILATERAL:
-        if d == 1:
-            pts = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]])
-            return QuadratureRule(cell_kind, pts, np.full(4, 0.25), 1)
         n = (d + 2) // 2
         gx, gw = _gauss01(n)
         pts = np.array([(xi, yi) for yi in gx for xi in gx])
@@ -310,7 +260,7 @@ class DofMap:
     Dofs are ordered vertices, then edges (lexicographic by sorted vertex
     pair), then cells.  `cell_dofs[c]` lists the global dofs of cell c in
     eval_basis local order; `coords` holds the dof locations and
-    `boundary_dofs` the indices located on the domain boundary.
+    `boundary_mask` marks the dofs located on the domain boundary.
     """
 
     def __init__(self, mesh, tag):
@@ -360,10 +310,6 @@ class DofMap:
                 bmask[nv + mesh.edge_index(*mesh.boundary_facets.T)] = True
         self.boundary_mask = bmask
 
-    @property
-    def boundary_dofs(self):
-        return np.flatnonzero(self.boundary_mask)
-
     @cached_property
     def locations(self):
         """Mesh location of every dof, read-only: a vertex dof is at its
@@ -376,18 +322,6 @@ class DofMap:
             loc[self.cell_dofs[:, -1]] = (mesh.num_vertices + len(mesh.edges())
                                           + np.arange(mesh.num_cells))
         return _frozen(loc)
-
-    def interpolate(self, fn):
-        """Nodal interpolation of a callable fn(points) -> values.
-
-        For P1b the bubble coefficient is the residual at the barycenter
-        after the vertex part, so linear functions are reproduced exactly.
-        """
-        vals = np.asarray(fn(self.coords), dtype=float)
-        if self.space == P1B:
-            nv = self.mesh.num_vertices
-            vals[nv:] -= vals[self.mesh.cells].mean(axis=1)
-        return vals
 
 
 def build_dofmap(mesh, tag):

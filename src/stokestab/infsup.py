@@ -59,7 +59,6 @@ class LocalNullspace:
 class InfSupResult:
     beta: float
     spectrum: np.ndarray           # the smallest eigenvalues, ascending
-    deflated: int = 1              # constant pressures taken out
     converged: bool = True         # False: spectrum holds what ARPACK found
     n_pressure: int = 0
     unknowns: int = 0              # order of the saddle matrix factorized
@@ -67,6 +66,8 @@ class InfSupResult:
 
 
 _LOCAL_QDEG = {TRIANGLE: 5, TETRAHEDRON: 6, QUADRILATERAL: 5}
+# a star's singular value at or below this times its largest is a null one
+_LOCAL_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ def _divergence(mesh, combo):
                            mesh, p_dm.space, p_dm.space, "mass", qdeg))
 
 
-def _star_oracles(mesh, combo, floor):
+def _star_oracles(mesh, combo):
     """local_nullspace of every star of the mesh, by center, in one pass.
 
     A velocity dof is interior to a star when it is off the domain boundary
@@ -168,8 +169,8 @@ def _star_oracles(mesh, combo, floor):
         _, s, Vt = np.linalg.svd(P.transpose(0, 2, 1) @ V,
                                  full_matrices=c < r - 1)
         # s descends, so the null rows of Vt are the trailing ones
-        dims = ((s <= floor * s.max(axis=1, initial=0.0)[:, None]).sum(axis=1)
-                + max(r - 1 - c, 0))
+        dims = ((s <= _LOCAL_FLOOR * s.max(axis=1, initial=0.0)[:, None])
+                .sum(axis=1) + max(r - 1 - c, 0))
         W = Vt @ V.transpose(0, 2, 1)
         nrm = np.sqrt(((W @ Mp) * W).sum(-1))
         W /= np.where(nrm > 0, nrm, 1.0)[:, :, None]
@@ -181,16 +182,16 @@ def _star_oracles(mesh, combo, floor):
     return out
 
 
-def local_nullspace(macro, combo, floor=1e-10):
+def local_nullspace(macro, combo):
     """Pressures orthogonal to every interior divergence, modulo constants.
 
     Returns the full singular spectrum of the pairing restricted to the
     Mp-orthogonal complement of the constant pressure; dim counts the
-    singular values at or below floor times the largest one, plus the
+    singular values at or below 1e-10 times the largest one, plus the
     r - 1 - c null directions of a star with c interior velocity dofs and
     r pressures when c < r - 1 (P1-P1 stars, for one).  The first
-    query computes every star of the mesh for this combination and floor
-    and keeps them on the mesh, so a sweep over the stars pays once.
+    query computes every star of the mesh for this combination and keeps
+    them on the mesh, so a sweep over the stars pays once.
     """
     combo = FECombo.parse(combo)
     mesh = macro.mesh
@@ -199,8 +200,8 @@ def local_nullspace(macro, combo, floor=1e-10):
     if combo.pressure not in (P1, Q1):
         raise FESpaceError(f"the local oracle needs a vertex pressure (p1 or "
                            f"q1), got {combo.pressure}")
-    stars = mesh.derived(("oracle", combo, floor),
-                         lambda: _star_oracles(mesh, combo, floor))
+    stars = mesh.derived(("oracle", combo),
+                         lambda: _star_oracles(mesh, combo))
     if macro.center not in stars:
         raise MeshError(f"vertex {macro.center} is not the center of an "
                         "interior star of its mesh")
@@ -396,9 +397,13 @@ def infsup_constant(mesh, combo, k=5):
                           f"got {k}")
     combo = FECombo.parse(combo)
     sys = assemble(mesh, combo)
-    fact = SaddleFactorization(sys, _SHIFT)
     Mp = sys.Mp.tocsr()
     n_p = Mp.shape[0]
+    # the constant is deflated, so eigsh's 0 < k < n_p leaves k <= n_p - 2
+    if n_p < 3:
+        raise StokesError(f"the inf-sup constant needs at least 3 pressure "
+                          f"dofs, got n_p = {n_p}")
+    fact = SaddleFactorization(sys, _SHIFT)
     k = min(k, n_p - 2)
     mp1 = Mp @ np.ones(n_p)
     m11 = float(mp1.sum())
@@ -428,6 +433,6 @@ def infsup_constant(mesh, combo, k=5):
     vals = np.sort(vals)
     lam_min = float(vals[0]) if len(vals) else np.nan
     beta = 0.0 if lam_min <= _FLOOR else math.sqrt(lam_min)
-    return InfSupResult(beta=beta, spectrum=vals, deflated=1,
-                        converged=converged, n_pressure=n_p,
-                        unknowns=fact.unknowns, lu_fill=fact.lu_fill)
+    return InfSupResult(beta=beta, spectrum=vals, converged=converged,
+                        n_pressure=n_p, unknowns=fact.unknowns,
+                        lu_fill=fact.lu_fill)

@@ -94,7 +94,6 @@ class StructureFlags:
 class RegularityVerdict:
     predicted: str                     # 'regular' | 'singular'
     reason: str
-    s_value: float = None
 
     @property
     def regular(self):
@@ -161,8 +160,9 @@ def _build_stars(mesh):
     if mesh.cell_kind == TRIANGLE:
         # Cells are positively oriented, so a star cell spans the spokes to
         # its vertex a after the center and b after a, counterclockwise.
-        # The a are the ring, sorted as Mesh.ccw_ring sorts it, and cell k
-        # is the cell of edge (center, ring[k]) that holds ring[k + 1].
+        # The a are the ring, by spoke angle and ties by vertex as the
+        # per-vertex reference `ccw_ring` in tests/stars.py sorts it, and
+        # cell k is the cell of edge (center, ring[k]) that holds ring[k + 1].
         a, b = mesh.cells[cells, (j + 1) % 3], mesh.cells[cells, (j + 2) % 3]
         rel = mesh.vertices[a] - mesh.vertices[center]
         angles = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2 * np.pi)
@@ -323,8 +323,8 @@ def predict_regularity(macro, combo):
             return RegularityVerdict("regular", "odd-nV")
         s = s_condition(macro, axis)
         if abs(s) <= _S_TOL * s_scale(macro):
-            return RegularityVerdict("singular", "even-nV-S-zero", s_value=s)
-        return RegularityVerdict("regular", "even-nV-S-nonzero", s_value=s)
+            return RegularityVerdict("singular", "even-nV-S-zero")
+        return RegularityVerdict("regular", "even-nV-S-nonzero")
     raise FESpaceError(f"unsupported combo {combo} for 2D prediction")
 
 

@@ -175,8 +175,8 @@ class Mesh:
     Topology, derived from the oriented cells, is cached and read-only:
     `edges()`, `cell_edges`, `facets`, `cell_facets`, `facet_cells`, the
     CSR incidences `vertex_cells`, `vertex_neighbours` and the
-    `interior_waves` schedule; `cells_of`, `neighbours`,
-    `padded_neighbours`, `edge_index`, `ccw_ring` and `safe_move` read it.
+    `interior_waves` schedule; `padded_neighbours`, `edge_index` and
+    `safe_move` read it.
     `derived(key, build)` keeps other data computed from the mesh, such as
     the operators the local oracle slices.
     """
@@ -281,14 +281,6 @@ class Mesh:
         return _csr(np.concatenate([e[:, 0], e[:, 1]]),
                     np.concatenate([e[:, 1], e[:, 0]]), self.num_vertices)
 
-    def cells_of(self, v):
-        offsets, cells = self.vertex_cells
-        return cells[offsets[v]:offsets[v + 1]]
-
-    def neighbours(self, v):
-        offsets, nbrs = self.vertex_neighbours
-        return nbrs[offsets[v]:offsets[v + 1]]
-
     def padded_neighbours(self, v):
         """Edge neighbours of each vertex in the array v as the rows of one
         array, ascending and padded with the row's own vertex to the largest
@@ -332,17 +324,6 @@ class Mesh:
             raise MeshError(f"{np.count_nonzero(pos < 0)} vertex pair(s) "
                             "are not mesh edges")
         return pos
-
-    def ccw_ring(self, v, coords=None):
-        """Edge neighbours of 2D vertex v counterclockwise, from the
-        smallest spoke angle (ties by vertex index), and those angles in
-        [0, 2pi).  coords replaces the vertex coordinates."""
-        coords = self.vertices if coords is None else coords
-        nbrs = self.neighbours(v)
-        rel = coords[nbrs] - coords[v]
-        ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2 * np.pi)
-        order = np.lexsort((nbrs, ang))
-        return nbrs[order], ang[order]
 
     def safe_move(self, coords, v, axis, step):
         """Move the vertices v (an array; no two may share a cell) of the
@@ -504,29 +485,6 @@ class Mesh:
                 raise MeshError(
                     f"duplicate vertex coordinates at indices "
                     f"{int(order[i])} and {int(order[i + 1])}")
-
-    def validate(self, geometric=False):
-        """Run conformity checks; with geometric=True also scan for hanging
-        vertices lying in the interior of another cell's edge (O(V*E), meant
-        for small test meshes)."""
-        self._check_conforming()
-        if geometric and self.dim == 2:
-            edges = self.edges()
-            v = self.vertices
-            for e0, e1 in edges:
-                a, b = v[e0], v[e1]
-                ab = b - a
-                L2 = float(ab @ ab)
-                for w in range(self.num_vertices):
-                    if w == e0 or w == e1:
-                        continue
-                    t = float((v[w] - a) @ ab) / L2
-                    if 1e-9 < t < 1 - 1e-9:
-                        p = a + t * ab
-                        if np.linalg.norm(v[w] - p) < 1e-12 * np.sqrt(L2):
-                            raise MeshError(
-                                f"hanging vertex {w} on edge ({e0}, {e1})")
-        return True
 
 
 @dataclass(frozen=True)
@@ -880,7 +838,7 @@ def gen_perturbed(base, amplitude, seed):
     Boundary vertices are fixed.  A displacement that would shrink any
     incident cell below 10% of its measure is halved until the mesh stays
     valid (Mesh.safe_move), so the result is always positively oriented.
-    Deterministic for a given seed.
+    Deterministic for a given seed, which must be a non-negative integer.
     """
     require_triangles(base, "gen_perturbed")
     # the draw needs the width 2 * amplitude to be a finite float; nan
@@ -888,6 +846,9 @@ def gen_perturbed(base, amplitude, seed):
     if not 0 <= amplitude <= np.finfo(float).max / 2:
         raise MeshError(f"amplitude must be finite and >= 0 (at most half "
                         f"the largest float), got {amplitude}")
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise MeshError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     interior = base.interior_vertices()
     disp = np.zeros(base.num_vertices)

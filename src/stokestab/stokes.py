@@ -153,11 +153,6 @@ def _data_points(mesh):
     return xq.reshape(-1, mesh.dim)
 
 
-def load_vector(mesh, dm, fn):
-    """Assemble (f, phi_i) for a scalar callable fn(points)."""
-    return _project(mesh, dm, fn(_data_points(mesh)))
-
-
 def _project(mesh, dm, fq):
     """(f, phi_i) from the values fq of f at `_data_points(mesh)`."""
     rule = quadrature(mesh.cell_kind, _DATA_QDEG)
@@ -202,10 +197,6 @@ class StokesSystem:
 
     def constrained_values(self):
         return np.concatenate(self.bc_values)
-
-    def interior_B(self):
-        """Divergence block restricted to unconstrained velocity columns."""
-        return self.B[:, self.free_mask()].tocsr()
 
 
 def assemble(mesh, combo):

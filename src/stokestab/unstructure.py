@@ -11,7 +11,7 @@ touched again, which keeps the result uniformly unstructured with margin r.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .mesh import MeshError, require_triangles
 class UnstructureConfig:
     r: float
     axis: str = "x"
-    h: float = None          # mesh size; computed from the mesh when None
+    h: float = field(default=None, init=False)   # mesh size, pinned by resolve
 
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
@@ -78,7 +78,8 @@ def apply_algorithm1(mesh, cfg):
                 continue
             q0, ring, d, close = q0[move], ring[move], d[move], close[move]
             # the first close spoke counterclockwise: smallest angle, ties
-            # by vertex index (rows ascend), which is ccw_ring's order
+            # by vertex index (rows ascend), which is the order of the
+            # reference `ccw_ring` in tests/stars.py
             rel = verts.take(ring, axis=0) - verts[q0][:, None]
             ang = np.where(close, np.mod(np.arctan2(rel[..., 1], rel[..., 0]),
                                          2 * np.pi), np.inf)

@@ -1,4 +1,5 @@
-"""Builders for single macro-element meshes used in studies and tests.
+"""Builders for single macro-element meshes, and the per-vertex ring
+reference, used by the tests.
 
 A 2D star mesh is a fan of triangles around one interior vertex; a 3D star
 mesh is the cone from an interior vertex over a convex simplicial surface.
@@ -13,8 +14,22 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .macroelement import alternating_sum, build_macroelements
-from .mesh import Mesh, TRIANGLE, TETRAHEDRON, _signed_measures
+from stokestab.macroelement import alternating_sum, build_macroelements
+from stokestab.mesh import Mesh, TRIANGLE, TETRAHEDRON, _signed_measures
+
+
+def ccw_ring(mesh, v, coords=None):
+    """Edge neighbours of 2D vertex v counterclockwise, from the smallest
+    spoke angle (ties by vertex index), and those angles in [0, 2pi).
+    coords replaces the vertex coordinates.  The star table and the repair
+    sweep order every ring this way at once."""
+    coords = mesh.vertices if coords is None else coords
+    offsets, nbrs = mesh.vertex_neighbours
+    nbrs = nbrs[offsets[v]:offsets[v + 1]]
+    rel = coords[nbrs] - coords[v]
+    ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2 * np.pi)
+    order = np.lexsort((nbrs, ang))
+    return nbrs[order], ang[order]
 
 
 def star_mesh_2d(ring_points, q0=(0.0, 0.0)):
@@ -141,7 +156,7 @@ def random_s_zero_star(rng, n_v=6, axis="y"):
 
 
 # ----------------------------------------------------------------------
-# 3D star fixtures
+# 3D stars
 # ----------------------------------------------------------------------
 
 def star_mesh_3d(surface_points, q0=(0.0, 0.0, 0.0)):

@@ -88,6 +88,21 @@ def test_gen_rejects_an_amplitude_it_cannot_draw(tmp_path, capsys, amplitude):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["gen", "--kind", "perturbed-zigzag", "--seed", "-3", "--out", "z.msh"],
+     -3),
+    # test3's first level, 3, draws with the seed plus the level
+    (["run", "test3", "--seed", "-50", "--out-dir", "."], -47),
+], ids=["gen", "run-test3"])
+def test_negative_seed_is_clean_error(tmp_path, capsys, monkeypatch, argv,
+                                      bad):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: seed must be a non-negative integer, got {bad}\n"
+    assert not (tmp_path / "z.msh").exists()
+
+
 def test_infsup_cli(tmp_path, capsys):
     mesh_path = tmp_path / "m.msh"
     save_msh(gen_zigzag(6, 6), mesh_path)
@@ -106,6 +121,15 @@ def test_infsup_cli_rejects_k_below_one(tmp_path, capsys, k):
     assert main(["infsup", str(mesh_path), "-k", k]) == 2
     assert capsys.readouterr().err == "error: k, the number of eigenvalues, " \
         f"must be >= 1, got {k}\n"
+
+
+def test_infsup_cli_rejects_fewer_than_three_pressures(tmp_path, capsys):
+    # two P0 pressures: one left modulo constants, no eigenvalue to ask for
+    mesh_path = tmp_path / "s1.msh"
+    save_msh(gen_structured_tri(1, 1), mesh_path)
+    assert main(["infsup", str(mesh_path), "--combo", "p1b-p1:p0"]) == 2
+    assert capsys.readouterr().err == "error: the inf-sup constant needs " \
+        "at least 3 pressure dofs, got n_p = 2\n"
 
 
 def test_gen_cube_rejects_empty_sizes(tmp_path, capsys):

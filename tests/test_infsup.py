@@ -13,10 +13,6 @@ from stokestab.mesh import (Mesh, TRIANGLE, gen_extruded_tet, gen_perturbed,
                             gen_quad_macro, gen_structured_cube,
                             gen_structured_tri, gen_zigzag)
 from stokestab.macroelement import build_macroelements, predict_regularity
-from stokestab.fixtures import (
-    star_macro_2d, symmetric_hexagon, random_star_2d, random_s_zero_star,
-    random_star_3d, meridian_star_3d,
-)
 from stokestab.infsup import (
     local_nullspace, nullspace_residual, analytic_singular_pressure,
     global_counterexample, infsup_constant,
@@ -25,6 +21,11 @@ from stokestab.scenarios import decay_family_mesh, unstructured_family_mesh
 from stokestab.stokes import (SaddleFactorization, assemble, operator_matrix,
                               StokesError)
 from stokestab.unstructure import UnstructureConfig, apply_algorithm1
+
+from stars import (
+    star_macro_2d, symmetric_hexagon, random_star_2d, random_s_zero_star,
+    random_star_3d, meridian_star_3d,
+)
 
 RING_Y_STRUCTURED = [(2, 0), (0.2, 1.8), (-2, 0), (-0.5, -1.8), (1.5, -1.8)]
 RING_UNSTRUCTURED = [(2, 0.9), (-0.5, 1.8), (-2.5, -0.45), (-0.5, -1.8),
@@ -140,7 +141,7 @@ def test_quad_macro_asymmetric_widths():
 # the local oracle against a from-scratch assembly on the star alone
 # ----------------------------------------------------------------------
 
-def reference_star_oracle(macro, combo, floor=1e-10):
+def reference_star_oracle(macro, combo):
     """Local oracle on a standalone mesh of the star (center, then ring):
     the pairing of its pressures with the velocity dofs off the star's own
     boundary, and its pressure mass.  Returns the pairing, the mass, the
@@ -169,7 +170,7 @@ def reference_star_oracle(macro, combo, floor=1e-10):
     _, s, Vt = np.linalg.svd(B.T @ V)
     # rows of the full Vt beyond the singular values are null directions
     null = np.ones(n_p - 1, dtype=bool)
-    null[:len(s)] = s <= floor * s.max()
+    null[:len(s)] = s <= 1e-10 * s.max()
     return B, Mp, s, V @ Vt[null].T
 
 
@@ -268,23 +269,21 @@ def test_local_oracle_pass_runs_once_per_mesh_combo_floor(monkeypatch):
     calls = []
     batch = infsup._star_oracles
 
-    def counted(mesh, combo, floor):
-        calls.append((str(combo), floor))
-        return batch(mesh, combo, floor)
+    def counted(mesh, combo):
+        calls.append(str(combo))
+        return batch(mesh, combo)
 
     monkeypatch.setattr(infsup, "_star_oracles", counted)
     mesh = mixed_diagonal_mesh(4, seed=2)
     macros = build_macroelements(mesh)
     for _ in range(2):
         for combo in ("p1b-p1:p1", "p2-p1:p1"):
-            for floor in (1e-10, 1e-3):
-                for macro in macros:
-                    local_nullspace(macro, combo, floor)
-    assert sorted(calls) == [("p1b-p1:p1", 1e-10), ("p1b-p1:p1", 1e-3),
-                             ("p2-p1:p1", 1e-10), ("p2-p1:p1", 1e-3)]
+            for macro in macros:
+                local_nullspace(macro, combo)
+    assert sorted(calls) == ["p1b-p1:p1", "p2-p1:p1"]
     local_nullspace(build_macroelements(mixed_diagonal_mesh(4, seed=2))[0],
                     "p2-p1:p1")
-    assert len(calls) == 5   # a new mesh is a new pass
+    assert len(calls) == 3   # a new mesh is a new pass
 
 
 def _arrays(ns):
@@ -306,18 +305,6 @@ def test_local_oracle_star_query_matches_full_sweep(name):
             assert ns.dim == first.dim
             for a, b in zip(_arrays(ns), _arrays(first)):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def test_local_oracle_second_floor_gives_its_own_result():
-    macro = build_macroelements(mixed_diagonal_mesh(4, seed=2))[0]
-    tight = local_nullspace(macro, "p1b-p1:p1")
-    loose = local_nullspace(macro, "p1b-p1:p1", floor=0.5)
-    s = tight.singular_values
-    assert tight.dim == int((s <= 1e-10 * s.max()).sum())
-    assert loose.dim == int((s <= 0.5 * s.max()).sum()) > tight.dim
-    assert loose.singular_values.tobytes() == s.tobytes()
-    assert loose.basis.shape == (loose.dim, len(loose.pressure_vertices))
-    assert local_nullspace(macro, "p1b-p1:p1") is tight
 
 
 def test_local_nullspace_results_are_read_only():
@@ -408,7 +395,7 @@ def test_global_counterexample_values_4x3():
     assert np.allclose(p, expect)
     sys = assemble(mesh, "p1b-p1:p1")
     assert abs(np.ones(len(p)) @ (sys.Mp @ p)) < 1e-15
-    Bt = sys.interior_B().T
+    Bt = sys.B[:, sys.free_mask()].T
     num = np.linalg.norm(Bt @ p)
     den = np.abs(Bt).max() * np.linalg.norm(p)
     assert num <= 1e-13 * max(den, 1)
@@ -419,7 +406,7 @@ def test_global_counterexample_both_combos():
     for combo in ["p1b-p1:p1", "p1-p1b:p1"]:
         p = global_counterexample(mesh, combo)
         sys = assemble(mesh, combo)
-        Bt = sys.interior_B().T
+        Bt = sys.B[:, sys.free_mask()].T
         nB = np.linalg.norm(Bt.toarray(), 2)
         assert np.linalg.norm(Bt @ p) <= 1e-11 * nB * np.linalg.norm(p)
 

@@ -7,9 +7,10 @@ from stokestab.macroelement import (
     build_macroelements, classify_2d, classify_3d, s_condition, s_scale,
     predict_regularity, predict_regularity_3d,
 )
-from stokestab.fixtures import (
-    star_macro_2d, symmetric_hexagon, random_star_2d, random_s_zero_star,
-    random_star_3d, meridian_star_3d,
+
+from stars import (
+    ccw_ring, star_macro_2d, symmetric_hexagon, random_star_2d,
+    random_s_zero_star, random_star_3d, meridian_star_3d,
 )
 
 # ring geometries lifted from hand-drawn singular/regular configurations
@@ -487,11 +488,12 @@ def _reference_macros(mesh):
     at a time."""
     measures = mesh.cell_measures()
     out = []
+    offsets, cells = mesh.vertex_cells
     for q0 in map(int, mesh.interior_vertices()):
-        cids = mesh.cells_of(q0)
+        cids = cells[offsets[q0]:offsets[q0 + 1]]
         angles = None
         if mesh.cell_kind == TRIANGLE:
-            ring, angles = mesh.ccw_ring(q0)
+            ring, angles = ccw_ring(mesh, q0)
             bycell = {frozenset(int(v) for v in mesh.cells[ci]): ci
                       for ci in cids}
             cids = np.array([bycell[frozenset((q0, int(a), int(b)))]

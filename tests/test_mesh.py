@@ -13,6 +13,8 @@ from stokestab.mesh import (
 from stokestab.scenarios import decay_family_mesh, unstructured_family_mesh
 from stokestab.unstructure import UnstructureConfig, apply_algorithm1
 
+from stars import ccw_ring
+
 TWO_TRI_MSH = """$MeshFormat
 2.2 0 8
 $EndMeshFormat
@@ -262,7 +264,8 @@ def test_structured_tri_counts():
     ys = np.unique(np.round(mesh.vertices[:, 1], 12))
     assert np.allclose(ys, [0, 1 / 3, 2 / 3, 1.0])
     assert len(mesh.interior_vertices()) == 3 * 2
-    mesh.validate(geometric=True)
+    # a hanging vertex would add boundary facets
+    assert len(mesh.boundary_facets) == 2 * (4 + 3)
 
 
 def test_structured_tri_single_cell_pair():
@@ -284,7 +287,16 @@ def test_zigzag_smallest_case():
     mesh = gen_zigzag(2, 2)
     assert mesh.num_cells == 8
     assert len(mesh.interior_vertices()) == 1
-    mesh.validate(geometric=True)
+    assert len(mesh.boundary_facets) == 2 * (2 + 2)
+
+
+def test_hanging_vertex_shows_in_the_boundary_count():
+    # the unit square with a vertex hanging on the diagonal of one cell:
+    # conforming facet by facet, so the constructor takes it, but the
+    # diagonal's two halves and the whole diagonal each bound one cell
+    mesh = Mesh(2, "triangle", [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)],
+                [(0, 1, 2), (0, 4, 3), (4, 2, 3)])
+    assert len(mesh.boundary_facets) == 7    # the unit square has 2 * (1 + 1)
 
 
 def test_zigzag_15x15_size():
@@ -330,6 +342,8 @@ def test_perturbed_deterministic_and_boundary_fixed():
     assert np.array_equal(a.vertices[bnd], base.vertices[bnd])
     iv = base.interior_vertices()
     assert np.array_equal(a.vertices[iv, 1], base.vertices[iv, 1])
+    assert np.array_equal(gen_perturbed(base, 0.05, np.int64(42)).vertices,
+                          a.vertices)
 
 
 def test_perturbed_clipping_keeps_positive_cells():
@@ -344,6 +358,12 @@ def test_perturbed_rejects_amplitudes_it_cannot_draw(amplitude):
     # uniform(-a, a) needs 2a finite: 1e308 and the largest float overflow
     with pytest.raises(MeshError, match=re.escape(f"got {amplitude}") + "$"):
         gen_perturbed(gen_zigzag(4, 4), amplitude, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-3, -1, 2.5, 2.0, None, True, "7"])
+def test_perturbed_rejects_seeds_that_are_not_non_negative_integers(seed):
+    with pytest.raises(MeshError, match=re.escape(f"got {seed!r}") + "$"):
+        gen_perturbed(gen_zigzag(4, 4), 0.05, seed)
 
 
 def test_decay_family_keeps_the_rectangle_tags():
@@ -366,7 +386,6 @@ def test_extruded_tet_counts():
     assert mesh.num_cells == 6
     assert mesh.cell_kind == "tetrahedron"
     assert np.isclose(mesh.cell_measures().sum(), 1.0)
-    mesh.validate()
 
 
 def test_extruded_tags():
@@ -380,7 +399,6 @@ def test_structured_cube_kuhn():
     assert mesh.num_cells == 6 * 8
     assert np.isclose(mesh.cell_measures().sum(), 1.0)
     assert len(mesh.interior_vertices()) == 1
-    mesh.validate()
 
 
 @pytest.mark.parametrize("sizes", [(0, 2, 2), (2, -1, 2), (2, 2, 0)])
@@ -401,7 +419,6 @@ def test_quad_macro():
 def test_quad_macro_asymmetric():
     mesh = gen_quad_macro((0.5, 1.5), (2.0, 0.25))
     assert np.isclose(mesh.cell_measures().sum(), 2.0 * 2.25)
-    mesh.validate()
 
 
 def test_metrics():
@@ -413,9 +430,18 @@ def test_metrics():
 
 
 def test_generators_conform():
-    for mesh in [gen_structured_tri(3, 3), gen_zigzag(4, 3),
-                 gen_quad_macro(), gen_structured_cube(1, 1, 1)]:
-        mesh.validate()
+    # the boundary facets cover the domain's boundary once: a gap or a
+    # hanging vertex adds facets, and with them length or area
+    for mesh, size in [(gen_structured_tri(3, 3), 4.0), (gen_zigzag(4, 3), 4.0),
+                       (gen_quad_macro(), 8.0),
+                       (gen_structured_cube(1, 1, 1), 6.0)]:
+        p = mesh.vertices[mesh.boundary_facets]
+        if mesh.dim == 2:
+            measure = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
+        else:
+            measure = 0.5 * np.linalg.norm(
+                np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+        assert np.isclose(measure.sum(), size)
 
 
 def test_mesh_accepts_read_only_cells():
@@ -493,9 +519,11 @@ def test_topology_matches_reference_scan(name):
     assert [[tuple(f) for f in mesh.facets[row].tolist()]
             for row in mesh.cell_facets] == cell_facets
 
-    assert [mesh.cells_of(v).tolist() for v in range(n)] == \
+    offsets, cells = mesh.vertex_cells
+    assert [cells[offsets[v]:offsets[v + 1]].tolist() for v in range(n)] == \
         [v2c.get(v, []) for v in range(n)]
-    assert [mesh.neighbours(v).tolist() for v in range(n)] == \
+    offsets, nbrs = mesh.vertex_neighbours
+    assert [nbrs[offsets[v]:offsets[v + 1]].tolist() for v in range(n)] == \
         [sorted(adj.get(v, ())) for v in range(n)]
 
     if mesh.dim == 2:
@@ -503,7 +531,7 @@ def test_topology_matches_reference_scan(name):
             nbrs = np.array(sorted(adj[int(v)]))
             rel = mesh.vertices[nbrs] - mesh.vertices[v]
             ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2 * np.pi)
-            ring, angles = mesh.ccw_ring(v)
+            ring, angles = ccw_ring(mesh, v)
             assert ring.tolist() == \
                 [w for _, w in sorted(zip(ang.tolist(), nbrs.tolist()))]
             assert angles.tolist() == sorted(ang.tolist())

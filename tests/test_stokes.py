@@ -8,8 +8,8 @@ from stokestab.scenarios import unstructured_family_mesh
 from stokestab.fespace import build_dofmap, eval_basis, quadrature
 from stokestab.stokes import (
     SaddleFactorization, StokesError, assemble, cavity_problem,
-    solve_penalized, operator_matrix, load_vector, trig_solution,
-    convergence_study, cell_geometry, element_matrices, reference_tensor,
+    solve_penalized, operator_matrix, trig_solution, convergence_study,
+    cell_geometry, element_matrices, reference_tensor, _data_points, _project,
 )
 
 
@@ -33,7 +33,7 @@ def test_constant_pressure_row_annihilates_interior_velocity():
     mesh = gen_zigzag(5, 5)
     for combo in ["p1-p1:p1", "p1b-p1:p1", "p2-p1:p1"]:
         sys = assemble(mesh, combo)
-        Bf = sys.interior_B()
+        Bf = sys.B[:, sys.free_mask()]
         ones = np.ones(sys.p_dofmap.n_dofs)
         # row for the constant pressure = integral of the divergence = 0
         row = ones @ Bf
@@ -76,10 +76,10 @@ def test_divergence_balance_and_galerkin_residual():
     combo = "p1b-p1:p1"
     exact = trig_solution()
     sys = assemble(mesh, combo)
-    from stokestab.stokes import load_vector
+    f = exact.f(_data_points(mesh))
     for k, dm in enumerate(sys.vel_dofmaps):
-        sys.rhs[sys.offsets[k]:sys.offsets[k + 1]] = load_vector(
-            mesh, dm, lambda x, k=k: exact.f(x)[:, k])
+        sys.rhs[sys.offsets[k]:sys.offsets[k + 1]] = _project(mesh, dm,
+                                                              f[:, k])
     eps = 1e-10
     sol = solve_penalized(sys, eps)
     free = sys.free_mask()
@@ -109,12 +109,13 @@ def test_cavity_dirichlet_bc_values():
     vals = sys.bc_values[0]
     coords = u_dm.coords
     ymax = mesh.vertices[:, 1].max()
-    top_interior = [d for d in u_dm.boundary_dofs
+    boundary = np.flatnonzero(u_dm.boundary_mask)
+    top_interior = [d for d in boundary
                     if abs(coords[d, 1] - ymax) < 1e-12
                     and 1e-9 < coords[d, 0] < 1 - 1e-9]
     assert top_interior
     assert np.all(vals[top_interior] == 1.0)
-    corners = [d for d in u_dm.boundary_dofs
+    corners = [d for d in boundary
                if abs(coords[d, 1] - ymax) < 1e-12
                and (coords[d, 0] < 1e-12 or coords[d, 0] > 1 - 1e-12)]
     assert np.all(vals[corners] == 0.0)
@@ -179,7 +180,7 @@ def test_manufactured_interpolation_error_orders():
     for n in [8, 16, 32]:
         mesh = gen_structured_tri(n, n)
         dm = build_dofmap(mesh, "p1")
-        dofs = dm.interpolate(exact.u)
+        dofs = exact.u(dm.coords)     # P1: the nodal values
         from stokestab.stokes import _field_errors
         l2, h1 = _field_errors(mesh, dm, dofs, exact.u, exact.grad_u)
         errs.append((l2, h1))
@@ -192,7 +193,6 @@ def test_manufactured_interpolation_error_orders():
 
 def test_convergence_study_evaluates_the_forcing_once_per_mesh():
     import dataclasses
-    from stokestab.stokes import _data_points, _project
     exact = trig_solution()
     calls = []
     counted = dataclasses.replace(
@@ -200,13 +200,6 @@ def test_convergence_study_evaluates_the_forcing_once_per_mesh():
     meshes = [gen_zigzag(4, 4), gen_zigzag(6, 6)]
     convergence_study("p2-p1:p1", meshes, exact=counted)
     assert len(calls) == len(meshes)
-    # each column, projected, is bitwise the component's own load vector
-    for mesh in meshes:
-        f = exact.f(_data_points(mesh))
-        for k, tag in enumerate(["p1b", "p2"]):
-            dm = build_dofmap(mesh, tag)
-            ref = load_vector(mesh, dm, lambda x: exact.f(x)[:, k])
-            assert _project(mesh, dm, f[:, k]).tobytes() == ref.tobytes()
 
 
 def test_solver_reproduces_interpolation_scale_errors():
@@ -309,10 +302,10 @@ def test_condensed_solve_matches_uncondensed_reference(mesh_kind, combo,
     mesh = _MESHES[mesh_kind]()
     sys = cavity_problem(mesh, combo, variant)
     # a body force, so that the bubbles carry a load of their own
-    exact = trig_solution()
+    f = trig_solution().f(_data_points(mesh))
     for k, dm in enumerate(sys.vel_dofmaps):
-        sys.rhs[sys.offsets[k]:sys.offsets[k + 1]] += load_vector(
-            mesh, dm, lambda x, k=k: exact.f(x)[:, k])
+        sys.rhs[sys.offsets[k]:sys.offsets[k + 1]] += _project(mesh, dm,
+                                                               f[:, k])
     sol = solve_penalized(sys)
     velocity, p, resid, _ = uncondensed_reference(sys)
     diag = sol.diagnostics

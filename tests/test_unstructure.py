@@ -13,6 +13,8 @@ from stokestab.unstructure import (
 from stokestab.macroelement import build_macroelements, classify_2d
 from stokestab.infsup import infsup_constant
 
+from stars import ccw_ring
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -114,7 +116,8 @@ def test_quadrilateral_mesh_rejected(call):
 # first close spoke read off `ccw_ring`, and a scalar `safe_move`.
 
 def _reference_safe_move(mesh, coords, v, axis, step):
-    tris = mesh.cells[mesh.cells_of(v)]
+    offsets, cells = mesh.vertex_cells
+    tris = mesh.cells[cells[offsets[v]:offsets[v + 1]]]
     ref = 0.1 * _signed_measures(coords, tris)
     x0 = coords[v, axis]
     scale = 1.0
@@ -141,8 +144,9 @@ def _reference_verify(mesh, cfg):
     h, h_r = cfg.resolve(mesh)
     ax = 0 if cfg.axis == "x" else 1
     offending, margin = [], np.inf
+    offsets, nbrs = mesh.vertex_neighbours
     for q0 in map(int, mesh.interior_vertices()):
-        d = np.abs(mesh.vertices[mesh.neighbours(q0), ax]
+        d = np.abs(mesh.vertices[nbrs[offsets[q0]:offsets[q0 + 1]], ax]
                    - mesh.vertices[q0, ax])
         d.sort()
         if len(d) >= 2:
@@ -161,7 +165,7 @@ def _reference_repair(mesh, cfg):
     scaled_back = 0
     for _ in range(5):
         for q0 in map(int, mesh.interior_vertices()):
-            ring, _ = mesh.ccw_ring(q0, verts)
+            ring, _ = ccw_ring(mesh, q0, verts)
             d = verts[ring, ax] - verts[q0, ax]
             close = np.flatnonzero(np.abs(d) < h_r * (1.0 - 1e-9))
             if len(close) < 2:
