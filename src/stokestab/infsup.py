@@ -32,13 +32,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import FECombo, FESpaceError, build_dofmap, P1, P1B, P2, Q1, Q2
+from .fespace import FECombo, FESpaceError, build_dofmap, P1, Q1, Q2
 from .macroelement import (predict_regularity, predict_regularity_3d,
-                           _star_splits, _stars)
-from .mesh import (MeshError, TRIANGLE, TETRAHEDRON, QUADRILATERAL,
-                   _frozen, _lookup)
+                           _SPLITS, _star_splits, _stars)
+from .mesh import MeshError, QUADRILATERAL, _frozen, _lookup
 from .stokes import (SaddleFactorization, assemble, element_matrices,
-                     operator_matrix, StokesError)
+                     operator_matrix, StokesError, _QDEG)
 
 
 @dataclass
@@ -65,7 +64,6 @@ class InfSupResult:
     lu_fill: int = 0               # entries SuperLU stores for L and U
 
 
-_LOCAL_QDEG = {TRIANGLE: 5, TETRAHEDRON: 6, QUADRILATERAL: 5}
 # a star's singular value at or below this times its largest is a null one
 _LOCAL_FLOOR = 1e-10
 
@@ -85,7 +83,7 @@ class _Divergence:
 
 
 def _divergence(mesh, combo):
-    qdeg = _LOCAL_QDEG[mesh.cell_kind]
+    qdeg = _QDEG[mesh.cell_kind]
     p_dm = build_dofmap(mesh, combo.pressure)
     vel = [build_dofmap(mesh, tag) for tag in combo.velocity]
     offsets = np.cumsum([0] + [dm.n_dofs for dm in vel])
@@ -246,11 +244,11 @@ def _split_profile(macro, direction):
 
 def _p2_s_zero_pressure(macro, axis):
     """Nullspace pressure for an even unaligned ring with vanishing
-    alternating sum: solves the slope system and evaluates the piecewise
-    linear pressure at the ring nodes."""
+    alternating sum about the axis index `axis`: solves the slope system and
+    evaluates the piecewise linear pressure at the ring nodes."""
     n = macro.n_v
     ring = macro.ring_coords() - macro.q0
-    if axis == "x":
+    if axis == 0:
         ring = ring[:, ::-1]   # swap roles so off-axis coordinate is second
     areas = macro.areas
     ahat = np.array([1.0 / areas[k] + 1.0 / areas[k - 1] for k in range(n)])
@@ -282,43 +280,35 @@ def analytic_singular_pressure(macro, combo):
 
     Covers the split-macro profile (bubble combinations, the two-aligned
     quadratic case, the rectangle macro) and the even-ring vanishing-sum
-    case; returns coefficients in the order center vertex, then ring.
+    case; the rule and axis are those `macroelement._SPLITS` gives the
+    combination.  Returns coefficients in the order center vertex, then ring.
     """
     combo = FECombo.parse(combo)
-    vel = tuple(combo.velocity)
     if macro.dim == 2 and macro.mesh.cell_kind == QUADRILATERAL:
-        if vel != (Q2, Q1) or combo.pressure != Q1:
+        if combo.velocity != (Q2, Q1) or combo.pressure != Q1:
             raise FESpaceError(f"unsupported quad combo {combo}")
         # absolute offset from the aligned row, weighted by the areas above
         # and below it
         return _split_profile(macro, 1)
-    if macro.dim == 2:
-        verdict = predict_regularity(macro, combo)
-        if verdict.regular:
-            return None
-        enriched_first = vel[0] in (P1B, P2)
-        if verdict.reason == "two-aligned":
-            return _split_profile(macro, 1 if enriched_first else 0)
-        return _p2_s_zero_pressure(macro, "y" if enriched_first else "x")
-    if macro.dim == 3:
-        verdict = predict_regularity_3d(macro, combo)
-        if verdict.regular:
-            return None
-        n_bub = sum(1 for t in vel if t == P1B)
-        if n_bub == 2:
-            return _split_profile(macro, vel.index(P1))
-        # one enriched component: a closed form exists when the splitting
-        # semi-planes form one full plane through the axis line
-        axis = vel.index(P1B)
-        _, count, aligned, dirs = _star_splits(macro.mesh, axis)[macro.center]
-        if count == 2 and aligned:
-            b_ax, c_ax = [a for a in range(3) if a != axis]
-            normal = np.zeros(3)
-            normal[b_ax] = -np.sin(dirs[0])
-            normal[c_ax] = np.cos(dirs[0])
-            return _split_profile(macro, normal)
+    predict = predict_regularity if macro.dim == 2 else predict_regularity_3d
+    verdict = predict(macro, combo)
+    if verdict.regular:
         return None
-    raise MeshError(f"unsupported macro dimension {macro.dim}")
+    kind, axis = _SPLITS[combo]
+    if verdict.reason == "even-nV-S-zero":
+        return _p2_s_zero_pressure(macro, axis)
+    if kind != "semi-planes":
+        return _split_profile(macro, axis)
+    # one enriched component: a closed form exists when the splitting
+    # semi-planes form one full plane through the axis line
+    _, count, aligned, dirs = _star_splits(macro.mesh, axis)[macro.center]
+    if count == 2 and aligned:
+        b_ax, c_ax = [a for a in range(3) if a != axis]
+        normal = np.zeros(3)
+        normal[b_ax] = -np.sin(dirs[0])
+        normal[c_ax] = np.cos(dirs[0])
+        return _split_profile(macro, normal)
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -347,12 +337,16 @@ def global_counterexample(mesh, combo):
     On a uniformly layered structured triangulation the continuous piecewise
     pressure with slope +-1 across alternating layers (zero mean by layer
     symmetry) is orthogonal to the divergence of every velocity with the
-    enriched component across the layering; the layers run horizontally for
-    an enriched first component and vertically for an enriched second one.
+    enriched component across the layering.  The layers are level along the
+    axis of the combination's 2D rule in `macroelement._SPLITS`; other
+    combinations raise FESpaceError.
     """
     combo = FECombo.parse(combo)
-    axis = 1 if combo.velocity[0] in (P1B, P2) else 0
-    coords = mesh.vertices[:, axis]
+    rule = _SPLITS.get(combo)
+    if combo.dim != 2 or rule is None:
+        raise FESpaceError(f"no layered counterexample for {combo}: it has "
+                           "no 2D bubble or quadratic split rule")
+    coords = mesh.vertices[:, rule[1]]
     levels = _uniform_levels(coords)
     if levels is None:
         raise StokesError("mesh is not layered-structured along the "

@@ -35,11 +35,22 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import FECombo, FESpaceError, P1, P1B, P2
+from .fespace import FECombo, FESpaceError
 from .mesh import MeshError, TRIANGLE, _frozen, _lookup, _padded
 
 _ALIGN_TOL = 1e-9   # alignment, relative to the star diameter
 _S_TOL = 1e-10      # |S| against zero, relative to sum(1/area)
+
+# How each supported combination splits a star, as (kind, axis index), by
+# the four rules above.  Only this table says so: the predicates, the
+# witness pressures and the layered global counterexample all read it.
+_SPLITS = {FECombo.parse(text): rule for text, rule in {
+    "p1b-p1:p1": ("bubble", 1), "p1-p1b:p1": ("bubble", 0),
+    "p2-p1:p1": ("quadratic", 1), "p1-p2:p1": ("quadratic", 0),
+    "p1-p1b-p1b:p1": ("plane", 0), "p1b-p1-p1b:p1": ("plane", 1),
+    "p1b-p1b-p1:p1": ("plane", 2), "p1b-p1-p1:p1": ("semi-planes", 0),
+    "p1-p1b-p1:p1": ("semi-planes", 1), "p1-p1-p1b:p1": ("semi-planes", 2),
+}.items()}
 
 
 @dataclass
@@ -210,9 +221,10 @@ def _build_stars(mesh):
 # 2D classification
 # ----------------------------------------------------------------------
 
-def _aligned_offsets(macro, axis):
-    k = 1 if axis == "y" else 0
-    return macro.ring_coords()[:, k] - macro.q0[k]
+def _aligned_count(macro, axis):
+    """Ring vertices level with q0 along the axis index `axis`."""
+    off = macro.ring_coords()[:, axis] - macro.q0[axis]
+    return int((np.abs(off) <= _ALIGN_TOL * macro.diameter()).sum())
 
 
 def classify_2d(macro):
@@ -226,11 +238,7 @@ def classify_2d(macro):
     """
     if macro.dim != 2:
         raise MeshError("classify_2d needs a 2D macro-element")
-    tol = _ALIGN_TOL * macro.diameter()
-    off_y = np.abs(_aligned_offsets(macro, "y"))
-    off_x = np.abs(_aligned_offsets(macro, "x"))
-    n_y = int((off_y <= tol).sum())
-    n_x = int((off_x <= tol).sum())
+    n_x, n_y = _aligned_count(macro, 0), _aligned_count(macro, 1)
     sins = np.sort(np.abs(np.sin(macro.angles)))
     coss = np.sort(np.abs(np.cos(macro.angles)))
     return StructureFlags(
@@ -282,18 +290,9 @@ def s_scale(macro):
     return float(np.sum(1.0 / macro.areas))
 
 
-_BUBBLE_COMBOS = {
-    (P1B, P1): "y",
-    (P1, P1B): "x",
-}
-_P2_COMBOS = {
-    (P2, P1): "y",
-    (P1, P2): "x",
-}
-
-
 def predict_regularity(macro, combo):
-    """Closed-form regularity verdict for a 2D macro-element.
+    """Closed-form regularity verdict for a 2D macro-element, by the rule
+    `_SPLITS` gives the combination.
 
     Bubble-enriched combinations are regular exactly when at most one ring
     vertex is aligned with q0 across the enriched direction.  Quadratic
@@ -301,31 +300,23 @@ def predict_regularity(macro, combo):
     when |S| <= 1e-10 * sum(1/area).
     """
     combo = FECombo.parse(combo)
-    if macro.dim != 2 or combo.pressure != P1 or combo.dim != 2:
+    rule = _SPLITS.get(combo)
+    if macro.dim != 2 or combo.dim != 2 or rule is None:
         raise FESpaceError(f"unsupported combo {combo} for 2D prediction")
-    vel = tuple(combo.velocity)
-    tolabs = _ALIGN_TOL * macro.diameter()
-    if vel in _BUBBLE_COMBOS:
-        axis = _BUBBLE_COMBOS[vel]
-        n_aligned = int((np.abs(_aligned_offsets(macro, axis)) <= tolabs).sum())
-        if n_aligned >= 2:
-            return RegularityVerdict("singular", "two-aligned")
-        reason = "one-aligned" if n_aligned == 1 else "no-aligned"
-        return RegularityVerdict("regular", reason)
-    if vel in _P2_COMBOS:
-        axis = _P2_COMBOS[vel]
-        n_aligned = int((np.abs(_aligned_offsets(macro, axis)) <= tolabs).sum())
-        if n_aligned >= 2:
-            return RegularityVerdict("singular", "two-aligned")
-        if n_aligned == 1:
-            return RegularityVerdict("regular", "one-aligned")
-        if macro.n_v % 2 == 1:
-            return RegularityVerdict("regular", "odd-nV")
-        s = s_condition(macro, axis)
-        if abs(s) <= _S_TOL * s_scale(macro):
-            return RegularityVerdict("singular", "even-nV-S-zero")
-        return RegularityVerdict("regular", "even-nV-S-nonzero")
-    raise FESpaceError(f"unsupported combo {combo} for 2D prediction")
+    kind, axis = rule
+    n_aligned = _aligned_count(macro, axis)
+    if n_aligned >= 2:
+        return RegularityVerdict("singular", "two-aligned")
+    if n_aligned == 1:
+        return RegularityVerdict("regular", "one-aligned")
+    if kind == "bubble":
+        return RegularityVerdict("regular", "no-aligned")
+    if macro.n_v % 2 == 1:
+        return RegularityVerdict("regular", "odd-nV")
+    s = s_condition(macro, "xy"[axis])
+    if abs(s) <= _S_TOL * s_scale(macro):
+        return RegularityVerdict("singular", "even-nV-S-zero")
+    return RegularityVerdict("regular", "even-nV-S-nonzero")
 
 
 # ----------------------------------------------------------------------
@@ -476,7 +467,8 @@ def classify_3d(macro):
 
 
 def predict_regularity_3d(macro, combo):
-    """Regularity verdict for a tet star.
+    """Regularity verdict for a tet star, by the rule `_SPLITS` gives the
+    combination.
 
     With two enriched components the combination is regular exactly when no
     plane orthogonal to the un-enriched axis splits the star.  With a single
@@ -484,19 +476,15 @@ def predict_regularity_3d(macro, combo):
     axis line through q0.
     """
     combo = FECombo.parse(combo)
-    if macro.dim != 3 or combo.pressure != P1 or combo.dim != 3:
+    rule = _SPLITS.get(combo)
+    if macro.dim != 3 or combo.dim != 3 or rule is None:
         raise FESpaceError(f"unsupported combo {combo} for 3D prediction")
-    vel = tuple(combo.velocity)
-    n_bub = sum(1 for t in vel if t == P1B)
-    if sorted(vel) not in ([P1, P1B, P1B], [P1, P1, P1B]):
-        raise FESpaceError(f"unsupported combo {combo} for 3D prediction")
-    if n_bub == 2:
-        split = _star_splits(macro.mesh, vel.index(P1))[macro.center][0]
+    kind, axis = rule
+    split, count, aligned, _ = _star_splits(macro.mesh, axis)[macro.center]
+    if kind == "plane":
         if split:
             return RegularityVerdict("singular", "3d-axis-split")
         return RegularityVerdict("regular", "3d-axis-unsplit")
-    _, count, aligned, _ = _star_splits(macro.mesh,
-                                        vel.index(P1B))[macro.center]
     if count == 0:
         return RegularityVerdict("regular", "3d-semiplane-case-1")
     if count == 2 and not aligned:

@@ -832,6 +832,13 @@ def gen_zigzag(nx, ny):
     return _tag_rectangle(Mesh(2, TRIANGLE, verts, cells), lo, hi)
 
 
+def _check_seed(seed):
+    """Raise MeshError unless `seed` is a non-negative integer."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise MeshError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def gen_perturbed(base, amplitude, seed):
     """Displace interior vertices in x by uniform(-amplitude, amplitude).
 
@@ -840,15 +847,18 @@ def gen_perturbed(base, amplitude, seed):
     valid (Mesh.safe_move), so the result is always positively oriented.
     Deterministic for a given seed, which must be a non-negative integer.
     """
+    return _jitter(base, 0, amplitude, seed)
+
+
+def _jitter(base, axis, amplitude, seed):
+    """gen_perturbed along the axis index `axis`."""
     require_triangles(base, "gen_perturbed")
     # the draw needs the width 2 * amplitude to be a finite float; nan
     # fails both comparisons
     if not 0 <= amplitude <= np.finfo(float).max / 2:
         raise MeshError(f"amplitude must be finite and >= 0 (at most half "
                         f"the largest float), got {amplitude}")
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or seed < 0):
-        raise MeshError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     interior = base.interior_vertices()
     disp = np.zeros(base.num_vertices)
@@ -857,7 +867,7 @@ def gen_perturbed(base, amplitude, seed):
     # a move reads the vertex's cells only, so waves reproduce the
     # ascending per-vertex order exactly
     for wave in base.interior_waves:
-        base.safe_move(verts, wave, 0, disp[wave])
+        base.safe_move(verts, wave, axis, disp[wave])
     return base.replace_vertices(verts)
 
 

@@ -20,10 +20,10 @@ import numpy as np
 from .infsup import infsup_constant, local_nullspace, nullspace_residual
 from .macroelement import (build_macroelements, classify_3d,
                            predict_regularity_3d)
-from .mesh import (BOTTOM, LEFT, RIGHT, TOP, Mesh, StokestabError, TRIANGLE,
-                   gen_extruded_tet, gen_perturbed, gen_quad_macro,
-                   gen_structured_cube, gen_structured_tri, gen_zigzag,
-                   save_msh, save_vtk, write_csv)
+from .mesh import (StokestabError, _check_seed, _jitter, gen_extruded_tet,
+                   gen_perturbed, gen_quad_macro, gen_structured_cube,
+                   gen_structured_tri, gen_zigzag, save_msh, save_vtk,
+                   write_csv)
 from .stokes import cavity_problem, convergence_study, solve_penalized
 from .unstructure import UnstructureConfig, apply_algorithm1, verify_uniform
 
@@ -81,20 +81,11 @@ def gate(name, values):
 def unstructured_family_mesh(level, seed=42, r=0.15):
     """Self-contained uniformly y-unstructured mesh at h ~ 2^-level:
     structured grid, random x jitter, then the alignment-removing sweep."""
+    _check_seed(seed)
     n = 2 ** level
     mesh = gen_structured_tri(n, n)
     mesh = gen_perturbed(mesh, 0.3 / n, seed + level)
     return apply_algorithm1(mesh, UnstructureConfig(r=r, axis="y"))
-
-
-# the rectangle tag of each side after swapping x and y, indexed by its tag
-# before (0 untagged, bottom <-> left, right <-> top)
-_SWAPPED_TAGS = np.array([0, LEFT, TOP, RIGHT, BOTTOM])
-
-
-def _swap_xy(mesh):
-    return Mesh(2, TRIANGLE, mesh.vertices[:, ::-1], mesh.cells,
-                mesh.boundary_facets, _SWAPPED_TAGS[mesh.boundary_tags])
 
 
 def decay_family_mesh(level, seed=10):
@@ -107,12 +98,12 @@ def decay_family_mesh(level, seed=10):
     amps = [0.4, 0.2, 0.1, 0.05, 0.0]
     if not (isinstance(level, (int, np.integer)) and 1 <= level <= 5):
         raise StokestabError(f"decay family levels are 1-5, got {level!r}")
+    _check_seed(seed)
     n, amp = ns[level - 1], amps[level - 1]
     base = gen_structured_tri(n, n)
     if amp == 0.0:
         return base
-    pert = gen_perturbed(_swap_xy(base), amp / n, seed + level)
-    return _swap_xy(pert)
+    return _jitter(base, 1, amp / n, seed + level)
 
 
 # ----------------------------------------------------------------------
@@ -351,6 +342,8 @@ def run_scenario(name, out_dir=".", check=False, **overrides):
     for key in overrides:
         if key == "out_dir" or key not in params:
             raise StokestabError(f"scenario {name} takes no --{key}")
+    if "seed" in overrides:
+        _check_seed(overrides["seed"])
     os.makedirs(out_dir, exist_ok=True)
     result = run(out_dir, **overrides)
     if check:

@@ -27,11 +27,12 @@ import scipy.sparse.linalg as spla
 
 from .fespace import (FECombo, DofMap, build_dofmap, eval_basis, quadrature,
                       P1B, P2)
-from .mesh import (Mesh, StokestabError, TRIANGLE, TETRAHEDRON, TOP,
-                   _frozen, write_csv)
+from .mesh import (Mesh, StokestabError, TRIANGLE, TETRAHEDRON,
+                   QUADRILATERAL, TOP, _frozen, write_csv)
 
 
-_QDEG = 5   # quadrature degree of the assembled blocks
+# quadrature degree of the assembled blocks (P1b stiffness is degree 6 on tets)
+_QDEG = {TRIANGLE: 5, TETRAHEDRON: 6, QUADRILATERAL: 5}
 _DATA_QDEG = 7   # of load vectors and error integrals of smooth data
 
 
@@ -215,12 +216,13 @@ def assemble(mesh, combo):
     vel_dms = [build_dofmap(mesh, t) for t in combo.velocity]
     p_dm = build_dofmap(mesh, combo.pressure)
 
-    A = sp.block_diag([operator_matrix(mesh, dm, dm, "stiffness", _QDEG)
+    qdeg = _QDEG[mesh.cell_kind]
+    A = sp.block_diag([operator_matrix(mesh, dm, dm, "stiffness", qdeg)
                        for dm in vel_dms], format="csr")
-    B = sp.hstack([operator_matrix(mesh, p_dm, dm, "deriv", _QDEG,
+    B = sp.hstack([operator_matrix(mesh, p_dm, dm, "deriv", qdeg,
                                    deriv_axis=k)
                    for k, dm in enumerate(vel_dms)], format="csr")
-    Mp = operator_matrix(mesh, p_dm, p_dm, "mass", _QDEG)
+    Mp = operator_matrix(mesh, p_dm, p_dm, "mass", qdeg)
     rhs = np.zeros(sum(dm.n_dofs for dm in vel_dms))
     bc_mask = [dm.boundary_mask.copy() for dm in vel_dms]
     bc_values = [np.zeros(dm.n_dofs) for dm in vel_dms]
@@ -641,7 +643,8 @@ def convergence_study(combo, meshes, exact=None, eps=1e-10):
     """Solve on each mesh and report errors and orders.
 
     The exact solution must be divergence-free with zero boundary trace;
-    this is spot-checked on the first mesh before any solve.
+    this is spot-checked on the first mesh before any solve, and a failed
+    check raises StokesError.
     """
     combo = FECombo.parse(combo)
     if not meshes:
@@ -651,11 +654,16 @@ def convergence_study(combo, meshes, exact=None, eps=1e-10):
 
     m0 = meshes[0]
     bnd = m0.vertices[m0.boundary_vertex_mask()]
-    assert np.abs(exact.u(bnd)).max() < 1e-12
-    assert np.abs(exact.v(bnd)).max() < 1e-12
+    trace = np.abs(np.concatenate([exact.u(bnd), exact.v(bnd)])).max()
+    # written so that nan fails too
+    if not trace < 1e-12:
+        raise StokesError(f"the exact velocity must vanish on the boundary; "
+                          f"it reaches {trace:.3g} there")
     pts = np.random.default_rng(0).uniform(0.1, 0.9, size=(50, 2))
-    div = exact.grad_u(pts)[:, 0] + exact.grad_v(pts)[:, 1]
-    assert np.abs(div).max() < 1e-10
+    div = np.abs(exact.grad_u(pts)[:, 0] + exact.grad_v(pts)[:, 1]).max()
+    if not div < 1e-10:
+        raise StokesError(f"the exact velocity must be divergence-free; its "
+                          f"divergence reaches {div:.3g}")
 
     rows = []
     for mesh in meshes:

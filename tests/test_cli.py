@@ -91,9 +91,13 @@ def test_gen_rejects_an_amplitude_it_cannot_draw(tmp_path, capsys, amplitude):
 @pytest.mark.parametrize("argv, bad", [
     (["gen", "--kind", "perturbed-zigzag", "--seed", "-3", "--out", "z.msh"],
      -3),
-    # test3's first level, 3, draws with the seed plus the level
-    (["run", "test3", "--seed", "-50", "--out-dir", "."], -47),
-], ids=["gen", "run-test3"])
+    # test3's levels draw with the seed plus the level, and the error names
+    # the seed typed
+    (["run", "test3", "--seed", "-50", "--out-dir", "."], -50),
+    (["run", "test3", "--seed", "-1", "--levels", "2", "--out-dir", "."], -1),
+    # test5 draws nothing
+    (["run", "test5", "--seed", "-7", "--out-dir", "."], -7),
+], ids=["gen", "run-test3", "run-test3-minus-1", "run-test5"])
 def test_negative_seed_is_clean_error(tmp_path, capsys, monkeypatch, argv,
                                       bad):
     monkeypatch.chdir(tmp_path)

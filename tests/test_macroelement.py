@@ -1,7 +1,11 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stokestab.fespace import FESpaceError
 from stokestab.mesh import gen_structured_tri, gen_zigzag, Mesh, TRIANGLE
 from stokestab.macroelement import (
     build_macroelements, classify_2d, classify_3d, s_condition, s_scale,
@@ -169,6 +173,37 @@ def test_predict_unsupported_combo():
     macro = symmetric_hexagon()
     with pytest.raises(ValueError, match="unsupported"):
         predict_regularity(macro, "p2-p2:p1")
+
+
+# every 2- and 3-component combination of p1, p1b and p2 with a p1 pressure,
+# and the ones that have a star-splitting rule
+ALL_COMBOS = ["-".join(v) + ":p1" for n in (2, 3)
+              for v in itertools.product(("p1", "p1b", "p2"), repeat=n)]
+RULES_2D = {"p1b-p1:p1", "p1-p1b:p1", "p2-p1:p1", "p1-p2:p1"}
+RULES_3D = {"p1-p1b-p1b:p1", "p1b-p1-p1b:p1", "p1b-p1b-p1:p1",
+            "p1b-p1-p1:p1", "p1-p1b-p1:p1", "p1-p1-p1b:p1"}
+
+
+@pytest.fixture(scope="module")
+def center_stars():
+    """A 2D star aligned along both axes and a generic tet star."""
+    return (star_macro_2d(RING_TWO_ALIGNED_6),
+            random_star_3d(np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("combo", ALL_COMBOS)
+def test_predicates_accept_exactly_the_combos_with_a_split_rule(
+        combo, center_stars):
+    m2, m3 = center_stars
+    for predict, macro, rules, dim in [(predict_regularity, m2, RULES_2D, 2),
+                                       (predict_regularity_3d, m3, RULES_3D,
+                                        3)]:
+        if combo in rules:
+            assert predict(macro, combo).predicted in ("regular", "singular")
+        else:
+            text = f"unsupported combo {combo} for {dim}D prediction"
+            with pytest.raises(FESpaceError, match=f"^{re.escape(text)}$"):
+                predict(macro, combo)
 
 
 @settings(max_examples=25, deadline=None)

@@ -366,6 +366,20 @@ def test_perturbed_rejects_seeds_that_are_not_non_negative_integers(seed):
         gen_perturbed(gen_zigzag(4, 4), 0.05, seed)
 
 
+@pytest.mark.parametrize("seed", [-1, -50])
+def test_unstructured_family_checks_the_seed_it_is_given(seed):
+    # level 3 draws with seed + 3, but the seed itself is what is checked
+    with pytest.raises(MeshError, match=re.escape(f"got {seed}") + "$"):
+        unstructured_family_mesh(3, seed)
+
+
+@pytest.mark.parametrize("level, seed", [(2, -1), (3, -50), (5, -1)])
+def test_decay_family_checks_the_seed_it_is_given(level, seed):
+    # level 5 is the grid itself and draws nothing
+    with pytest.raises(MeshError, match=re.escape(f"got {seed}") + "$"):
+        decay_family_mesh(level, seed)
+
+
 def test_decay_family_keeps_the_rectangle_tags():
     for level in range(1, 6):
         mesh = decay_family_mesh(level)

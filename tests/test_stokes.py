@@ -202,6 +202,19 @@ def test_convergence_study_evaluates_the_forcing_once_per_mesh():
     assert len(calls) == len(meshes)
 
 
+def test_convergence_study_rejects_an_exact_solution_it_cannot_use():
+    import dataclasses
+    exact = trig_solution()
+    mesh = gen_zigzag(4, 4)
+    lifted = dataclasses.replace(exact, u=lambda x: exact.u(x) + 1.0)
+    with pytest.raises(StokesError, match="boundary; it reaches 1 there$"):
+        convergence_study("p1b-p1:p1", [mesh], exact=lifted)
+    sheared = dataclasses.replace(
+        exact, grad_u=lambda x: exact.grad_u(x) + [2.0, 0.0])
+    with pytest.raises(StokesError, match="divergence reaches 2$"):
+        convergence_study("p1b-p1:p1", [mesh], exact=sheared)
+
+
 def test_solver_reproduces_interpolation_scale_errors():
     # one coarse solve; errors should be within a small factor of the
     # best-approximation scale
