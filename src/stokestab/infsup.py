@@ -33,8 +33,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fespace import FECombo, FESpaceError, build_dofmap, P1, Q1, Q2
-from .macroelement import (predict_regularity, predict_regularity_3d,
-                           _SPLITS, _star_splits, _stars)
+from .macroelement import (predict_regularity_3d, _REASONS_2D, _SPLITS,
+                           _combo_2d, _segment_sums, _star_splits, _stars,
+                           _verdicts_2d)
 from .mesh import MeshError, QUADRILATERAL, _frozen, _lookup
 from .stokes import (SaddleFactorization, assemble, element_matrices,
                      operator_matrix, StokesError, _QDEG)
@@ -218,97 +219,158 @@ def nullspace_residual(ns, p):
 # analytic witness pressures
 # ----------------------------------------------------------------------
 
-def _split_profile(macro, direction):
-    """Piecewise-linear pressure used by the split-macro counterexamples:
-    -(d)/|M+| on the positive side of the splitting hyperplane and +(d)/|M-|
-    on the other, where d is the signed offset from q0 along the given
-    direction (an axis index or a vector)."""
-    if np.isscalar(direction):
-        vec = np.zeros(macro.dim)
-        vec[int(direction)] = 1.0
+def _split_profiles(mesh, rows, vec):
+    """Piecewise-linear pressure used by the split-macro counterexamples,
+    for the stars `rows` of the star table: -d/|M+| on the positive side of
+    the splitting hyperplane and +d/|M-| on the other, where d is the signed
+    offset from q0 along the unit normal vec[i] of star rows[i].  Returns
+    a read-only row of values per star, center first then ring order."""
+    t = _stars(mesh)
+    q0, m = mesh.vertices[t.centers[rows]], len(rows)
+    # |M+| and |M-|, from the side of each star cell's centroid (that of
+    # its vertices' offsets summed); at lists the cells of the stars in
+    # rows, star by star
+    n_cells = np.diff(t.cell_offsets)[rows]
+    owner = np.repeat(np.arange(m), n_cells)
+    at = np.arange(len(owner)) + np.repeat(
+        t.cell_offsets[rows] - np.cumsum(n_cells) + n_cells, n_cells)
+    side = np.einsum("ckd,cd->c", mesh.vertices[mesh.cells[t.cells[at]]]
+                     - q0[owner, None], vec[owner])
+    sums = []
+    for keep in (side > 0, side < 0):
+        counts = np.bincount(owner[keep], minlength=m)
+        sums.append(_segment_sums(t.areas[at[keep]],
+                                  np.concatenate([[0], np.cumsum(counts)])))
+    a_plus, a_minus = sums
+    size = np.diff(t.ring_offsets)[rows]
+    out = [None] * m
+    for k in np.unique(size).tolist():
+        g = np.flatnonzero(size == k)
+        ids = np.column_stack([t.centers[rows[g]], t.ring[
+            t.ring_offsets[rows[g], None] + np.arange(k)]])
+        # one matrix-vector product per star, as for a single star
+        off = ((mesh.vertices[ids] - q0[g, None]) @ vec[g, :, None])[..., 0]
+        tol = 1e-12 * t.diameters[rows[g], None]
+        prof = np.where(off > tol, -off / a_plus[g, None],
+                        np.where(off < -tol, off / a_minus[g, None], 0.0))
+        for i, p in zip(g.tolist(), _frozen(prof)):
+            out[i] = p
+    return out
+
+
+def _s_zero_pressures(mesh, rows, axis):
+    """Nullspace pressure of each star in `rows`, even unaligned rings with
+    vanishing alternating sum about the axis index `axis`: solves the slope
+    system and evaluates the piecewise linear pressure at the ring nodes.
+    The stars of one ring size share one stacked SVD."""
+    t = _stars(mesh)
+    size = np.diff(t.ring_offsets)[rows]
+    out = [None] * len(rows)
+    for n in np.unique(size).tolist():
+        g = np.flatnonzero(size == n)
+        at = t.ring_offsets[rows[g], None] + np.arange(n)
+        ring = (mesh.vertices[t.ring[at]]
+                - mesh.vertices[t.centers[rows[g]], None])
+        if axis == 0:
+            ring = ring[..., ::-1]  # swap roles so off-axis coordinate is second
+        areas = t.areas[at]
+        ahat = 1.0 / areas + 1.0 / np.roll(areas, 1, axis=1)
+        cot = ring[..., 0] / ring[..., 1]
+        k = np.arange(n)
+        sign = np.where(k % 2, -1.0, 1.0)
+        # continuity at ring vertex k across spoke k, between the cells
+        # before and after it:
+        #   (c_k - c_{k-1}) + (-1)^k cot_k (1/a_{k-1} + 1/a_k) beta = 0
+        A = np.zeros((len(g), n + 1, n + 1))
+        A[:, k, k] = 1.0
+        A[:, k, (k - 1) % n] = -1.0
+        A[:, k, n] = sign * cot * ahat
+        A[:, n, :n] = areas
+        sol = np.linalg.svd(A)[2][:, -1]
+        c, beta = sol[:, :n], sol[:, n]
+        b = sign * beta[:, None] / areas
+        right = b * ring[..., 0] + c * ring[..., 1]
+        left = (np.roll(b, 1, axis=1) * ring[..., 0]
+                + np.roll(c, 1, axis=1) * ring[..., 1])
+        # continuity to 1e-8 of the star's largest value: a ring vertex
+        # can sit on the pressure's zero line (every 4-ring does)
+        gap = np.abs(right - left)
+        assert np.all(gap <= 1e-8 * (np.abs(right) + np.abs(left)).max(
+            axis=1, keepdims=True))
+        vals = _frozen(np.column_stack([np.zeros(len(g)), right]))
+        for i, p in zip(g.tolist(), vals):
+            out[i] = p
+    return out
+
+
+def _star_witnesses(mesh, combo):
+    """analytic_singular_pressure of every star of the mesh, in star table
+    order, None for a star without one: one pass over the singular stars."""
+    t = _stars(mesh)
+    n = len(t.centers)
+    out = [None] * n
+    if mesh.cell_kind == QUADRILATERAL:
+        # q2-q1:q1: every star of an axis-parallel rectangle mesh is split
+        # by the row of cells through its center
+        kind, axis, rows = None, 1, np.arange(n)
+    elif mesh.dim == 2:
+        kind, axis = _SPLITS[combo]
+        reason = _verdicts_2d(mesh, combo)
+        rows = np.flatnonzero(reason == _REASONS_2D.index("two-aligned"))
+        s_zero = np.flatnonzero(reason == _REASONS_2D.index("even-nV-S-zero"))
+        for s, p in zip(s_zero.tolist(), _s_zero_pressures(mesh, s_zero, axis)):
+            out[s] = p
     else:
-        vec = np.asarray(direction, float)
-        vec = vec / np.linalg.norm(vec)
-    sub_vertices = macro.mesh.vertices[macro.vertex_ids()]
-    q0 = macro.q0
-    off = (sub_vertices - q0) @ vec
-    tol = 1e-12 * macro.diameter()
-    meas = macro.areas
-    centroid_off = (macro.mesh.vertices[macro.mesh.cells[macro.cells]]
-                    .mean(axis=1) - q0) @ vec
-    a_plus = float(meas[centroid_off > 0].sum())
-    a_minus = float(meas[centroid_off < 0].sum())
-    return np.where(off > tol, -off / a_plus,
-                    np.where(off < -tol, off / a_minus, 0.0))
-
-
-def _p2_s_zero_pressure(macro, axis):
-    """Nullspace pressure for an even unaligned ring with vanishing
-    alternating sum about the axis index `axis`: solves the slope system and
-    evaluates the piecewise linear pressure at the ring nodes."""
-    n = macro.n_v
-    ring = macro.ring_coords() - macro.q0
-    if axis == 0:
-        ring = ring[:, ::-1]   # swap roles so off-axis coordinate is second
-    areas = macro.areas
-    ahat = np.array([1.0 / areas[k] + 1.0 / areas[k - 1] for k in range(n)])
-    cot = ring[:, 0] / ring[:, 1]
-    # continuity at ring vertex k across spoke k, between the cells before
-    # and after it:  (c_k - c_{k-1}) + (-1)^k cot_k (1/a_{k-1} + 1/a_k) beta = 0
-    A = np.zeros((n + 1, n + 1))
-    for k in range(n):
-        A[k, k] = 1.0
-        A[k, (k - 1) % n] = -1.0
-        A[k, n] = ((-1.0) ** k) * cot[k] * ahat[k]
-    A[n, :n] = areas
-    _, s, Vt = np.linalg.svd(A)
-    sol = Vt[-1]
-    c, beta = sol[:n], sol[n]
-    b = np.array([((-1.0) ** j) * beta / areas[j] for j in range(n)])
-    vals = np.empty(n + 1)
-    vals[0] = 0.0
-    for k in range(n):
-        right = b[k] * ring[k, 0] + c[k] * ring[k, 1]
-        left = b[(k - 1) % n] * ring[k, 0] + c[(k - 1) % n] * ring[k, 1]
-        assert abs(right - left) <= 1e-8 * (abs(right) + abs(left) + 1e-30)
-        vals[1 + k] = right
-    return vals
+        kind, axis = _SPLITS[combo]
+        by_center = _star_splits(mesh, axis)
+        splits = [by_center[c] for c in t.centers.tolist()]
+        if kind == "plane":
+            rows = np.flatnonzero([split for split, *_ in splits])
+        else:
+            # one enriched component: a closed form exists when the
+            # splitting semi-planes form one full plane through the axis line
+            rows = np.flatnonzero([count == 2 and aligned
+                                   for _, count, aligned, _ in splits])
+    vec = np.zeros((len(rows), mesh.dim))
+    if kind == "semi-planes":
+        first = np.array([splits[s][3][0] for s in rows.tolist()])
+        b_ax, c_ax = [a for a in range(3) if a != axis]
+        vec[:, b_ax], vec[:, c_ax] = -np.sin(first), np.cos(first)
+        # the norm as np.linalg.norm takes it, one dot product per star
+        vec /= np.sqrt(vec[:, None, :] @ vec[:, :, None])[:, 0]
+    else:
+        vec[:, axis] = 1.0
+    for s, p in zip(rows.tolist(), _split_profiles(mesh, rows, vec)):
+        out[s] = p
+    return out
 
 
 def analytic_singular_pressure(macro, combo):
     """Closed-form nullspace pressure for a singular macro, or None.
 
     Covers the split-macro profile (bubble combinations, the two-aligned
-    quadratic case, the rectangle macro) and the even-ring vanishing-sum
-    case; the rule and axis are those `macroelement._SPLITS` gives the
-    combination.  Returns coefficients in the order center vertex, then ring.
+    quadratic case, the 3D plane splits and semi-plane pairs that form one
+    plane, the rectangle macro) and the even-ring vanishing-sum case; the
+    rule and axis are those `macroelement._SPLITS` gives the combination.
+    MINI and P1-P1 have none.  Returns coefficients in the order center
+    vertex, then ring.
+
+    The first ask computes the witness of every singular star of the mesh
+    for the combination and keeps them on the mesh, so the arrays returned
+    are shared between callers and read-only.
     """
     combo = FECombo.parse(combo)
-    if macro.dim == 2 and macro.mesh.cell_kind == QUADRILATERAL:
+    mesh = macro.mesh
+    if mesh.cell_kind == QUADRILATERAL:
         if combo.velocity != (Q2, Q1) or combo.pressure != Q1:
             raise FESpaceError(f"unsupported quad combo {combo}")
-        # absolute offset from the aligned row, weighted by the areas above
-        # and below it
-        return _split_profile(macro, 1)
-    predict = predict_regularity if macro.dim == 2 else predict_regularity_3d
-    verdict = predict(macro, combo)
-    if verdict.regular:
+    elif mesh.dim == 2:
+        combo = _combo_2d(mesh, combo)   # regular stars have no witness
+    elif predict_regularity_3d(macro, combo).regular:
         return None
-    kind, axis = _SPLITS[combo]
-    if verdict.reason == "even-nV-S-zero":
-        return _p2_s_zero_pressure(macro, axis)
-    if kind != "semi-planes":
-        return _split_profile(macro, axis)
-    # one enriched component: a closed form exists when the splitting
-    # semi-planes form one full plane through the axis line
-    _, count, aligned, dirs = _star_splits(macro.mesh, axis)[macro.center]
-    if count == 2 and aligned:
-        b_ax, c_ax = [a for a in range(3) if a != axis]
-        normal = np.zeros(3)
-        normal[b_ax] = -np.sin(dirs[0])
-        normal[c_ax] = np.cos(dirs[0])
-        return _split_profile(macro, normal)
-    return None
+    witnesses = mesh.derived(("witness", combo),
+                             lambda: _star_witnesses(mesh, combo))
+    return witnesses[_stars(mesh).star_of[macro.center]]
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +405,8 @@ def global_counterexample(mesh, combo):
     """
     combo = FECombo.parse(combo)
     rule = _SPLITS.get(combo)
-    if combo.dim != 2 or rule is None:
+    if combo.dim != 2 or rule is None or rule[0] not in ("bubble",
+                                                         "quadratic"):
         raise FESpaceError(f"no layered counterexample for {combo}: it has "
                            "no 2D bubble or quadratic split rule")
     coords = mesh.vertices[:, rule[1]]

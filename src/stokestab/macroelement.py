@@ -17,13 +17,19 @@ orthogonal to every local divergence:
   the un-enriched axis splits the tet star along faces;
 * 3D, one enriched component: decided by how many semi-planes through the
   axis line at q0 split the star (0 regular; 2 regular unless they form one
-  plane; more than 2 singular).
+  plane; more than 2 singular);
+* MINI (p1b-p1b:p1) is regular and P1-P1 singular on every 2D star.
 
-Both 3D questions are answered for every star of a mesh at once, on the
-first ask about an axis: one connected-components pass over a graph of
-(star, cell) nodes and (star, interior face) edges, kept on the mesh.  A
-single 3D query on a large mesh therefore computes all of its stars, as
-the local oracle does.  Alignment is decided to 1e-9 of the star diameter.
+Every question is answered for all stars of a mesh at once, on the first
+ask, and kept on the mesh (`Mesh.derived`), so a single query on a large
+mesh computes all of its stars, as the local oracle does.  In 2D one pass
+per axis counts each star's aligned ring vertices and, for even rings
+without one, evaluates S and its scale; one pass per combination turns
+those into every star's verdict and reason.  Both are read-only arrays
+indexed like the star table, which `predict_regularity`, `classify_2d` and
+`structure_report` read.  In 3D one connected-components pass per axis over
+a graph of (star, cell) nodes and (star, interior face) edges answers both
+split questions.  Alignment is decided to 1e-9 of the star diameter.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ _ALIGN_TOL = 1e-9   # alignment, relative to the star diameter
 _S_TOL = 1e-10      # |S| against zero, relative to sum(1/area)
 
 # How each supported combination splits a star, as (kind, axis index), by
-# the four rules above.  Only this table says so: the predicates, the
+# the rules above; MINI is singular on no star and P1-P1 on every star,
+# whatever their geometry.  Only this table says so: the predicates, the
 # witness pressures and the layered global counterexample all read it.
 _SPLITS = {FECombo.parse(text): rule for text, rule in {
     "p1b-p1:p1": ("bubble", 1), "p1-p1b:p1": ("bubble", 0),
@@ -50,6 +57,7 @@ _SPLITS = {FECombo.parse(text): rule for text, rule in {
     "p1-p1b-p1b:p1": ("plane", 0), "p1b-p1-p1b:p1": ("plane", 1),
     "p1b-p1b-p1:p1": ("plane", 2), "p1b-p1-p1:p1": ("semi-planes", 0),
     "p1-p1b-p1:p1": ("semi-planes", 1), "p1-p1-p1b:p1": ("semi-planes", 2),
+    "p1b-p1b:p1": ("never", None), "p1-p1:p1": ("always", None),
 }.items()}
 
 
@@ -221,10 +229,112 @@ def _build_stars(mesh):
 # 2D classification
 # ----------------------------------------------------------------------
 
-def _aligned_count(macro, axis):
-    """Ring vertices level with q0 along the axis index `axis`."""
-    off = macro.ring_coords()[:, axis] - macro.q0[axis]
-    return int((np.abs(off) <= _ALIGN_TOL * macro.diameter()).sum())
+def _segment_sums(values, offsets):
+    """np.sum of each segment values[offsets[i]:offsets[i + 1]], bit for
+    bit: the segments of one length are summed as the rows of one array."""
+    size = np.diff(offsets)
+    out = np.zeros(len(size))
+    for k in np.unique(size).tolist():
+        rows = np.flatnonzero(size == k)
+        out[rows] = values[offsets[rows, None] + np.arange(k)].sum(axis=1)
+    return out
+
+
+def _alternating_sums(angles, areas, size, axis):
+    """alternating_sum about the axis index `axis` of each row of spoke
+    angles and cell areas.  Row i holds size[i] spokes; the entries past
+    them are padding, a valid angle and area that add nothing."""
+    col = np.arange(angles.shape[1])
+    trig_num, trig_den = (np.sin, np.cos) if axis == 0 else (np.cos, np.sin)
+    inv = 1.0 / areas
+    pair = np.take_along_axis(inv, (col - 1) % size[:, None], axis=1) + inv
+    term = (np.where(col % 2, 1.0, -1.0)
+            * (trig_num(angles) / trig_den(angles)) * pair)
+    term[col >= size[:, None]] = 0.0
+    s = np.zeros(len(size))
+    for k in col:           # spoke by spoke, in ring order
+        s += term[:, k]
+    return s
+
+
+# Every star's 2D answers about one axis, indexed like the star table:
+# aligned, its ring vertices level with the center along the axis; margin,
+# the second smallest |sin| (axis 1) or |cos| (axis 0) of its spoke
+# angles; and for an even ring with no aligned vertex the alternating sum s
+# about the axis and its scale sum(1/area), nan for the other stars.
+_Axis2D = namedtuple("_Axis2D", "aligned margin s scale")
+
+
+def _axis_2d(mesh, axis):
+    """The 2D answers about `axis` for every star of a triangle mesh,
+    computed on the first ask and kept on the mesh, read-only."""
+    return mesh.derived(("axis_2d", axis), lambda: _find_axis_2d(mesh, axis))
+
+
+def _find_axis_2d(mesh, axis):
+    t = _stars(mesh)
+    n, offsets = len(t.centers), t.ring_offsets
+    size = np.diff(offsets)
+    star = np.repeat(np.arange(n), size)
+    off = mesh.vertices[t.ring, axis] - mesh.vertices[t.centers[star], axis]
+    level = np.abs(off) <= _ALIGN_TOL * t.diameters[star]
+    aligned = np.bincount(star[level], minlength=n)
+    trig = np.abs((np.cos, np.sin)[axis](t.angles))
+    margin = trig[np.lexsort((trig, star))][offsets[:-1] + (size > 1)]
+    s, scale = np.full(n, np.nan), np.full(n, np.nan)
+    even = np.flatnonzero((aligned == 0) & (size % 2 == 0))
+    if len(even):
+        at = offsets[even, None] + np.minimum(np.arange(size[even].max()),
+                                              size[even, None] - 1)
+        s[even] = _alternating_sums(t.angles[at], t.areas[at], size[even],
+                                    axis)
+        scale[even] = _segment_sums(1.0 / t.areas, t.cell_offsets)[even]
+    return _Axis2D(*_frozen(aligned, margin, s, scale))
+
+
+# The reasons a 2D verdict gives, and which of them make a star singular.
+_REASONS_2D = ("two-aligned", "one-aligned", "no-aligned", "odd-nV",
+               "even-nV-S-zero", "even-nV-S-nonzero", "cell-bubbles",
+               "center-dofs-only")
+_SINGULAR_2D = _frozen(np.isin(_REASONS_2D, ("two-aligned", "even-nV-S-zero",
+                                             "center-dofs-only")))
+
+
+def _combo_2d(mesh, combo):
+    """The parsed combination, if the 2D predicate answers it on `mesh`."""
+    combo = FECombo.parse(combo)
+    if mesh.dim != 2 or combo.dim != 2 or combo not in _SPLITS:
+        raise FESpaceError(f"unsupported combo {combo} for 2D prediction")
+    if mesh.cell_kind != TRIANGLE:
+        raise FESpaceError(f"combo {combo} incompatible with "
+                           f"{mesh.cell_kind} mesh")
+    return combo
+
+
+def _verdicts_2d(mesh, combo):
+    """The verdict of every star for a combination `_combo_2d` accepted, as
+    its reason's index into _REASONS_2D, indexed like the star table;
+    computed on the first ask and kept on the mesh, read-only."""
+    return mesh.derived(("verdicts_2d", combo),
+                        lambda: _find_verdicts_2d(mesh, combo))
+
+
+def _find_verdicts_2d(mesh, combo):
+    kind, axis = _SPLITS[combo]
+    size = np.diff(_stars(mesh).ring_offsets)
+    if kind == "never":
+        reason = np.full(len(size), _REASONS_2D.index("cell-bubbles"))
+    elif kind == "always":
+        reason = np.full(len(size), _REASONS_2D.index("center-dofs-only"))
+    else:
+        a = _axis_2d(mesh, axis)
+        # the first case that holds gives the reason
+        cases = [a.aligned >= 2, a.aligned == 1,
+                 np.full(len(size), kind == "bubble"), size % 2 == 1,
+                 np.abs(a.s) <= _S_TOL * a.scale]
+        reason = np.select(cases, range(len(cases)),
+                           _REASONS_2D.index("even-nV-S-nonzero"))
+    return _frozen(reason)
 
 
 def classify_2d(macro):
@@ -234,18 +344,20 @@ def classify_2d(macro):
     (the star is then split by the horizontal line through q0); x analog.
     min_sin / min_cos are the smallest |sin| / |cos| of the spoke angles after
     discarding the single worst one, i.e. the uniformity constants with one
-    exception allowed.
+    exception allowed.  The answers are read from the per-axis pass over
+    every star of the mesh.
     """
-    if macro.dim != 2:
-        raise MeshError("classify_2d needs a 2D macro-element")
-    n_x, n_y = _aligned_count(macro, 0), _aligned_count(macro, 1)
-    sins = np.sort(np.abs(np.sin(macro.angles)))
-    coss = np.sort(np.abs(np.cos(macro.angles)))
+    mesh = macro.mesh
+    if mesh.cell_kind != TRIANGLE:
+        raise MeshError("classify_2d needs a 2D triangular macro-element")
+    s = _stars(mesh).star_of[macro.center]
+    x, y = _axis_2d(mesh, 0), _axis_2d(mesh, 1)
+    n_x, n_y = int(x.aligned[s]), int(y.aligned[s])
     return StructureFlags(
         x_structured=n_x >= 2,
         y_structured=n_y >= 2,
-        min_sin=float(sins[1:].min()) if len(sins) > 1 else float(sins[0]),
-        min_cos=float(coss[1:].min()) if len(coss) > 1 else float(coss[0]),
+        min_sin=float(y.margin[s]),
+        min_cos=float(x.margin[s]),
         aligned_count_x=n_x,
         aligned_count_y=n_y,
     )
@@ -269,20 +381,14 @@ def s_condition(macro, axis="y"):
 def alternating_sum(angles, areas, axis="y"):
     """s_condition's sum from the spoke angles and the cell areas of a star,
     in ring order (cell k between spokes k and k + 1)."""
-    if axis == "y":
-        trig_num, trig_den = np.cos(angles), np.sin(angles)
-    else:
-        trig_num, trig_den = np.sin(angles), np.cos(angles)
-    if np.any(np.abs(trig_den) < 1e-14):
+    axis = 1 if axis == "y" else 0
+    angles = np.asarray(angles, dtype=float)[None]
+    if np.any(np.abs((np.cos, np.sin)[axis](angles)) < 1e-14):
         raise MeshError(
             "macro has a spoke aligned with the splitting axis; the aligned "
             "cases must be handled before evaluating the sum")
-    cot = trig_num / trig_den
-    s = 0.0
-    for k in range(len(angles)):
-        pair = 1.0 / areas[k - 1] + 1.0 / areas[k]
-        s += (-1.0) ** (k + 1) * cot[k] * pair
-    return float(s)
+    return float(_alternating_sums(angles, np.asarray(areas, dtype=float)[None],
+                                   np.array([angles.shape[1]]), axis)[0])
 
 
 def s_scale(macro):
@@ -291,37 +397,25 @@ def s_scale(macro):
 
 
 def predict_regularity(macro, combo):
-    """Closed-form regularity verdict for a 2D macro-element, by the rule
-    `_SPLITS` gives the combination.
+    """Closed-form regularity verdict for a 2D triangle macro-element, by
+    the rule `_SPLITS` gives the combination.
 
     Bubble-enriched combinations are regular exactly when at most one ring
     vertex is aligned with q0 across the enriched direction.  Quadratic
     combinations additionally fail, for even rings with no aligned vertex,
-    when |S| <= 1e-10 * sum(1/area).
+    when |S| <= 1e-10 * sum(1/area).  MINI (p1b-p1b:p1) is regular on every
+    star: each cell bubble pairs with the cell's constant pressure gradient,
+    so that gradient vanishes.  P1-P1 is singular on every star: only the
+    center's two velocity dofs are interior, against n_v >= 3 pressures
+    modulo constants.  The first ask computes every star of the mesh for
+    the combination and keeps the verdicts on the mesh.
     """
-    combo = FECombo.parse(combo)
-    rule = _SPLITS.get(combo)
-    if macro.dim != 2 or combo.dim != 2 or rule is None:
-        raise FESpaceError(f"unsupported combo {combo} for 2D prediction")
-    kind, axis = rule
-    n_aligned = _aligned_count(macro, axis)
-    if n_aligned >= 2:
-        return RegularityVerdict("singular", "two-aligned")
-    if n_aligned == 1:
-        return RegularityVerdict("regular", "one-aligned")
-    if kind == "bubble":
-        return RegularityVerdict("regular", "no-aligned")
-    if macro.n_v % 2 == 1:
-        return RegularityVerdict("regular", "odd-nV")
-    s = s_condition(macro, "xy"[axis])
-    if abs(s) <= _S_TOL * s_scale(macro):
-        return RegularityVerdict("singular", "even-nV-S-zero")
-    return RegularityVerdict("regular", "even-nV-S-nonzero")
+    mesh = macro.mesh
+    reason = _verdicts_2d(mesh, _combo_2d(mesh, combo))[
+        _stars(mesh).star_of[macro.center]]
+    return RegularityVerdict(
+        "singular" if _SINGULAR_2D[reason] else "regular", _REASONS_2D[reason])
 
-
-# ----------------------------------------------------------------------
-# 3D classification
-# ----------------------------------------------------------------------
 
 def structure_report(mesh, combos=()):
     """Per-interior-vertex structure table.
@@ -332,26 +426,28 @@ def structure_report(mesh, combos=()):
     """
     if mesh.cell_kind != TRIANGLE:
         raise MeshError("the structure report covers 2D triangular meshes")
-    combos = [FECombo.parse(c) for c in combos]
+    combos = [_combo_2d(mesh, c) for c in combos]
     header = ["vertex", "n_v", "x_structured", "y_structured",
               "aligned_x", "aligned_y", "min_sin", "min_cos", "abs_s_scaled"]
     header += [f"verdict_{c}" for c in combos]
-    rows = []
-    for macro in build_macroelements(mesh):
-        flags = classify_2d(macro)
-        if flags.aligned_count_x == 0 and flags.aligned_count_y == 0 \
-                and macro.n_v % 2 == 0:
-            s_scaled = abs(s_condition(macro)) / s_scale(macro)
-        else:
-            s_scaled = ""
-        row = [int(macro.center), macro.n_v, int(flags.x_structured),
-               int(flags.y_structured), flags.aligned_count_x,
-               flags.aligned_count_y, flags.min_sin, flags.min_cos, s_scaled]
-        for c in combos:
-            row.append(predict_regularity(macro, c).predicted)
-        rows.append(row)
-    return header, rows
+    t = _stars(mesh)
+    size = np.diff(t.ring_offsets)
+    x, y = _axis_2d(mesh, 0), _axis_2d(mesh, 1)
+    plain = (x.aligned == 0) & (y.aligned == 0) & (size % 2 == 0)
+    s_scaled = [v if p else "" for v, p in
+                zip((np.abs(y.s) / y.scale).tolist(), plain.tolist())]
+    columns = [t.centers, size, (x.aligned >= 2).astype(int),
+               (y.aligned >= 2).astype(int), x.aligned, y.aligned, y.margin,
+               x.margin]
+    columns = [c.tolist() for c in columns] + [s_scaled]
+    columns += [np.where(_SINGULAR_2D[_verdicts_2d(mesh, c)], "singular",
+                         "regular").tolist() for c in combos]
+    return header, [list(row) for row in zip(*columns)]
 
+
+# ----------------------------------------------------------------------
+# 3D classification
+# ----------------------------------------------------------------------
 
 def _star_splits(mesh, axis):
     """Both 3D split questions about `axis` for every star of the mesh,

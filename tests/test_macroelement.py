@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stokestab.fespace import FESpaceError
-from stokestab.mesh import gen_structured_tri, gen_zigzag, Mesh, TRIANGLE
+from stokestab.mesh import (gen_structured_tri, gen_zigzag, Mesh, MeshError,
+                            TRIANGLE)
 from stokestab.macroelement import (
     build_macroelements, classify_2d, classify_3d, s_condition, s_scale,
     predict_regularity, predict_regularity_3d,
@@ -175,11 +176,29 @@ def test_predict_unsupported_combo():
         predict_regularity(macro, "p2-p2:p1")
 
 
+@pytest.mark.parametrize("combo", ["p1b-p1:p1", "p2-p1:p1", "p1-p1b:p1",
+                                   "p1-p2:p1", "p1b-p1b:p1", "p1-p1:p1"])
+def test_predict_rejects_simplex_combos_on_a_rectangle_macro(combo):
+    # as the local oracle does: no simplex space lives on rectangles
+    from stokestab.infsup import local_nullspace
+    from stokestab.mesh import gen_quad_macro
+    macro, = build_macroelements(gen_quad_macro())
+    with pytest.raises(FESpaceError, match="incompatible with quadrilateral"):
+        local_nullspace(macro, combo)
+    with pytest.raises(FESpaceError, match=f"^combo {re.escape(combo)} "
+                       "incompatible with quadrilateral mesh$"):
+        predict_regularity(macro, combo)
+    with pytest.raises(MeshError, match="triangular"):
+        classify_2d(macro)
+
+
 # every 2- and 3-component combination of p1, p1b and p2 with a p1 pressure,
-# and the ones that have a star-splitting rule
+# and the ones that have a star-splitting rule; MINI (regular on every star)
+# and P1-P1 (singular on every star) have one that reads no geometry
 ALL_COMBOS = ["-".join(v) + ":p1" for n in (2, 3)
               for v in itertools.product(("p1", "p1b", "p2"), repeat=n)]
-RULES_2D = {"p1b-p1:p1", "p1-p1b:p1", "p2-p1:p1", "p1-p2:p1"}
+RULES_2D = {"p1b-p1:p1", "p1-p1b:p1", "p2-p1:p1", "p1-p2:p1", "p1b-p1b:p1",
+            "p1-p1:p1"}
 RULES_3D = {"p1-p1b-p1b:p1", "p1b-p1-p1b:p1", "p1b-p1b-p1:p1",
             "p1b-p1-p1:p1", "p1-p1b-p1:p1", "p1-p1-p1b:p1"}
 

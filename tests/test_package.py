@@ -1,5 +1,8 @@
 import ast
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import stokestab
@@ -19,3 +22,16 @@ def test_every_module_but_the_cli_serves_the_package():
                          else [alias.name for alias in node.names])
                 imported.update(set(names) - {path.stem})
     assert modules - imported - {"cli"} == set()
+
+
+def test_import_loads_no_sparse_graph_module():
+    # scipy.sparse.csgraph serves only the 3D split pass, which imports it
+    # when it runs; loading it with the package would cost every process
+    # its import time and memory
+    code = ("import sys, stokestab; "
+            "print(sorted(m for m in sys.modules if 'csgraph' in m))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             sys.path)}).stdout
+    assert out.strip() == "[]"
