@@ -29,16 +29,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fespace import FECombo, FESpaceError, build_dofmap, P1, Q1, Q2
-from .macroelement import (predict_regularity_3d, _REASONS_2D, _SPLITS,
-                           _combo_2d, _segment_sums, _star_splits, _stars,
-                           _verdicts_2d)
-from .mesh import MeshError, QUADRILATERAL, _frozen, _lookup
+from .macroelement import (_REASONS, _SPLITS, _combo, _segment_sums, _star,
+                           _star_splits, _stars, _verdicts)
+from .mesh import QUADRILATERAL, _frozen, _lookup
 from .stokes import (SaddleFactorization, assemble, element_matrices,
-                     operator_matrix, StokesError, _QDEG)
+                     StokesError, _QDEG, _divergence_matrix)
 
 
 @dataclass
@@ -88,8 +86,7 @@ def _divergence(mesh, combo):
     p_dm = build_dofmap(mesh, combo.pressure)
     vel = [build_dofmap(mesh, tag) for tag in combo.velocity]
     offsets = np.cumsum([0] + [dm.n_dofs for dm in vel])
-    B = sp.hstack([operator_matrix(mesh, p_dm, dm, "deriv", qdeg, deriv_axis=k)
-                   for k, dm in enumerate(vel)], format="csr")
+    B = _divergence_matrix(mesh, p_dm, vel)
     B.sum_duplicates()
     keys = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr)) * B.shape[1]
     cell_cols = np.hstack([dm.cell_dofs + off for dm, off in zip(vel, offsets)])
@@ -101,7 +98,7 @@ def _divergence(mesh, combo):
 
 
 def _star_oracles(mesh, combo):
-    """local_nullspace of every star of the mesh, by center, in one pass.
+    """local_nullspace of every star of the mesh, in star table order.
 
     A velocity dof is interior to a star when it is off the domain boundary
     and every cell holding it is a star cell.  The stars' dense pairings
@@ -110,8 +107,6 @@ def _star_oracles(mesh, combo):
     """
     t = _stars(mesh)
     n_stars, cells = len(t.centers), t.cells
-    if not n_stars:
-        return {}
     op = _divergence(mesh, combo)
     n = op.n_cols
     cell_star = np.repeat(np.arange(n_stars), np.diff(t.cell_offsets))
@@ -141,7 +136,7 @@ def _star_oracles(mesh, combo):
 
     shapes, group = np.unique(np.column_stack([n_rows, n_cols]), axis=0,
                               return_inverse=True)
-    out = {}
+    out = [None] * n_stars
     for g, (r, c) in enumerate(shapes):
         members = np.flatnonzero(group == g)
         m = len(members)
@@ -176,7 +171,7 @@ def _star_oracles(mesh, combo):
         _frozen(P, s, W, R)
         for i, star_id in enumerate(members):
             dim = int(dims[i])
-            out[int(t.centers[star_id])] = LocalNullspace(
+            out[star_id] = LocalNullspace(
                 dim, W[i, r - 1 - dim:], s[i], P[i], R[i])
     return out
 
@@ -199,12 +194,9 @@ def local_nullspace(macro, combo):
     if combo.pressure not in (P1, Q1):
         raise FESpaceError(f"the local oracle needs a vertex pressure (p1 or "
                            f"q1), got {combo.pressure}")
-    stars = mesh.derived(("oracle", combo),
-                         lambda: _star_oracles(mesh, combo))
-    if macro.center not in stars:
-        raise MeshError(f"vertex {macro.center} is not the center of an "
-                        "interior star of its mesh")
-    return stars[macro.center]
+    s = _star(macro)
+    return mesh.derived(("oracle", combo),
+                        lambda: _star_oracles(mesh, combo))[s]
 
 
 def nullspace_residual(ns, p):
@@ -303,37 +295,32 @@ def _s_zero_pressures(mesh, rows, axis):
     return out
 
 
+# the rows of _REASONS whose stars a split profile witnesses
+_SPLIT_ROWS = [_REASONS.index((reason, True)) for reason in (
+    "two-aligned", "3d-axis-split", "3d-semiplane-case-2")]
+_S_ZERO_ROW = _REASONS.index(("even-nV-S-zero", True))
+
+
 def _star_witnesses(mesh, combo):
     """analytic_singular_pressure of every star of the mesh, in star table
     order, None for a star without one: one pass over the singular stars."""
-    t = _stars(mesh)
-    n = len(t.centers)
+    n = len(_stars(mesh).centers)
     out = [None] * n
     if mesh.cell_kind == QUADRILATERAL:
         # q2-q1:q1: every star of an axis-parallel rectangle mesh is split
         # by the row of cells through its center
         kind, axis, rows = None, 1, np.arange(n)
-    elif mesh.dim == 2:
-        kind, axis = _SPLITS[combo]
-        reason = _verdicts_2d(mesh, combo)
-        rows = np.flatnonzero(reason == _REASONS_2D.index("two-aligned"))
-        s_zero = np.flatnonzero(reason == _REASONS_2D.index("even-nV-S-zero"))
-        for s, p in zip(s_zero.tolist(), _s_zero_pressures(mesh, s_zero, axis)):
-            out[s] = p
     else:
         kind, axis = _SPLITS[combo]
-        by_center = _star_splits(mesh, axis)
-        splits = [by_center[c] for c in t.centers.tolist()]
-        if kind == "plane":
-            rows = np.flatnonzero([split for split, *_ in splits])
-        else:
-            # one enriched component: a closed form exists when the
-            # splitting semi-planes form one full plane through the axis line
-            rows = np.flatnonzero([count == 2 and aligned
-                                   for _, count, aligned, _ in splits])
+        reason = _verdicts(mesh, combo)
+        rows = np.flatnonzero(np.isin(reason, _SPLIT_ROWS))
+        s_zero = np.flatnonzero(reason == _S_ZERO_ROW)
+        for s, p in zip(s_zero.tolist(), _s_zero_pressures(mesh, s_zero, axis)):
+            out[s] = p
     vec = np.zeros((len(rows), mesh.dim))
     if kind == "semi-planes":
-        first = np.array([splits[s][3][0] for s in rows.tolist()])
+        splits = _star_splits(mesh, axis)
+        first = splits.dirs[splits.dir_offsets[rows]]
         b_ax, c_ax = [a for a in range(3) if a != axis]
         vec[:, b_ax], vec[:, c_ax] = -np.sin(first), np.cos(first)
         # the norm as np.linalg.norm takes it, one dot product per star
@@ -364,13 +351,11 @@ def analytic_singular_pressure(macro, combo):
     if mesh.cell_kind == QUADRILATERAL:
         if combo.velocity != (Q2, Q1) or combo.pressure != Q1:
             raise FESpaceError(f"unsupported quad combo {combo}")
-    elif mesh.dim == 2:
-        combo = _combo_2d(mesh, combo)   # regular stars have no witness
-    elif predict_regularity_3d(macro, combo).regular:
-        return None
+    else:
+        combo = _combo(mesh, combo, mesh.dim)
     witnesses = mesh.derived(("witness", combo),
                              lambda: _star_witnesses(mesh, combo))
-    return witnesses[_stars(mesh).star_of[macro.center]]
+    return witnesses[_star(macro)]
 
 
 # ----------------------------------------------------------------------

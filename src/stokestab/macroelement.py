@@ -16,20 +16,21 @@ orthogonal to every local divergence:
 * 3D, two enriched components: singular exactly when a plane orthogonal to
   the un-enriched axis splits the tet star along faces;
 * 3D, one enriched component: decided by how many semi-planes through the
-  axis line at q0 split the star (0 regular; 2 regular unless they form one
-  plane; more than 2 singular);
+  axis line at q0 split the star (0 or 1, a tolerance problem, regular; 2
+  regular unless they form one plane; more than 2 singular);
 * MINI (p1b-p1b:p1) is regular and P1-P1 singular on every 2D star.
 
 Every question is answered for all stars of a mesh at once, on the first
 ask, and kept on the mesh (`Mesh.derived`), so a single query on a large
 mesh computes all of its stars, as the local oracle does.  In 2D one pass
 per axis counts each star's aligned ring vertices and, for even rings
-without one, evaluates S and its scale; one pass per combination turns
-those into every star's verdict and reason.  Both are read-only arrays
-indexed like the star table, which `predict_regularity`, `classify_2d` and
-`structure_report` read.  In 3D one connected-components pass per axis over
-a graph of (star, cell) nodes and (star, interior face) edges answers both
-split questions.  Alignment is decided to 1e-9 of the star diameter.
+without one, evaluates S and its scale.  In 3D one pass per axis labels the
+components of a graph of (star, cell) nodes and (star, interior face) edges
+for each star's plane split and splitting semi-planes.  One pass per
+combination turns those into every star's verdict, a row of the one reason
+table `_REASONS`, in 2D and 3D alike.  All are read-only arrays indexed like
+the star table, which the predicates, `classify_2d`, `classify_3d` and
+`structure_report` only read.  Alignment is to 1e-9 of the star diameter.
 """
 
 from __future__ import annotations
@@ -88,8 +89,7 @@ class MacroElement:
     def diameter(self):
         """Largest distance between two star vertices, read from the star
         table of the mesh."""
-        t = _stars(self.mesh)
-        return float(t.diameters[t.star_of[self.center]])
+        return float(_stars(self.mesh).diameters[_star(self)])
 
     def vertex_ids(self):
         """All macro vertices, center first then ring order."""
@@ -155,6 +155,15 @@ _Stars = namedtuple("_Stars", "centers star_of ring_offsets ring angles "
 def _stars(mesh):
     """The star table of `mesh`, built once and kept on it."""
     return mesh.derived("stars", lambda: _build_stars(mesh))
+
+
+def _star(macro):
+    """The row of the macro's star in the star table of its mesh."""
+    s = _stars(macro.mesh).star_of[macro.center]
+    if s < 0:
+        raise MeshError(f"vertex {macro.center} is not the center of an "
+                        "interior star of its mesh")
+    return s
 
 
 def _build_stars(mesh):
@@ -292,49 +301,71 @@ def _find_axis_2d(mesh, axis):
     return _Axis2D(*_frozen(aligned, margin, s, scale))
 
 
-# The reasons a 2D verdict gives, and which of them make a star singular.
-_REASONS_2D = ("two-aligned", "one-aligned", "no-aligned", "odd-nV",
-               "even-nV-S-zero", "even-nV-S-nonzero", "cell-bubbles",
-               "center-dofs-only")
-_SINGULAR_2D = _frozen(np.isin(_REASONS_2D, ("two-aligned", "even-nV-S-zero",
-                                             "center-dofs-only")))
+# Every reason a verdict gives, with whether it makes the star singular; a
+# verdict is stored as its row.  Each kind of _SPLITS owns the rows from
+# _FIRST_ROW on: its cases in the order they are tried, then its reason when
+# none holds.  The two 3d-semiplane-case-2 rows are semi-plane pairs that do
+# not and that do form one plane.
+_REASONS = (
+    ("two-aligned", True), ("one-aligned", False), ("no-aligned", False),
+    ("odd-nV", False), ("even-nV-S-zero", True), ("even-nV-S-nonzero", False),
+    ("cell-bubbles", False), ("center-dofs-only", True),
+    ("3d-axis-split", True), ("3d-axis-unsplit", False),
+    ("3d-semiplane-case-1", False), ("3d-semiplane-case-2", False),
+    ("3d-semiplane-case-2", True), ("3d-semiplane-single", False),
+    ("3d-semiplane-case-3", True),
+)
+_SINGULAR = _frozen(np.array([singular for _, singular in _REASONS]))
+_FIRST_ROW = {"bubble": 0, "quadratic": 0, "never": 6, "always": 7,
+              "plane": 8, "semi-planes": 10}
 
 
-def _combo_2d(mesh, combo):
-    """The parsed combination, if the 2D predicate answers it on `mesh`."""
+def _combo(mesh, combo, dim):
+    """The parsed combination, if the `dim`-D predicate answers it."""
     combo = FECombo.parse(combo)
-    if mesh.dim != 2 or combo.dim != 2 or combo not in _SPLITS:
-        raise FESpaceError(f"unsupported combo {combo} for 2D prediction")
-    if mesh.cell_kind != TRIANGLE:
+    if mesh.dim != dim or combo.dim != dim or combo not in _SPLITS:
+        raise FESpaceError(f"unsupported combo {combo} for {dim}D prediction")
+    if dim == 2 and mesh.cell_kind != TRIANGLE:
         raise FESpaceError(f"combo {combo} incompatible with "
                            f"{mesh.cell_kind} mesh")
     return combo
 
 
-def _verdicts_2d(mesh, combo):
-    """The verdict of every star for a combination `_combo_2d` accepted, as
-    its reason's index into _REASONS_2D, indexed like the star table;
-    computed on the first ask and kept on the mesh, read-only."""
-    return mesh.derived(("verdicts_2d", combo),
-                        lambda: _find_verdicts_2d(mesh, combo))
+def _verdicts(mesh, combo):
+    """The verdict of every star for a combination `_combo` accepted, as its
+    row of _REASONS, indexed like the star table; computed on the first ask
+    and kept on the mesh, read-only."""
+    return mesh.derived(("verdicts", combo),
+                        lambda: _find_verdicts(mesh, combo))
 
 
-def _find_verdicts_2d(mesh, combo):
+def _find_verdicts(mesh, combo):
     kind, axis = _SPLITS[combo]
     size = np.diff(_stars(mesh).ring_offsets)
-    if kind == "never":
-        reason = np.full(len(size), _REASONS_2D.index("cell-bubbles"))
-    elif kind == "always":
-        reason = np.full(len(size), _REASONS_2D.index("center-dofs-only"))
-    else:
+    first = _FIRST_ROW[kind]
+    # the first case that holds gives the reason
+    if kind in ("bubble", "quadratic"):
         a = _axis_2d(mesh, axis)
-        # the first case that holds gives the reason
         cases = [a.aligned >= 2, a.aligned == 1,
                  np.full(len(size), kind == "bubble"), size % 2 == 1,
                  np.abs(a.s) <= _S_TOL * a.scale]
-        reason = np.select(cases, range(len(cases)),
-                           _REASONS_2D.index("even-nV-S-nonzero"))
-    return _frozen(reason)
+    elif kind == "plane":
+        cases = [_star_splits(mesh, axis).plane_split]
+    elif kind == "semi-planes":
+        s = _star_splits(mesh, axis)
+        cases = [s.count == 0, (s.count == 2) & ~s.aligned, s.count == 2,
+                 s.count == 1]
+    else:
+        return _frozen(np.full(len(size), first))
+    return _frozen(np.select(cases, range(first, first + len(cases)),
+                             first + len(cases)))
+
+
+def _verdict(macro, combo, dim):
+    """The `dim`-D predicate's verdict on one star, read from the pass."""
+    codes = _verdicts(macro.mesh, _combo(macro.mesh, combo, dim))
+    reason, singular = _REASONS[codes[_star(macro)]]
+    return RegularityVerdict("singular" if singular else "regular", reason)
 
 
 def classify_2d(macro):
@@ -350,7 +381,7 @@ def classify_2d(macro):
     mesh = macro.mesh
     if mesh.cell_kind != TRIANGLE:
         raise MeshError("classify_2d needs a 2D triangular macro-element")
-    s = _stars(mesh).star_of[macro.center]
+    s = _star(macro)
     x, y = _axis_2d(mesh, 0), _axis_2d(mesh, 1)
     n_x, n_y = int(x.aligned[s]), int(y.aligned[s])
     return StructureFlags(
@@ -391,11 +422,6 @@ def alternating_sum(angles, areas, axis="y"):
                                    np.array([angles.shape[1]]), axis)[0])
 
 
-def s_scale(macro):
-    """Natural magnitude for comparing S against zero: sum of 1/area."""
-    return float(np.sum(1.0 / macro.areas))
-
-
 def predict_regularity(macro, combo):
     """Closed-form regularity verdict for a 2D triangle macro-element, by
     the rule `_SPLITS` gives the combination.
@@ -410,11 +436,7 @@ def predict_regularity(macro, combo):
     modulo constants.  The first ask computes every star of the mesh for
     the combination and keeps the verdicts on the mesh.
     """
-    mesh = macro.mesh
-    reason = _verdicts_2d(mesh, _combo_2d(mesh, combo))[
-        _stars(mesh).star_of[macro.center]]
-    return RegularityVerdict(
-        "singular" if _SINGULAR_2D[reason] else "regular", _REASONS_2D[reason])
+    return _verdict(macro, combo, 2)
 
 
 def structure_report(mesh, combos=()):
@@ -426,7 +448,7 @@ def structure_report(mesh, combos=()):
     """
     if mesh.cell_kind != TRIANGLE:
         raise MeshError("the structure report covers 2D triangular meshes")
-    combos = [_combo_2d(mesh, c) for c in combos]
+    combos = [_combo(mesh, c, 2) for c in combos]
     header = ["vertex", "n_v", "x_structured", "y_structured",
               "aligned_x", "aligned_y", "min_sin", "min_cos", "abs_s_scaled"]
     header += [f"verdict_{c}" for c in combos]
@@ -440,7 +462,7 @@ def structure_report(mesh, combos=()):
                (y.aligned >= 2).astype(int), x.aligned, y.aligned, y.margin,
                x.margin]
     columns = [c.tolist() for c in columns] + [s_scaled]
-    columns += [np.where(_SINGULAR_2D[_verdicts_2d(mesh, c)], "singular",
+    columns += [np.where(_SINGULAR[_verdicts(mesh, c)], "singular",
                          "regular").tolist() for c in combos]
     return header, [list(row) for row in zip(*columns)]
 
@@ -449,10 +471,17 @@ def structure_report(mesh, combos=()):
 # 3D classification
 # ----------------------------------------------------------------------
 
+# Every tet star's answers about one axis, indexed like the star table: the
+# plane orthogonal to the axis through the center splits it (plane_split);
+# count semi-planes through the axis line split it, aligned when two form one
+# plane, at the azimuths dirs[dir_offsets[s]:dir_offsets[s + 1]], ascending.
+_Splits3D = namedtuple("_Splits3D", "plane_split count aligned dir_offsets "
+                       "dirs")
+
+
 def _star_splits(mesh, axis):
     """Both 3D split questions about `axis` for every star of the mesh,
-    computed on the first ask and kept on the mesh: a dict from star center
-    to (plane split, semi-plane count, aligned, directions)."""
+    computed on the first ask and kept on the mesh, read-only."""
     return mesh.derived(("star_splits", axis),
                         lambda: _find_star_splits(mesh, axis))
 
@@ -474,8 +503,6 @@ def _find_star_splits(mesh, axis):
     from scipy.sparse.csgraph import connected_components
     t = _stars(mesh)
     n_stars = len(t.centers)
-    if not n_stars:
-        return {}
     cells, centers, diam, star_of = t.cells, t.centers, t.diameters, t.star_of
     node_star = np.repeat(np.arange(n_stars), np.diff(t.cell_offsets))
     q0 = mesh.vertices[centers]
@@ -538,13 +565,13 @@ def _find_star_splits(mesh, axis):
     splitting = np.logical_or.reduceat(joins[e], start)
     g_star, g_dir = star[e[start]][splitting], name[splitting]
     count = np.bincount(g_star, minlength=n_stars)
-    dirs = np.split(g_dir[np.lexsort((g_dir, g_star))], np.cumsum(count)[:-1])
-    out = {}
-    for s, center in enumerate(centers.tolist()):
-        ds = tuple(dirs[s].tolist())
-        aligned = len(ds) == 2 and abs(abs(ds[0] - ds[1]) - np.pi) <= _ALIGN_TOL
-        out[center] = (bool(plane_split[s]), int(count[s]), bool(aligned), ds)
-    return out
+    dirs = g_dir[np.lexsort((g_dir, g_star))]
+    dir_offsets = np.concatenate([[0], np.cumsum(count)])
+    pair = np.flatnonzero(count == 2)
+    aligned = np.zeros(n_stars, dtype=bool)
+    d0, d1 = dirs[dir_offsets[pair]], dirs[dir_offsets[pair] + 1]
+    aligned[pair] = np.abs(np.abs(d0 - d1) - np.pi) <= _ALIGN_TOL
+    return _Splits3D(*_frozen(plane_split, count, aligned, dir_offsets, dirs))
 
 
 def classify_3d(macro):
@@ -552,13 +579,14 @@ def classify_3d(macro):
     (z-axis) semi-plane count."""
     if macro.dim != 3:
         raise MeshError("classify_3d needs a 3D macro-element")
-    x, y, z = (_star_splits(macro.mesh, a)[macro.center] for a in range(3))
+    s = _star(macro)
+    x, y, z = (_star_splits(macro.mesh, a) for a in range(3))
     return StructureFlags(
-        x_structured=x[0],
-        y_structured=y[0],
-        z_structured=z[0],
-        semi_plane_count=z[1],
-        semi_planes_aligned=z[2],
+        x_structured=bool(x.plane_split[s]),
+        y_structured=bool(y.plane_split[s]),
+        z_structured=bool(z.plane_split[s]),
+        semi_plane_count=int(z.count[s]),
+        semi_planes_aligned=bool(z.aligned[s]),
     )
 
 
@@ -571,24 +599,4 @@ def predict_regularity_3d(macro, combo):
     enriched component the verdict follows the semi-plane count around the
     axis line through q0.
     """
-    combo = FECombo.parse(combo)
-    rule = _SPLITS.get(combo)
-    if macro.dim != 3 or combo.dim != 3 or rule is None:
-        raise FESpaceError(f"unsupported combo {combo} for 3D prediction")
-    kind, axis = rule
-    split, count, aligned, _ = _star_splits(macro.mesh, axis)[macro.center]
-    if kind == "plane":
-        if split:
-            return RegularityVerdict("singular", "3d-axis-split")
-        return RegularityVerdict("regular", "3d-axis-unsplit")
-    if count == 0:
-        return RegularityVerdict("regular", "3d-semiplane-case-1")
-    if count == 2 and not aligned:
-        return RegularityVerdict("regular", "3d-semiplane-case-2")
-    if count == 2:
-        return RegularityVerdict("singular", "3d-semiplane-case-2")
-    if count == 1:
-        warnings.warn("single splitting semi-plane detected; treating as "
-                      "regular, but this indicates a tolerance problem")
-        return RegularityVerdict("regular", "3d-semiplane-case-1")
-    return RegularityVerdict("singular", "3d-semiplane-case-3")
+    return _verdict(macro, combo, 3)

@@ -98,6 +98,14 @@ def operator_matrix(mesh, row_dm, col_dm, kind, qdeg, deriv_axis=None):
                     (row_dm.n_dofs, col_dm.n_dofs))
 
 
+def _divergence_matrix(mesh, p_dm, vel_dms):
+    """B = (q, d_k v_k), components in turn, on tets and rectangles too."""
+    qdeg = _QDEG[mesh.cell_kind]
+    return sp.hstack([operator_matrix(mesh, p_dm, dm, "deriv", qdeg,
+                                      deriv_axis=k)
+                      for k, dm in enumerate(vel_dms)], format="csr")
+
+
 @lru_cache(maxsize=None)
 def reference_tensor(row_space, col_space, cell_kind, kind, qdeg):
     """Quadrature sums of the reference shape functions, read-only and
@@ -219,9 +227,7 @@ def assemble(mesh, combo):
     qdeg = _QDEG[mesh.cell_kind]
     A = sp.block_diag([operator_matrix(mesh, dm, dm, "stiffness", qdeg)
                        for dm in vel_dms], format="csr")
-    B = sp.hstack([operator_matrix(mesh, p_dm, dm, "deriv", qdeg,
-                                   deriv_axis=k)
-                   for k, dm in enumerate(vel_dms)], format="csr")
+    B = _divergence_matrix(mesh, p_dm, vel_dms)
     Mp = operator_matrix(mesh, p_dm, p_dm, "mass", qdeg)
     rhs = np.zeros(sum(dm.n_dofs for dm in vel_dms))
     bc_mask = [dm.boundary_mask.copy() for dm in vel_dms]

@@ -1,6 +1,8 @@
-"""The per-macro 2D predicates and witness pressures that the per-mesh
-passes of `stokestab.macroelement` and `stokestab.infsup` replaced, one
-star at a time, kept as the reference the parity tests compare against.
+"""The per-macro predicates, 3D split analysis and witness pressures that
+the per-mesh passes of `stokestab.macroelement` and `stokestab.infsup`
+replaced, one star at a time, kept as the reference the parity tests
+compare against.  They read no axis, split or verdict pass: the 3D splits
+come from a union-find over each star's faces.
 
 They answer the split-rule combinations of `macroelement._SPLITS` (2D
 bubble and quadratic, 3D plane and semi-planes) and q2-q1:q1 on rectangle
@@ -13,8 +15,8 @@ import numpy as np
 
 from stokestab.fespace import FECombo, FESpaceError, Q1, Q2
 from stokestab.macroelement import (RegularityVerdict, StructureFlags,
-                                    build_macroelements, predict_regularity_3d,
-                                    _ALIGN_TOL, _SPLITS, _S_TOL, _star_splits)
+                                    build_macroelements, _ALIGN_TOL, _SPLITS,
+                                    _S_TOL)
 from stokestab.mesh import QUADRILATERAL
 
 
@@ -96,6 +98,107 @@ def structure_report(mesh, combos=()):
     return header, rows
 
 
+def components(cells, edges):
+    """The connected component of each cell, by union-find over the edges
+    (pairs of cells)."""
+    idx = {int(c): k for k, c in enumerate(cells)}
+    parent = list(range(len(idx)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in edges:
+        ra, rb = find(idx[a]), find(idx[b])
+        if ra != rb:
+            parent[ra] = rb
+    return {int(c): find(idx[c]) for c in cells}
+
+
+def star_splits(macro, axis, tol=1e-9):
+    """One tet star at a time with a union-find: the plane split and the
+    splitting semi-planes about `axis`, directions grouped greedily, as
+    (plane split, semi-plane count, aligned, directions)."""
+    mesh, q0, diam = macro.mesh, macro.q0, macro.diameter()
+    fs = mesh.cell_facets[macro.cells].ravel()
+    _, first = np.unique(fs, return_index=True)
+    fs = fs[np.sort(first)]
+    pairs = mesh.facet_cells[fs]
+    inner = np.isin(pairs, macro.cells).all(axis=1)
+    faces = list(zip(mesh.facets[fs[inner]].tolist(), pairs[inner].tolist()))
+
+    keep = [pair for f, pair in faces
+            if not np.all(np.abs(mesh.vertices[f][:, axis] - q0[axis])
+                          <= tol * diam)]
+    comp = components(macro.cells, keep)
+    plane_split = len(set(comp.values())) > 1
+
+    b, c = [k for k in range(3) if k != axis]
+    flat_faces, nonflat = [], []
+    for f, pair in faces:
+        others = [v for v in f if v != macro.center]
+        u1 = mesh.vertices[others[0]][[b, c]] - q0[[b, c]]
+        u2 = mesh.vertices[others[1]][[b, c]] - q0[[b, c]]
+        det = u1[0] * u2[1] - u1[1] * u2[0]
+        n1, n2 = np.linalg.norm(u1), np.linalg.norm(u2)
+        eps = tol * diam
+        if abs(det) > tol * diam ** 2 or (n1 <= eps and n2 <= eps):
+            nonflat.append(pair)
+            continue
+        if n1 <= eps or n2 <= eps:
+            u = u1 if n1 > eps else u2
+            dirs = [np.arctan2(u[1], u[0])]
+        elif float(u1 @ u2) >= 0:
+            u = u1 / n1 + u2 / n2
+            dirs = [np.arctan2(u[1], u[0])]
+        else:
+            dirs = [np.arctan2(u1[1], u1[0]), np.arctan2(u2[1], u2[0])]
+        flat_faces.append((pair, [float(np.mod(d, 2 * np.pi)) for d in dirs]))
+    comp = components(macro.cells, nonflat)
+    groups = {}
+    for pair, dirs in flat_faces:
+        for d in dirs:
+            key = next((k for k in groups
+                        if min(abs(d - k), 2 * np.pi - abs(d - k)) <= tol), d)
+            groups.setdefault(key, []).append(pair)
+    splitting = sorted(k for k, ps in groups.items()
+                       if any(comp[c1] != comp[c2] for c1, c2 in ps))
+    aligned = len(splitting) == 2 \
+        and abs(abs(splitting[0] - splitting[1]) - np.pi) <= tol
+    return plane_split, len(splitting), aligned, tuple(splitting)
+
+
+def classify_3d(macro):
+    (x, *_), (y, *_), (z, count, aligned, _) = (star_splits(macro, a)
+                                                for a in range(3))
+    return StructureFlags(x_structured=x, y_structured=y, z_structured=z,
+                          semi_plane_count=count, semi_planes_aligned=aligned)
+
+
+def predict_regularity_3d(macro, combo):
+    combo = FECombo.parse(combo)
+    rule = _SPLITS.get(combo)
+    if macro.dim != 3 or combo.dim != 3 or rule is None:
+        raise FESpaceError(f"unsupported combo {combo} for 3D prediction")
+    kind, axis = rule
+    split, count, aligned, _ = star_splits(macro, axis)
+    if kind == "plane":
+        if split:
+            return RegularityVerdict("singular", "3d-axis-split")
+        return RegularityVerdict("regular", "3d-axis-unsplit")
+    if count == 0:
+        return RegularityVerdict("regular", "3d-semiplane-case-1")
+    if count == 2 and not aligned:
+        return RegularityVerdict("regular", "3d-semiplane-case-2")
+    if count == 2:
+        return RegularityVerdict("singular", "3d-semiplane-case-2")
+    if count == 1:
+        return RegularityVerdict("regular", "3d-semiplane-single")
+    return RegularityVerdict("singular", "3d-semiplane-case-3")
+
+
 def split_profile(macro, direction):
     """-(d)/|M+| on the positive side of the splitting hyperplane and
     +(d)/|M-| on the other, d the signed offset from q0 along the given
@@ -164,7 +267,7 @@ def analytic_singular_pressure(macro, combo):
         return s_zero_pressure(macro, axis)
     if kind != "semi-planes":
         return split_profile(macro, axis)
-    _, count, aligned, dirs = _star_splits(macro.mesh, axis)[macro.center]
+    _, count, aligned, dirs = star_splits(macro, axis)
     if count == 2 and aligned:
         b_ax, c_ax = [a for a in range(3) if a != axis]
         normal = np.zeros(3)

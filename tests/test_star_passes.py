@@ -1,6 +1,7 @@
-"""The per-mesh passes behind the 2D predicates and the witness pressures,
+"""The per-mesh passes behind the predicates and the witness pressures,
 against the per-macro code they replaced (tests/per_macro.py)."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,10 +14,11 @@ from stokestab.fespace import FECombo, FESpaceError
 from stokestab.infsup import (analytic_singular_pressure, global_counterexample,
                               local_nullspace, nullspace_residual)
 from stokestab.macroelement import (build_macroelements, classify_2d,
-                                    predict_regularity, predict_regularity_3d,
-                                    structure_report)
-from stokestab.mesh import (gen_extruded_tet, gen_perturbed, gen_quad_macro,
-                            gen_structured_cube, gen_structured_tri, gen_zigzag)
+                                    classify_3d, predict_regularity,
+                                    predict_regularity_3d, structure_report)
+from stokestab.mesh import (MeshError, gen_extruded_tet, gen_perturbed,
+                            gen_quad_macro, gen_structured_cube,
+                            gen_structured_tri, gen_zigzag)
 from stokestab.scenarios import decay_family_mesh, unstructured_family_mesh
 from stokestab.unstructure import UnstructureConfig, apply_algorithm1
 
@@ -78,7 +80,11 @@ def test_passes_match_the_per_macro_reference():
                 assert classify_2d(macro) == per_macro.classify_2d(macro)
                 got = predict_regularity(macro, combo)
                 assert got == per_macro.predict_regularity(macro, combo)
-                reasons.add(got.reason)
+            else:
+                assert classify_3d(macro) == per_macro.classify_3d(macro)
+                got = predict_regularity_3d(macro, combo)
+                assert got == per_macro.predict_regularity_3d(macro, combo)
+            reasons.add(got.reason)
             p = analytic_singular_pressure(macro, combo)
             try:
                 ref = per_macro.analytic_singular_pressure(macro, combo)
@@ -92,12 +98,12 @@ def test_passes_match_the_per_macro_reference():
             else:
                 assert _same(p, ref)
             if p is not None:
-                verdict = (predict_regularity if mesh.dim == 2
-                           else predict_regularity_3d)(macro, combo)
                 witnesses.add((mesh.dim, macroelement._SPLITS[FECombo.parse(combo)][0],
-                               verdict.reason))
+                               got.reason))
     assert reasons == {"two-aligned", "one-aligned", "no-aligned", "odd-nV",
-                       "even-nV-S-zero", "even-nV-S-nonzero"}
+                       "even-nV-S-zero", "even-nV-S-nonzero", "3d-axis-split",
+                       "3d-axis-unsplit", "3d-semiplane-case-1",
+                       "3d-semiplane-case-2", "3d-semiplane-case-3"}
     assert witnesses == {
         (2, "bubble", "two-aligned"), (2, "quadratic", "two-aligned"),
         (2, "quadratic", "even-nV-S-zero"), (3, "plane", "3d-axis-split"),
@@ -138,7 +144,8 @@ def test_each_pass_runs_once_per_mesh_and_combo(monkeypatch):
             (name, str(key))) or run(mesh, key))
 
     counting(macroelement, "_find_axis_2d")
-    counting(macroelement, "_find_verdicts_2d")
+    counting(macroelement, "_find_star_splits")
+    counting(macroelement, "_find_verdicts")
     counting(infsup, "_star_witnesses")
     mesh, twin = gen_structured_tri(5, 5), gen_structured_tri(5, 5)
     combos = ("p1b-p1:p1", "p2-p1:p1", "p1-p2:p1")
@@ -152,12 +159,47 @@ def test_each_pass_runs_once_per_mesh_and_combo(monkeypatch):
     assert sorted(calls) == sorted(
         [("_find_axis_2d", "0"), ("_find_axis_2d", "1")]
         + [(name, c) for c in combos
-           for name in ("_find_verdicts_2d", "_star_witnesses")])
+           for name in ("_find_verdicts", "_star_witnesses")])
     analytic_singular_pressure(build_macroelements(twin)[0], "p2-p1:p1")
     # a new mesh is a new pass: axis, verdicts, witnesses
     assert sorted(calls[len(calls) - 3:]) == [
-        ("_find_axis_2d", "1"), ("_find_verdicts_2d", "p2-p1:p1"),
+        ("_find_axis_2d", "1"), ("_find_verdicts", "p2-p1:p1"),
         ("_star_witnesses", "p2-p1:p1")]
+    # in 3D, one split pass per axis, whichever combinations and flags ask
+    del calls[:]
+    cube = gen_structured_cube(3, 3, 3)
+    with pytest.warns(UserWarning, match="no interior vertex"):
+        build_macroelements(cube)
+    combos = ("p1-p1b-p1b:p1", "p1b-p1-p1:p1", "p1-p1-p1b:p1")
+    for _ in range(2):
+        for macro in build_macroelements(cube):
+            classify_3d(macro)
+            for combo in combos:
+                predict_regularity_3d(macro, combo)
+                analytic_singular_pressure(macro, combo)
+    assert sorted(calls) == sorted(
+        [("_find_star_splits", str(axis)) for axis in range(3)]
+        + [(name, c) for c in combos
+           for name in ("_find_verdicts", "_star_witnesses")])
+
+
+def test_every_view_rejects_a_vertex_that_centers_no_star():
+    # a hand-made macro whose center is a boundary vertex has no row in the
+    # star table: no view may answer with another star's row
+    with pytest.warns(UserWarning, match="no interior vertex"):
+        tri = build_macroelements(gen_zigzag(4, 4))[0]
+        tet = build_macroelements(gen_structured_cube(3, 3, 3))[0]
+    tri, tet = (dataclasses.replace(m, center=0) for m in (tri, tet))
+    for ask in (tri.diameter, lambda: classify_2d(tri),
+                lambda: predict_regularity(tri, "p2-p1:p1"),
+                lambda: analytic_singular_pressure(tri, "p1b-p1:p1"),
+                lambda: local_nullspace(tri, "p2-p1:p1"),
+                lambda: classify_3d(tet),
+                lambda: predict_regularity_3d(tet, "p1-p1-p1b:p1"),
+                lambda: analytic_singular_pressure(tet, "p1-p1-p1b:p1")):
+        with pytest.raises(MeshError, match="^vertex 0 is not the center of "
+                           "an interior star of its mesh$"):
+            ask()
 
 
 def test_witnesses_are_shared_and_read_only():
