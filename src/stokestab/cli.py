@@ -134,7 +134,8 @@ def cmd_infsup(args):
                   [[args.mesh, str(combo), res.beta] + list(res.spectrum)])
     print(f"beta = {res.beta:.6g} (pressure dofs {res.n_pressure}, "
           f"converged={res.converged})")
-    print(f"saddle LU: {res.unknowns} unknowns, L+U fill {res.lu_fill}")
+    print(f"saddle LU: {res.unknowns} unknowns, {res.condensed} bubbles "
+          f"condensed, L+U fill {res.lu_fill}")
     print("spectrum:", " ".join(f"{v:.4g}" for v in res.spectrum))
     return 0
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .mesh import (StokestabError, TRIANGLE, TETRAHEDRON, QUADRILATERAL,
                    _frozen)
@@ -196,15 +195,42 @@ class QuadratureRule:
 
 
 def _gauss01(n):
-    x, w = roots_legendre(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _jacobi01(n, alpha):
-    # Gauss-Jacobi for weight (1-t)^alpha on [0,1], weight normalized so the
-    # rule returns plain sums against that weight
-    x, w = roots_jacobi(n, alpha, 0.0)
-    return 0.5 * (x + 1.0), w / 2.0 ** (alpha + 1)
+    """Gauss-Jacobi rule for the weight (1-t)^alpha on [0, 1], weights
+    normalized so the rule returns plain sums against that weight.
+
+    Golub-Welsch (Math. Comp. 23, 1969) on [-1, 1]: the nodes are the
+    eigenvalues of the Jacobi matrix of (1-x)^alpha, polished by one Newton
+    step on the three-term recurrence of its orthonormal polynomials p_k,
+    and the weights are the Christoffel numbers 1 / sum_{k<n} p_k(x)^2.
+    Both are then as accurate as scipy.special.roots_jacobi's or more."""
+    k = np.arange(n + 1)
+    s = 2 * k + alpha
+    a = -alpha ** 2 / (s * (s + 2))           # the Jacobi matrix: diagonal
+    b = np.zeros(n + 1)                       # and b[k] next to it
+    b[1:] = np.sqrt(4 * k[1:] ** 2 * (k[1:] + alpha) ** 2
+                    / (s[1:] ** 2 * (s[1:] + 1) * (s[1:] - 1)))
+
+    def recurrence(x):
+        # p_n(x) and its derivative, and sum_{k<n} p_k(x)^2
+        p, prev = np.full_like(x, np.sqrt((alpha + 1) / 2 ** (alpha + 1))), 0
+        dp, dprev, total = 0, 0, 0
+        for j in range(n):
+            total = total + p ** 2
+            nxt = ((x - a[j]) * p - b[j] * prev) / b[j + 1]
+            dnxt = (p + (x - a[j]) * dp - b[j] * dprev) / b[j + 1]
+            p, prev, dp, dprev = nxt, p, dnxt, dp
+        return p, dp, total
+
+    x = np.linalg.eigvalsh(np.diag(a[:n]) + np.diag(b[1:n], 1)
+                           + np.diag(b[1:n], -1))
+    p, dp, _ = recurrence(x)
+    x = x - p / dp
+    return 0.5 * (x + 1.0), 1.0 / recurrence(x)[2] / 2 ** (alpha + 1)
 
 
 @lru_cache(maxsize=None)

@@ -16,11 +16,13 @@ stacked SVD per (rows, cols) shape, and kept on the mesh.
 The global constant is beta_h = sqrt(lambda_min) of the pressure Schur
 complement pencil  B A^-1 B^T q = lambda Mp q  with the constant pressure
 deflated (the numerical inf-sup test of Chapelle & Bathe).  S = B A^-1 B^T
-is never formed: the pivot-free factorization of the penalized saddle
-matrix that the saddle solve uses, with the P1b bubbles condensed out,
-applies (S + delta*Mp)^-1 in one unrefined solve, and shift-invert Lanczos
-returns the smallest eigenvalues.  The pencil's spectrum lies in [0, 1],
-so the shift and the beta = 0 floor are absolute.
+is never formed, and neither are A and B: the pivot-free factorization of
+the penalized saddle matrix that the saddle solve uses, scattered once from
+the cell blocks with the P1b bubbles condensed out cell by cell, applies
+(S + delta*Mp)^-1 in one unrefined solve, and shift-invert Lanczos returns
+the smallest eigenvalues.  Mp, the pencil's other matrix, is the only
+global matrix assembled besides.  The pencil's spectrum lies in [0, 1], so
+the shift and the beta = 0 floor are absolute.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ class InfSupResult:
     spectrum: np.ndarray           # the smallest eigenvalues, ascending
     converged: bool = True         # False: spectrum holds what ARPACK found
     n_pressure: int = 0
-    unknowns: int = 0              # order of the saddle matrix factorized
+    unknowns: int = 0              # order of the saddle matrix K
+    condensed: int = 0             # P1b bubbles eliminated before the LU
     lu_fill: int = 0               # entries SuperLU stores for L and U
 
 
@@ -428,7 +431,8 @@ def infsup_constant(mesh, combo, k=5):
     pressures Mp-orthogonal to the constant.  Eliminating the velocity from
     the penalized saddle matrix K = [[A, -B^T], [-B, -delta*Mp]] leaves the
     pressure block -(S + delta*Mp), S = B A^-1 B^T, so one
-    `SaddleFactorization` of K (P1b bubbles condensed, no pivoting) applies
+    `SaddleFactorization` of K (scattered from the cell blocks, P1b bubbles
+    condensed cell by cell, no pivoting) applies
     (S + delta*Mp)^-1 without forming S, and shift-invert Lanczos at
     sigma = -delta returns the k smallest eigenvalues.  The constant is
     deflated by the pair of Mp-projectors around that solve.  An eigenvalue
@@ -439,7 +443,7 @@ def infsup_constant(mesh, combo, k=5):
                           f"got {k}")
     combo = FECombo.parse(combo)
     sys = assemble(mesh, combo)
-    Mp = sys.Mp.tocsr()
+    Mp = sys.Mp
     n_p = Mp.shape[0]
     # the constant is deflated, so eigsh's 0 < k < n_p leaves k <= n_p - 2
     if n_p < 3:
@@ -477,4 +481,4 @@ def infsup_constant(mesh, combo, k=5):
     beta = 0.0 if lam_min <= _FLOOR else math.sqrt(lam_min)
     return InfSupResult(beta=beta, spectrum=vals, converged=converged,
                         n_pressure=n_p, unknowns=fact.unknowns,
-                        lu_fill=fact.lu_fill)
+                        condensed=fact.condensed, lu_fill=fact.lu_fill)

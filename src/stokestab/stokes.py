@@ -3,22 +3,27 @@
 The saddle problem uses one scalar space per velocity component (so the
 stiffness block is block-diagonal over components) and a continuous pressure.
 The divergence constraint carries a small pressure penalization eps*(p, pbar)
-which fixes the pressure constant; the assembled system
+which fixes the pressure constant; the system
 
     [ A   -B^T ] [w]   [f]
     [ -B  -eps*Mp ] [p] = [g]
 
 is symmetric quasi-definite.  It is solved by one pivot-free sparse
-factorization, after the cell bubbles of P1b components are eliminated
-cellwise, and the solution is refined with that same factor.  The
-factorization takes the unknowns mesh location by mesh location (the u, v
-and p of a vertex together), the locations in minimum-degree order.
+factorization, and the solution is refined with that same factor.  The
+factorized matrix is built straight from the element matrices: every cell's
+saddle block is formed in one batched step, the cell bubbles of P1b
+components are eliminated cell by cell (static condensation), and the
+condensed blocks go in one scatter into the sparse matrix, already in the
+factor's order.  That order takes the unknowns mesh location by mesh
+location (the u, v and p of a vertex together), the locations in
+minimum-degree order.  The global A, B and Mp of a `StokesSystem` are
+scattered only when a caller reads them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -77,12 +82,11 @@ def _cell_geometry(mesh):
     return J, invJT, e1[:, 0] * e3[:, 1]
 
 
-def _scatter(rows_dofs, cols_dofs, elmats, shape):
-    m, nr, nc = elmats.shape
-    rows = np.repeat(rows_dofs, nc, axis=1).ravel()
-    cols = np.tile(cols_dofs, (1, nr)).ravel()
-    mat = sp.coo_matrix((elmats.ravel(), (rows, cols)), shape=shape)
-    return mat.tocsr()
+def _scatter(rows, cols, vals, shape):
+    """Sum the entries vals at (rows, cols), three arrays of one size read
+    in C order, into a CSR matrix."""
+    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=shape)
 
 
 def operator_matrix(mesh, row_dm, col_dm, kind, qdeg, deriv_axis=None):
@@ -94,7 +98,9 @@ def operator_matrix(mesh, row_dm, col_dm, kind, qdeg, deriv_axis=None):
     """
     elmats = element_matrices(mesh, row_dm.space, col_dm.space, kind, qdeg,
                               deriv_axis)
-    return _scatter(row_dm.cell_dofs, col_dm.cell_dofs, elmats,
+    _, nr, nc = elmats.shape
+    return _scatter(np.repeat(row_dm.cell_dofs, nc, axis=1),
+                    np.tile(col_dm.cell_dofs, (1, nr)), elmats,
                     (row_dm.n_dofs, col_dm.n_dofs))
 
 
@@ -181,16 +187,46 @@ def _project(mesh, dm, fq):
 
 @dataclass
 class StokesSystem:
+    """One Stokes problem on a mesh: the dof maps, the velocity load and the
+    Dirichlet data.  A (the component stiffness, block-diagonal), B
+    (pressure rows x all velocity columns) and Mp are read-only properties,
+    each scattered from its element matrices the first time it is read and
+    kept.  The saddle factorization reads none of them: it scatters its
+    matrix from the cell blocks."""
     mesh: Mesh
     combo: FECombo
     vel_dofmaps: list
     p_dofmap: DofMap
-    A: sp.spmatrix            # block-diagonal component stiffness
-    B: sp.spmatrix            # pressure rows x all velocity columns
-    Mp: sp.spmatrix
     rhs: np.ndarray           # velocity load
     bc_mask: list             # per component bool arrays
     bc_values: list           # per component value arrays
+    _scattered: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
+
+    def _kept(self, name, build):
+        if name not in self._scattered:
+            M = build()
+            _frozen(M.data, M.indices, M.indptr)
+            self._scattered[name] = M
+        return self._scattered[name]
+
+    @property
+    def A(self):
+        qdeg = _QDEG[self.mesh.cell_kind]
+        return self._kept("A", lambda: sp.block_diag(
+            [operator_matrix(self.mesh, dm, dm, "stiffness", qdeg)
+             for dm in self.vel_dofmaps], format="csr"))
+
+    @property
+    def B(self):
+        return self._kept("B", lambda: _divergence_matrix(
+            self.mesh, self.p_dofmap, self.vel_dofmaps))
+
+    @property
+    def Mp(self):
+        dm = self.p_dofmap
+        return self._kept("Mp", lambda: operator_matrix(
+            self.mesh, dm, dm, "mass", _QDEG[self.mesh.cell_kind]))
 
     @property
     def offsets(self):
@@ -209,7 +245,8 @@ class StokesSystem:
 
 
 def assemble(mesh, combo):
-    """Stiffness, divergence and pressure-mass blocks for the combination.
+    """The Stokes system of the combination on a triangle mesh; its
+    matrices are scattered when first read.
 
     Velocity boundary conditions default to homogeneous Dirichlet on all of
     the boundary; use cavity_problem or edit bc_values for anything else.
@@ -223,17 +260,10 @@ def assemble(mesh, combo):
                           f"for a {mesh.dim}D mesh")
     vel_dms = [build_dofmap(mesh, t) for t in combo.velocity]
     p_dm = build_dofmap(mesh, combo.pressure)
-
-    qdeg = _QDEG[mesh.cell_kind]
-    A = sp.block_diag([operator_matrix(mesh, dm, dm, "stiffness", qdeg)
-                       for dm in vel_dms], format="csr")
-    B = _divergence_matrix(mesh, p_dm, vel_dms)
-    Mp = operator_matrix(mesh, p_dm, p_dm, "mass", qdeg)
     rhs = np.zeros(sum(dm.n_dofs for dm in vel_dms))
     bc_mask = [dm.boundary_mask.copy() for dm in vel_dms]
     bc_values = [np.zeros(dm.n_dofs) for dm in vel_dms]
-    return StokesSystem(mesh, combo, vel_dms, p_dm, A, B, Mp, rhs,
-                        bc_mask, bc_values)
+    return StokesSystem(mesh, combo, vel_dms, p_dm, rhs, bc_mask, bc_values)
 
 
 def cavity_problem(mesh, combo, variant="dirichlet_lid"):
@@ -316,15 +346,6 @@ def boundary_flux(sys, velocity):
     return math.fsum(terms.ravel())
 
 
-def _bubble_mask(sys):
-    """True at the cell dofs of the P1b velocity components."""
-    mask = np.zeros(sys.n_velocity, dtype=bool)
-    for off, dm in zip(sys.offsets, sys.vel_dofmaps):
-        if dm.space == P1B:
-            mask[off + dm.cell_dofs[:, -1]] = True
-    return mask
-
-
 def _location_order(mesh, loc):
     """An order of the unknowns at mesh locations `loc` (numbered as
     `DofMap.locations`) for a factorization with little fill: location by
@@ -370,20 +391,83 @@ def _location_order(mesh, loc):
     return np.argsort(rank[node[loc]], kind="stable")
 
 
-def _condense(K, bub, perm):
-    """Eliminate the bubble unknowns of K: the Schur complement (CSC) on the
-    other unknowns, taken in the order `perm` (indices into K), the bubble-
-    row and bubble-column couplings in that order and the bubble
-    diagonal."""
-    Kb, Kr = K[bub], K[perm]
-    Kbb, Kbr, Krb = Kb[:, bub], Kb[:, perm], Kr[:, bub]
-    d = Kbb.diagonal()
-    if np.any(d <= 0) or Kbb.count_nonzero() > np.count_nonzero(d):
-        raise StokesError("the bubble block of the saddle matrix is not "
-                          "a positive diagonal")
-    Krr = Kr[:, perm]
-    del Kb, Kr   # freed before the complement is formed: a lower peak
-    return (Krr + Krb @ sp.diags(-1.0 / d) @ Kbr).tocsc(), Kbr, Krb, d
+@lru_cache(maxsize=None)
+def _saddle_reference(vel_spaces, p_space, cell_kind, qdeg):
+    """The reference tensors of the cell saddle block, read-only: R of shape
+    (2 d^2 + 1, local, local) such that each cell's block
+    [[A_e, -B_e^T], [-B_e, -delta*Mp_e]] is sum_q geo[c, q] R[q], with geo
+    the factors of `_saddle_geometry`.  The local dofs are those of each
+    velocity component in turn, then the pressure's, each in `eval_basis`
+    order."""
+    d = len(vel_spaces)
+    S = [reference_tensor(s, s, cell_kind, "stiffness", qdeg)
+         for s in vel_spaces]
+    D = [reference_tensor(p_space, s, cell_kind, "deriv", qdeg)
+         for s in vel_spaces]
+    M = reference_tensor(p_space, p_space, cell_kind, "mass", qdeg)
+    at = np.cumsum([0] + [t.shape[-1] for t in S] + [len(M)])
+    R = np.zeros((2 * d * d + 1, at[-1], at[-1]))
+    p = slice(at[-2], at[-1])
+    for k, (Sk, Dk) in enumerate(zip(S, D)):
+        v, div = slice(at[k], at[k + 1]), slice(d * d + k * d,
+                                                d * d + k * d + d)
+        R[:d * d, v, v] = Sk.reshape(d * d, *Sk.shape[2:])
+        R[div, p, v] = -Dk
+        R[div, v, p] = -Dk.transpose(0, 2, 1)
+    R[-1, p, p] = M
+    return _frozen(R)
+
+
+def _saddle_geometry(mesh, delta):
+    """The cell factors of `_saddle_reference`, (cells, 2 d^2 + 1): the
+    cell measure times invJT^T invJT (stiffness, as in
+    `element_matrices`), times invJT row by row (the divergence, component
+    k along axis k) and times -delta (the pressure mass)."""
+    _, invJT, meas = cell_geometry(mesh)
+    nc = len(meas)
+    return meas[:, None] * np.hstack([
+        (invJT.transpose(0, 2, 1) @ invJT).reshape(nc, -1),
+        invJT.reshape(nc, -1), np.full((nc, 1), -delta)])
+
+
+def _slots(sys):
+    """The local layout of `_saddle_reference`: the slots of the P1b
+    bubbles, the other slots, and the pairs (i, j), i <= j, of those other
+    slots that couple.  u couples to u and p, v to v and p; nothing couples
+    u to v, not even after a bubble is eliminated."""
+    dms = sys.vel_dofmaps + [sys.p_dofmap]
+    part = np.repeat(np.arange(len(dms)),
+                     [dm.cell_dofs.shape[1] for dm in dms])
+    ends = np.cumsum(np.bincount(part))
+    bs = np.array([e - 1 for e, dm in zip(ends, sys.vel_dofmaps)
+                   if dm.space == P1B], dtype=int)
+    ks = np.setdiff1d(np.arange(len(part)), bs)
+    i, j = np.triu_indices(len(ks))
+    pi, pj = part[ks[i]], part[ks[j]]
+    p = len(dms) - 1
+    pair = (pi == pj) | (pi == p) | (pj == p)
+    return bs, ks, i[pair], j[pair]
+
+
+def _symmetric_scatter(pos, i, j, vals, n):
+    """The symmetric n x n CSC matrix that sums, over every cell c and pair
+    k, vals[c, k] at (pos[c, i[k]], pos[c, j[k]]) and at its mirror; a pair
+    at position n (a Dirichlet dof) is dropped.
+
+    Each pair enters once, below the diagonal, a diagonal one halved, so
+    the matrix is L + L^T, exactly symmetric, from half the entries.  The
+    pairs at position n all fall in row n of L, which is cut off."""
+    a, b = np.take(pos, i, axis=1), np.take(pos, j, axis=1)
+    hi = np.maximum(a, b)
+    lo = np.minimum(a, b, out=a)
+    del a, b
+    vals *= np.where(i == j, 0.5, 1.0)
+    L = _scatter(hi, lo, vals, (n + 1, n + 1))
+    del hi, lo
+    end = L.indptr[n]
+    L = sp.csr_matrix((L.data[:end], L.indices[:end], L.indptr[:n + 1]),
+                      shape=(n, n))
+    return L.T + L
 
 
 class SaddleFactorization:
@@ -394,27 +478,37 @@ class SaddleFactorization:
     built once from (system, delta) and shared by the saddle solve and the
     inf-sup eigensolve.  The cell bubbles of P1b components are eliminated
     before the LU (the MINI <-> stabilized P1-P1 equivalence of Arnold,
-    Brezzi & Fortin): each bubble couples only to its own cell, so the
-    bubble block of K is diagonal and its Schur complement stays inside the
-    pattern of the other unknowns.  `solve` recovers the bubbles cellwise.
+    Brezzi & Fortin).  A bubble couples only to its own cell, so it is
+    eliminated there.  Every cell's saddle block is its geometry factors
+    times the combination's reference tensors (`_saddle_geometry`,
+    `_saddle_reference`), so one batched GEMM forms the entries needed of
+    every block, and each free bubble leaves its block by a diagonal Schur
+    update (static condensation; Wilson, Int. J. Numer. Meth. Eng. 8,
+    1974).  The condensed blocks then go in one scatter straight into the
+    CSC matrix `Kc` that SuperLU takes, in factor order; the Dirichlet dofs
+    drop out in the index tables, and their lift is taken from the same
+    blocks.  K itself, A, B and the bubble block are never assembled.  The
+    bubbles' rows and diagonal are kept per cell, and `solve` recovers the
+    bubbles cell by cell.
 
     Every matrix is factorized the same way: without row pivoting, in the
     order of `_location_order`, which takes the unknowns location by
     location and the locations in the minimum-degree order of the graph of
-    locations that share a cell.  The condensed matrix is formed in that
-    order.  It is symmetric quasi-definite, its velocity block positive
-    definite and its pressure block -(delta*Mp + Bb D^-1 Bb^T) negative
-    definite, and such a matrix has an LDL^T factorization under every
-    symmetric permutation (Vanderbei, SIAM J. Optim. 5, 1995).  With
-    nothing to condense (P2, P1) that block is only -delta*Mp and the
-    pivot-free factor is less accurate: its solves of the p2-p1:p1 lid
-    cavities (8x8 to 64x64) leave relative residuals of up to 9e-8.
-    `solve` therefore refines its answer with the same factor (classical
-    iterative refinement; Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl.
-    10, 1989) while the residual is above 1e-14 ||rhs|| and each step at
-    least halves it, and keeps only the steps that do.  One step brings
-    those cavities to 4e-16 to 3e-14, where SuperLU's pivoting LU of K
-    leaves up to 1.1e-13.  The factor is of K itself, so refinement also
+    locations that share a cell.  The condensed matrix is symmetric
+    quasi-definite, its velocity block positive definite and its pressure
+    block -(delta*Mp + Bb D^-1 Bb^T) negative definite, and such a matrix
+    has an LDL^T factorization under every symmetric permutation
+    (Vanderbei, SIAM J. Optim. 5, 1995).  With nothing to condense (P2, P1)
+    that block is only -delta*Mp and the pivot-free factor is less
+    accurate: its solves of the p2-p1:p1 lid cavities (8x8 to 64x64) leave
+    relative residuals of up to 9e-8.  `solve` therefore refines its answer
+    with the same factor (classical iterative refinement; Arioli, Demmel &
+    Duff, SIAM J. Matrix Anal. Appl. 10, 1989) while the residual is above
+    1e-14 ||rhs|| and each step at least halves it, and keeps only the
+    steps that do.  The residual is that of `Kc`: the bubble rows are
+    solved exactly, so it is the residual of K up to rounding.  One step
+    brings those cavities to 4e-16 to 3e-14, where SuperLU's pivoting LU of
+    K leaves up to 1.1e-13.  The factor is of K itself, so refinement also
     converges along the O(delta) eigenvalues of spurious pressure modes.
     On the 64x64 level of the p2-p1:p1 family cavity L and U hold 3.68M
     entries, against 7.05M for minimum degree on K + K^T and 9.16M for
@@ -430,34 +524,85 @@ class SaddleFactorization:
             raise StokesError(f"penalization parameter must be positive and "
                               f"finite, got {delta}")
         free = sys.free_mask()
-        A, B = sys.A.tocsr(), sys.B.tocsr()
-        Bf = B[:, free]
-        self.K = sp.bmat([[A[free][:, free], -Bf.T],
-                          [-Bf, -delta * sys.Mp.tocsr()]], format="csr")
-        del Bf   # a copy, not held through the LU
         self.n_velocity = nf = int(free.sum())
-        self.unknowns = n = self.K.shape[0]
-        bub = np.zeros(n, dtype=bool)
-        bub[:nf] = _bubble_mask(sys)[free]
+        self.unknowns = n = nf + sys.p_dofmap.n_dofs
+        # the unknown (row of K) of every cell's local dofs, n at Dirichlet
+        # dofs, and the Dirichlet values there
+        index = np.full(sys.n_velocity, n)
+        index[free] = np.arange(nf)
+        vel = np.hstack([off + dm.cell_dofs
+                         for off, dm in zip(sys.offsets, sys.vel_dofmaps)])
+        unknown = np.hstack([index[vel], nf + sys.p_dofmap.cell_dofs])
+        g = np.where(free, 0.0, sys.constrained_values())[vel]
+        bs, ks, i, j = _slots(sys)
+
+        # Every cell's saddle block is geo @ R, so one GEMM gives any set
+        # of its entries for every cell, C-ordered as the scatter reads them
+        geo = _saddle_geometry(sys.mesh, delta)
+        R = _saddle_reference(tuple(dm.space for dm in sys.vel_dofmaps),
+                              sys.p_dofmap.space, sys.mesh.cell_kind,
+                              _QDEG[sys.mesh.cell_kind])
+        nl = R.shape[1]
+        R = R.reshape(len(R), nl * nl)
+        # the Dirichlet lift, -K_e g_e, on the cells that hold a Dirichlet
+        # value only
+        lifted = np.flatnonzero(g.any(axis=1))
+        cols = (np.arange(nl)[:, None] * nl + np.arange(g.shape[1])).ravel()
+        Kg = (geo[lifted] @ R[:, cols]).reshape(len(lifted), nl, g.shape[1])
+        self._lift = -np.bincount(
+            unknown[lifted].ravel(), np.einsum("cij,cj->ci", Kg,
+                                               g[lifted]).ravel(),
+            minlength=n + 1)[:n]
+        bub = np.take(unknown, bs, axis=1)     # n where a bubble is fixed
+        held = bub < n
+        d = geo @ R[:, bs * (nl + 1)]
+        if not np.all(d[held] > 0):
+            raise StokesError("the bubble block of the saddle matrix is not "
+                              "a positive diagonal")
+        w = np.divide(1.0, d, out=np.zeros_like(d), where=held)
+
+        def bubble_rows(slots):
+            # K_e[b, slots] of every bubble b, (cells, bubbles, slots)
+            return (geo @ R[:, (bs[:, None] * nl + slots).ravel()]).reshape(
+                len(geo), len(bs), len(slots))
+
+        rows = bubble_rows(ks)
+        # each pair's entry less its bubbles' Schur updates K_ib K_bj / K_bb
+        vals = geo @ R[:, ks[i] * nl + ks[j]]
+        if len(bs):
+            update = bubble_rows(ks[i])    # in place: a lower peak
+            update *= w[:, :, None]
+            update *= bubble_rows(ks[j])
+            vals -= update.sum(axis=1)
+            del update
+        del geo
+
+        cond = np.zeros(n + 1, dtype=bool)
+        cond[bub] = True
+        rest = np.flatnonzero(~cond[:n])
         loc = np.concatenate(
             [np.concatenate([dm.locations for dm in sys.vel_dofmaps])[free],
              sys.p_dofmap.locations])
-        rest = np.flatnonzero(~bub)
         perm = rest[_location_order(sys.mesh, loc[rest])]
-        Kc, self._Kbr, self._Krb, d = _condense(self.K, bub, perm)
-        self.condensed = int(bub.sum())
+        nr = len(perm)
+        at = np.full(n + 1, nr, dtype=np.int32)   # factor row of each unknown
+        at[perm] = np.arange(nr)
+        pos = at[np.take(unknown, ks, axis=1)]
+        del unknown
+        self.Kc = _symmetric_scatter(pos, i, j, vals, nr)
+        del vals
+        self.condensed = int(held.sum())
         try:
-            self._lu = spla.splu(Kc, permc_spec="NATURAL",
+            self._lu = spla.splu(self.Kc, permc_spec="NATURAL",
                                  diag_pivot_thresh=0.0,
                                  options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise StokesError(
                 "singular saddle factorization (the penalized system should "
                 "be regular; check assembly and boundary conditions)") from exc
-        # factor row of each pressure
-        at = np.empty(n, dtype=np.int64)
-        at[perm] = np.arange(len(perm))
-        self._bub, self._perm, self._d, self._p_at = bub, perm, d, at[nf:]
+        self._perm, self._pos, self._bub, self._rows, self._w = (
+            perm, pos, bub, rows, w)
+        self._p_at = at[nf:n]
         self.lu_fill = int(self._lu.nnz)
 
     def solve(self, rhs):
@@ -466,29 +611,32 @@ class SaddleFactorization:
         return self._refined(rhs)[0]
 
     def _refined(self, rhs):
-        """The refined solution, the norm of its residual rhs - K x and the
-        number of refinement steps kept."""
-        x = self._factor_solve(rhs)
-        r = rhs - self.K @ x
+        """The refined solution, the norm of its residual in `Kc` (that of
+        K up to rounding) and the number of refinement steps kept."""
+        rb = np.append(rhs, 0.0)[self._bub]
+        rc = rhs[self._perm] - np.bincount(
+            self._pos.ravel(), np.einsum("cb,cbj->cj", rb * self._w,
+                                         self._rows).ravel(),
+            minlength=len(self._perm) + 1)[:-1]
+        x = self._lu.solve(rc)
+        r = rc - self.Kc @ x
         norm = np.linalg.norm(r)
         target = 1e-14 * np.linalg.norm(rhs)
         steps = 0
         while norm > target:
-            y = x + self._factor_solve(r)
-            ry = rhs - self.K @ y
+            y = x + self._lu.solve(r)
+            ry = rc - self.Kc @ y
             ny = np.linalg.norm(ry)
             if not ny <= 0.5 * norm:
                 break
             x, r, norm = y, ry, ny
             steps += 1
-        return x, norm, steps
-
-    def _factor_solve(self, rhs):
-        bub, perm, d = self._bub, self._perm, self._d
-        x = np.empty_like(rhs)
-        x[perm] = self._lu.solve(rhs[perm] - self._Krb @ (rhs[bub] / d))
-        x[bub] = (rhs[bub] - self._Kbr @ x[perm]) / d
-        return x
+        out = np.empty(self.unknowns + 1)
+        out[self._perm] = x
+        out[self._bub] = (rb - np.einsum("cbj,cj->cb", self._rows,
+                                         np.append(x, 0.0)[self._pos])
+                          ) * self._w
+        return out[:-1], norm, steps
 
     def solve_pressure(self, b):
         """Pressure part of K^-1 [0; b], one solve with the factor and no
@@ -501,29 +649,27 @@ class SaddleFactorization:
 
 def solve_penalized(sys, eps=1e-10):
     """Direct solve of the penalized saddle system through one
-    `SaddleFactorization`, which condenses the P1b cell bubbles and refines
-    the solution with its factor.
+    `SaddleFactorization`, which condenses the P1b cell bubbles cell by
+    cell, scatters the condensed matrix once and refines the solution with
+    its factor.  The Dirichlet lift comes from the factorization's cell
+    blocks, so no global A or B is formed; only the pressure mass is
+    scattered, for the pressure mean.
 
     Reports the mean pressure (expected O(eps)), the relative residual of
-    the full assembled equations, the refinement steps kept and the
-    factorization's `unknowns`, `condensed` and `lu_fill` in the
-    diagnostics.
+    the full equations, the refinement steps kept and the factorization's
+    `unknowns`, `condensed` and `lu_fill` in the diagnostics.
     """
     fact = SaddleFactorization(sys, eps)
     free = sys.free_mask()
-    g = sys.constrained_values()
-    A, B, Mp = sys.A.tocsr(), sys.B.tocsr(), sys.Mp.tocsr()
-    gC = g[~free]
-    f_f = sys.rhs[free] - A[free][:, ~free] @ gC
-    rhs = np.concatenate([f_f, B[:, ~free] @ gC])
+    Mp = sys.Mp
+    rhs = np.concatenate([sys.rhs[free], np.zeros(Mp.shape[0])]) + fact._lift
     x, rnorm, refinements = fact._refined(rhs)
     nf = fact.n_velocity
     wf, p = x[:nf], x[nf:]
     resid = rnorm / max(np.linalg.norm(rhs), 1e-300)
 
-    full = np.empty(sys.n_velocity)
+    full = sys.constrained_values()
     full[free] = wf
-    full[~free] = gC
     off = sys.offsets
     velocity = [full[off[k]:off[k + 1]] for k in range(len(sys.vel_dofmaps))]
 

@@ -115,7 +115,9 @@ def test_infsup_cli(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 0
     assert "beta" in out.read_text()
-    assert "unknowns, L+U fill" in capsys.readouterr().out
+    # one bubble condensed per cell of the 6x6 grid
+    assert re.search(r"saddle LU: \d+ unknowns, 72 bubbles condensed, "
+                     r"L\+U fill \d+\n", capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("k", ["0", "-3"])

@@ -86,6 +86,23 @@ def test_quad_quadrature_exactness(deg):
             assert abs(approx - exact) < 1e-13
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_gauss_rules_match_scipy(n):
+    # the 1D factors of every rule, against scipy.special's, which the
+    # package no longer imports: Legendre from numpy, Jacobi by Golub-Welsch
+    from scipy.special import roots_jacobi, roots_legendre
+    from stokestab.fespace import _gauss01, _jacobi01
+
+    def close(got, x, w, scale):
+        assert np.allclose(got[0], 0.5 * (x + 1.0), rtol=1e-14, atol=0)
+        assert np.allclose(got[1], w * scale, rtol=5e-14, atol=0)
+
+    close(_gauss01(n), *roots_legendre(n), 0.5)
+    for alpha in (1.0, 2.0):
+        close(_jacobi01(n, alpha), *roots_jacobi(n, alpha, 0.0),
+              2.0 ** -(alpha + 1))
+
+
 def test_quadrature_rules_are_shared_and_read_only():
     rule = quadrature("tetrahedron", 6)
     assert quadrature("tetrahedron", 6) is rule

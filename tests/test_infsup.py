@@ -548,8 +548,29 @@ def test_infsup_reports_the_shared_saddle_factorization():
         mesh = gen_zigzag(6, 5)
         fact = SaddleFactorization(assemble(mesh, combo), infsup._SHIFT)
         res = infsup_constant(mesh, combo, k=2)
-        assert (res.unknowns, res.lu_fill) == (fact.unknowns, fact.lu_fill)
+        assert (res.unknowns, res.condensed, res.lu_fill) == (
+            fact.unknowns, fact.condensed, fact.lu_fill)
         assert (fact.condensed == mesh.num_cells) == condensed
+
+
+@pytest.mark.parametrize("combo", ["p1b-p1:p1", "p2-p1:p1"])
+def test_infsup_scatters_only_the_condensed_matrix_and_the_mass(
+        monkeypatch, combo):
+    # the factorization scatters its matrix from the cell blocks, and the
+    # eigensolve needs only Mp besides: A and B are never assembled
+    import stokestab.stokes as stokes
+    scatter, operator = stokes._scatter, stokes.operator_matrix
+    shapes, kinds = [], []
+    monkeypatch.setattr(stokes, "_scatter", lambda rows, cols, vals, shape: (
+        shapes.append(shape) or scatter(rows, cols, vals, shape)))
+    monkeypatch.setattr(stokes, "operator_matrix", lambda *a, **kw: (
+        kinds.append(a[3]) or operator(*a, **kw)))
+    res = infsup_constant(unstructured_family_mesh(3, 42), combo, k=2)
+    assert kinds == ["mass"]
+    n_p, n = res.n_pressure, res.unknowns - res.condensed
+    # the condensed matrix carries one row and column for the Dirichlet
+    # pairs until they are cut off
+    assert shapes == [(n_p, n_p), (n + 1, n + 1)]
 
 
 def test_infsup_unconverged_eigensolve_is_data(monkeypatch):

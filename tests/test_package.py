@@ -24,14 +24,23 @@ def test_every_module_but_the_cli_serves_the_package():
     assert modules - imported - {"cli"} == set()
 
 
+def _modules_after_import(fragment):
+    code = ("import sys, stokestab; "
+            f"print(sorted(m for m in sys.modules if {fragment!r} in m))")
+    return subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                              sys.path)}).stdout.strip()
+
+
 def test_import_loads_no_sparse_graph_module():
     # scipy.sparse.csgraph serves only the 3D split pass, which imports it
     # when it runs; loading it with the package would cost every process
     # its import time and memory
-    code = ("import sys, stokestab; "
-            "print(sorted(m for m in sys.modules if 'csgraph' in m))")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                             sys.path)}).stdout
-    assert out.strip() == "[]"
+    assert _modules_after_import("csgraph") == "[]"
+
+
+def test_import_loads_no_special_function_module():
+    # the Gauss rules come from numpy, so scipy.special and what it loads
+    # are left out of every process
+    assert _modules_after_import("scipy.special") == "[]"

@@ -287,6 +287,39 @@ def uncondensed_reference(sys, eps=1e-10):
     return velocity, p, resid, lu.nnz
 
 
+def saddle_matrix(sys, delta):
+    """The penalized saddle matrix K on the free velocity dofs and the
+    pressures, assembled from the global A, B and Mp, without condensation:
+    the reference the factorization's cell blocks are checked against."""
+    import scipy.sparse as sp
+    free = sys.free_mask()
+    A, Bf = sys.A, sys.B[:, free]
+    return sp.bmat([[A[free][:, free], -Bf.T], [-Bf, -delta * sys.Mp]],
+                   format="csr")
+
+
+def bubble_mask(sys):
+    """True at the unknowns of saddle_matrix that are P1b cell bubbles."""
+    mask = np.zeros(sys.n_velocity, dtype=bool)
+    for off, dm in zip(sys.offsets, sys.vel_dofmaps):
+        if dm.space == "p1b":
+            mask[off + dm.cell_dofs[:, -1]] = True
+    return np.concatenate([mask[sys.free_mask()],
+                           np.zeros(sys.p_dofmap.n_dofs, dtype=bool)])
+
+
+def global_condensation(K, bub, perm):
+    """The Schur complement (CSC) of K on its non-bubble unknowns, taken in
+    the order `perm`, formed from global slices of K: the reference for the
+    factorization's cell-by-cell condensation."""
+    import scipy.sparse as sp
+    Kb, Kr = K[bub], K[perm]
+    Kbb, Kbr, Krb = Kb[:, bub], Kb[:, perm], Kr[:, bub]
+    d = Kbb.diagonal()
+    assert np.all(d > 0) and Kbb.count_nonzero() == np.count_nonzero(d)
+    return (Kr[:, perm] + Krb @ sp.diags(-1.0 / d) @ Kbr).tocsc()
+
+
 def _repaired_mesh():
     from stokestab.scenarios import unstructured_family_mesh
     return unstructured_family_mesh(3, 42)
@@ -370,6 +403,25 @@ def test_refined_residual_is_no_worse_than_the_pivoting_lu(mesh_kind, combo,
         assert diag["residual"] <= max(resid, 1e-14), eps
 
 
+def test_a_fixed_bubble_is_lifted_not_condensed():
+    # a bubble the user fixes is a Dirichlet dof like any other: its value
+    # enters the lift, and only the free bubbles are condensed
+    mesh = gen_zigzag(6, 5)
+    sys = cavity_problem(mesh, "p1b-p1b:p1", "dirichlet_lid")
+    for k, cells in enumerate(([0, 7, 30], [12])):
+        dofs = sys.vel_dofmaps[k].cell_dofs[cells, -1]
+        sys.bc_mask[k][dofs] = True
+        sys.bc_values[k][dofs] = 0.5 + k
+    sol = solve_penalized(sys)
+    velocity, p, resid, _ = uncondensed_reference(sys)
+    assert sol.diagnostics["condensed"] == 2 * mesh.num_cells - 4
+    assert sol.diagnostics["residual"] <= max(10 * resid, 1e-12)
+    for w, ref in zip(sol.velocity, velocity):
+        assert _rel(w, ref) <= 1e-10
+    assert sol.velocity[1][sys.vel_dofmaps[1].cell_dofs[12, -1]] == 1.5
+    assert _rel(sol.pressure, p) <= 1e-9
+
+
 @pytest.mark.parametrize("combo,per_cell", [("p1-p1:p1", 0), ("p2-p1:p1", 0),
                                             ("p1b-p1:p1", 1),
                                             ("p1-p1b:p1", 1),
@@ -396,14 +448,15 @@ def test_saddle_factorization_solves_the_full_system(mesh_kind, combo, delta):
             else gen_structured_tri(16, 16))
     sys = assemble(mesh, combo)
     fact = SaddleFactorization(sys, delta)
+    K = saddle_matrix(sys, delta)
     free = sys.free_mask()
-    assert fact.unknowns == fact.K.shape[0] == free.sum() + sys.Mp.shape[0]
+    assert fact.unknowns == K.shape[0] == free.sum() + sys.Mp.shape[0]
     assert fact.n_velocity == free.sum()
     rhs = np.random.default_rng(1).standard_normal(fact.unknowns)
     x = fact.solve(rhs)
     # normwise backward error: the constant pressure makes x O(1/delta)
-    scale = spla.norm(fact.K, np.inf) * np.abs(x).max() + np.abs(rhs).max()
-    assert np.abs(fact.K @ x - rhs).max() <= 1e-14 * scale
+    scale = spla.norm(K, np.inf) * np.abs(x).max() + np.abs(rhs).max()
+    assert np.abs(K @ x - rhs).max() <= 1e-14 * scale
     # a pressure-only right-hand side skips the bubbles; solve_pressure is
     # the unrefined factor solve, to the last bit where solve kept no
     # refinement step and within 1e-6 relative where it kept one
@@ -428,12 +481,13 @@ def test_saddle_factorization_solves_the_full_system(mesh_kind, combo, delta):
 def test_location_order_has_less_fill_than_minimum_degree_on_K(mesh_kind,
                                                               combo):
     # both orders with diagonal pivots, on the same condensed matrix
-    from stokestab.stokes import _condense
-
     mesh = (unstructured_family_mesh(5, 42) if mesh_kind == "family5"
             else gen_zigzag(32, 32))
-    fact = SaddleFactorization(assemble(mesh, combo), 1e-10)
-    Kc = _condense(fact.K, fact._bub, np.flatnonzero(~fact._bub))[0]
+    sys = assemble(mesh, combo)
+    fact = SaddleFactorization(sys, 1e-10)
+    bub = bubble_mask(sys)
+    Kc = global_condensation(saddle_matrix(sys, 1e-10), bub,
+                             np.flatnonzero(~bub))
     mmd = spla.splu(Kc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     options=dict(SymmetricMode=True))
     assert fact.lu_fill < mmd.nnz
@@ -446,23 +500,81 @@ def _unknown_locations(sys):
         sys.p_dofmap.locations])
 
 
-@pytest.mark.parametrize("combo", ["p1b-p1:p1", "p2-p1:p1", "p1-p2:p1",
-                                   "p1b-p1b:p1", "p1-p1:p1", "p1b-p1:p0",
-                                   "p2-p2:p0"])
+_LOCATION_COMBOS = ["p1b-p1:p1", "p2-p1:p1", "p1-p2:p1", "p1b-p1b:p1",
+                    "p1-p1:p1", "p1b-p1:p0", "p2-p2:p0"]
+
+
+@pytest.mark.parametrize("combo", _LOCATION_COMBOS)
 def test_factor_takes_the_unknowns_location_by_location(combo):
     # every unknown but the bubbles enters the factor once; the unknowns of
     # one location are consecutive and in index order
     sys = cavity_problem(gen_zigzag(6, 5), combo, "neumann_lid")
     fact = SaddleFactorization(sys, 1e-8)
     perm = fact._perm
-    assert np.array_equal(np.sort(perm), np.flatnonzero(~fact._bub))
+    assert np.array_equal(np.sort(perm), np.flatnonzero(~bubble_mask(sys)))
     loc = _unknown_locations(sys)[perm]
     runs = np.flatnonzero(np.diff(loc)) + 1
     assert len(runs) + 1 == len(np.unique(loc))
     for run in np.split(perm, runs):
         assert np.all(np.diff(run) > 0)
     x = np.random.default_rng(2).standard_normal(fact.unknowns)
-    assert np.allclose(fact.solve(fact.K @ x), x, rtol=0, atol=1e-6)
+    assert np.allclose(fact.solve(saddle_matrix(sys, 1e-8) @ x), x, rtol=0,
+                       atol=1e-6)
+
+
+@pytest.mark.parametrize("combo", _LOCATION_COMBOS)
+def test_cellwise_condensation_matches_the_global_schur_complement(combo):
+    # the matrix scattered once from the condensed cell blocks, against the
+    # Schur complement of the globally assembled K in the same order.  An
+    # entry that cancels in exact arithmetic (|v| ~ 1e-18 here) sums to 0 or
+    # to rounding as the order of the sum has it, and a 0 leaves the
+    # pattern; so patterns and fill are compared without such entries
+    sys = cavity_problem(gen_zigzag(6, 5), combo, "neumann_lid")
+    fact = SaddleFactorization(sys, 1e-8)
+    ref = global_condensation(saddle_matrix(sys, 1e-8), bubble_mask(sys),
+                              fact._perm)
+    scale = abs(ref).max()
+    assert fact.Kc.format == "csc" and fact.Kc.shape == ref.shape
+    assert abs(fact.Kc - ref).max() <= 1e-14 * scale
+
+    def significant(M):
+        M = M.tocsc(copy=True)
+        M.data[abs(M.data) <= 1e-15 * scale] = 0.0
+        M.eliminate_zeros()
+        M.sort_indices()
+        return M
+
+    def fill(M):
+        return spla.splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True)).nnz
+
+    new, old = significant(fact.Kc), significant(ref)
+    assert np.array_equal(new.indptr, old.indptr)
+    assert np.array_equal(new.indices, old.indices)
+    assert fill(new) == fill(old)
+    assert fact.lu_fill == fill(fact.Kc)
+
+
+@pytest.mark.parametrize("variant", ["dirichlet_lid", "neumann_lid"])
+@pytest.mark.parametrize("combo,limit_mib", [("p1b-p1:p1", 3.3),
+                                             ("p2-p1:p1", 5.3)])
+def test_factorization_peak_memory(combo, limit_mib, variant):
+    # numpy and scipy allocations traced through one factorization of a
+    # 32x32 family cavity, after a first one has cached the mesh geometry
+    # (SuperLU's own memory is not traced).  The limits are the peaks of
+    # the global assembly that the cell-block scatter replaced; a scatter
+    # that copies its index tables entry by entry reaches 9.6 and 15.3 MiB
+    import tracemalloc
+    mesh = unstructured_family_mesh(5, 42)
+    SaddleFactorization(cavity_problem(mesh, combo, variant), 1e-10)
+    sys = cavity_problem(mesh, combo, variant)
+    tracemalloc.start()
+    try:
+        SaddleFactorization(sys, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2 ** 20
 
 
 @pytest.mark.parametrize("combo", ["p1b-p1:p1", "p2-p1:p1", "p1b-p1:p0"])
@@ -474,8 +586,7 @@ def test_location_order_is_minimum_degree_on_the_location_graph(combo):
 
     mesh = unstructured_family_mesh(4, 42)
     sys = assemble(mesh, combo)
-    fact = SaddleFactorization(sys, 1e-8)
-    loc = _unknown_locations(sys)[~fact._bub]
+    loc = _unknown_locations(sys)[~bubble_mask(sys)]
     held = np.unique(loc)
     cell_locs = np.hstack([dm.locations[dm.cell_dofs]
                            for dm in sys.vel_dofmaps + [sys.p_dofmap]])
@@ -490,11 +601,35 @@ def test_location_order_is_minimum_degree_on_the_location_graph(combo):
     assert np.array_equal(_location_order(mesh, loc), expected)
 
 
-def test_nonpositive_bubble_block_is_rejected():
+def test_nonpositive_bubble_block_is_rejected(monkeypatch):
+    # the guard reads the cell blocks the factorization is built from: with
+    # the stiffness factors of every cell negated, each bubble's diagonal
+    # entry is negative
+    import stokestab.stokes as stokes
     sys = assemble(gen_zigzag(3, 3), "p1b-p1:p1")
-    sys.A = -sys.A
+    geometry = stokes._saddle_geometry
+
+    def negated_stiffness(mesh, delta):
+        geo = geometry(mesh, delta)
+        geo[:, :mesh.dim ** 2] *= -1.0
+        return geo
+
+    monkeypatch.setattr(stokes, "_saddle_geometry", negated_stiffness)
     with pytest.raises(StokesError, match="bubble"):
         solve_penalized(sys)
+
+
+def test_system_matrices_are_read_only():
+    # A, B and Mp are scattered on first read and cannot be replaced, so
+    # they cannot drift from the cell blocks that are factorized
+    sys = assemble(gen_zigzag(3, 3), "p1b-p1:p1")
+    for name in ("A", "B", "Mp"):
+        M = getattr(sys, name)
+        assert getattr(sys, name) is M
+        with pytest.raises(AttributeError):
+            setattr(sys, name, -M)
+        with pytest.raises(ValueError, match="read-only"):
+            M.data[0] = 0.0
 
 
 def test_stiffness_matches_the_pointwise_contraction():
