@@ -9,9 +9,10 @@ import sys
 from .fespace import FECombo
 from .infsup import infsup_constant, local_nullspace
 from .macroelement import build_macroelements, structure_report
-from .mesh import (StokestabError, gen_extruded_tet, gen_perturbed,
-                   gen_quad_macro, gen_structured_cube, gen_structured_tri,
-                   gen_zigzag, load_msh, save_msh, save_vtk, write_csv)
+from .mesh import (StokestabError, _check_seed, gen_extruded_tet,
+                   gen_perturbed, gen_quad_macro, gen_structured_cube,
+                   gen_structured_tri, gen_zigzag, load_msh, save_msh,
+                   save_vtk, write_csv)
 from .scenarios import SCENARIOS, run_scenario
 from .stokes import cavity_problem, convergence_study, solve_penalized
 from .unstructure import UnstructureConfig, apply_algorithm1, verify_uniform
@@ -22,6 +23,7 @@ def _combo_list(text):
 
 
 def cmd_gen(args):
+    _check_seed(args.seed)
     if args.kind == "structured":
         mesh = gen_structured_tri(args.nx, args.ny)
     elif args.kind == "zigzag":
@@ -100,8 +102,8 @@ def cmd_solve_cavity(args):
     diag = sol.diagnostics
     print(f"solved {combo} {args.variant}: int_p={diag['int_p']:.3e}"
           f" residual={diag['residual']:.2e} -> {path}")
-    print(f"saddle LU: {diag['unknowns']} unknowns, L+U fill "
-          f"{diag['lu_fill']}, {diag['refinements']} refinements")
+    print("saddle LU: {unknowns} unknowns, {condensed} bubbles condensed, "
+          "L+U fill {lu_fill}, {refinements} refinements".format(**diag))
     return 0
 
 

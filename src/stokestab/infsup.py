@@ -6,12 +6,12 @@ between pressures and velocities that vanish on the macro boundary, and
 counts the singular values of that matrix restricted to the complement of
 constant pressures.  A macro is numerically regular exactly when that count
 is zero, which is what the closed-form predicates are validated against.
-The pairing is a slice of the divergence operator assembled on the whole
-mesh: its rows are the star's vertices and its columns the velocity dofs
-off the domain boundary whose cells all lie in the star.  The star's
-pressure mass sums the element mass matrices of its cells.  Every star of
-a mesh is computed in one pass, the first time one is asked for, with one
-stacked SVD per (rows, cols) shape, and kept on the mesh.
+The pairing's rows are the star's vertices and its columns the velocity
+dofs off the domain boundary whose cells all lie in the star.  It and the
+star's pressure mass are sums over the star's cells of the cell blocks,
+which are computed once per mesh; no global operator is assembled.  Every
+star of a mesh is computed in one pass, the first time one is asked for,
+with one stacked SVD per (rows, cols) shape, and kept on the mesh.
 
 The global constant is beta_h = sqrt(lambda_min) of the pressure Schur
 complement pencil  B A^-1 B^T q = lambda Mp q  with the constant pressure
@@ -36,9 +36,9 @@ import scipy.sparse.linalg as spla
 from .fespace import FECombo, FESpaceError, build_dofmap, P1, Q1, Q2
 from .macroelement import (_REASONS, _SPLITS, _combo, _segment_sums, _star,
                            _star_splits, _stars, _verdicts)
-from .mesh import QUADRILATERAL, _frozen, _lookup
+from .mesh import QUADRILATERAL, _frozen
 from .stokes import (SaddleFactorization, assemble, element_matrices,
-                     StokesError, _QDEG, _divergence_matrix)
+                     StokesError, _QDEG)
 
 
 @dataclass
@@ -70,61 +70,28 @@ class InfSupResult:
 _LOCAL_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class _Divergence:
-    """One combination's divergence operator on a whole mesh, with the dof
-    incidence the local oracle slices the stars out of it by."""
-    keys: np.ndarray        # row * n_cols + col of each stored entry, sorted
-    values: np.ndarray      # the stored entries, in key order
-    n_cols: int             # velocity columns, by component
-    cell_cols: np.ndarray   # (cells, local) velocity columns of each cell
-    col_cells: np.ndarray   # cells holding each velocity column, 0 for the
-                            # columns on the domain boundary
-    offsets: np.ndarray     # first column of each component, then the total
-    p_mass: np.ndarray      # (cells, k, k) pressure element mass matrices
-
-
-def _divergence(mesh, combo):
-    qdeg = _QDEG[mesh.cell_kind]
-    p_dm = build_dofmap(mesh, combo.pressure)
-    vel = [build_dofmap(mesh, tag) for tag in combo.velocity]
-    offsets = np.cumsum([0] + [dm.n_dofs for dm in vel])
-    B = _divergence_matrix(mesh, p_dm, vel)
-    B.sum_duplicates()
-    keys = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr)) * B.shape[1]
-    cell_cols = np.hstack([dm.cell_dofs + off for dm, off in zip(vel, offsets)])
-    col_cells = np.bincount(cell_cols.ravel(), minlength=offsets[-1])
-    col_cells[np.concatenate([dm.boundary_mask for dm in vel])] = 0
-    return _Divergence(keys + B.indices, B.data, B.shape[1], cell_cols,
-                       col_cells, offsets, element_matrices(
-                           mesh, p_dm.space, p_dm.space, "mass", qdeg))
-
-
 def _star_oracles(mesh, combo):
     """local_nullspace of every star of the mesh, in star table order.
 
     A velocity dof is interior to a star when it is off the domain boundary
-    and every cell holding it is a star cell.  The stars' dense pairings
-    are read from the divergence operator by key, and the stars are
-    factorized together, one stacked SVD per (rows, cols) shape.
+    and every cell holding it is a star cell.  A star's pairing and its
+    pressure mass are sums of cell blocks over its cells.  The pressure rows
+    of every cell's blocks, [B_e^1 | ... | B_e^d | Mp_e], are computed once,
+    and the stars of one (rows, cols) shape sum their cells' blocks in one
+    bincount: each velocity slot at its interior column, the others dropped
+    first, and each pressure slot in the mass.  They are then factorized
+    together, one stacked SVD per shape.
     """
     t = _stars(mesh)
     n_stars, cells = len(t.centers), t.cells
-    op = _divergence(mesh, combo)
-    n = op.n_cols
+    qdeg = _QDEG[mesh.cell_kind]
+    vel = [build_dofmap(mesh, tag) for tag in combo.velocity]
+    blocks = np.concatenate(
+        [element_matrices(mesh, combo.pressure, dm.space, "deriv", qdeg, k)
+         for k, dm in enumerate(vel)]
+        + [element_matrices(mesh, combo.pressure, combo.pressure, "mass",
+                            qdeg)], axis=2)
     cell_star = np.repeat(np.arange(n_stars), np.diff(t.cell_offsets))
-    keys, held = np.unique(cell_star[:, None] * n + op.cell_cols[cells],
-                           return_counts=True)
-    star, cols = np.divmod(keys, n)
-    inner = held == op.col_cells[cols]
-    star, cols = star[inner], cols[inner]
-    n_comp = len(op.offsets) - 1
-    comp = np.searchsorted(op.offsets, cols, side="right") - 1
-    assert np.all(np.bincount(star * n_comp + comp,
-                              minlength=n_stars * n_comp) > 0), \
-        "macro-element with no interior velocity dofs"
-    n_cols = np.bincount(star, minlength=n_stars)
-    col_start = np.cumsum(n_cols) - n_cols
 
     # each star's vertices, center first then ring order
     ids = np.insert(t.ring, t.ring_offsets[:-1], t.centers)
@@ -137,6 +104,31 @@ def _star_oracles(mesh, combo):
         row_keys, cell_star[:, None] * mesh.num_vertices + mesh.cells[cells],
         sorter=order)] - row_start[cell_star, None]
 
+    offsets = np.cumsum([0] + [dm.n_dofs for dm in vel])
+    n = offsets[-1]
+    cell_cols = np.hstack([dm.cell_dofs + off for dm, off in zip(vel, offsets)])
+    col_cells = np.bincount(cell_cols.ravel(), minlength=n)
+    col_cells[np.concatenate([dm.boundary_mask for dm in vel])] = 0
+    keys, key_at, held = np.unique(cell_star[:, None] * n + cell_cols[cells],
+                                   return_inverse=True, return_counts=True)
+    star, cols = np.divmod(keys, n)
+    inner = held == col_cells[cols]
+    n_comp = len(vel)
+    comp = np.searchsorted(offsets, cols[inner], side="right") - 1
+    assert np.all(np.bincount(star[inner] * n_comp + comp,
+                              minlength=n_stars * n_comp) > 0), \
+        "macro-element with no interior velocity dofs"
+    n_cols = np.bincount(star[inner], minlength=n_stars)
+    # each interior column's place among its star's, in global dof order
+    place = np.where(inner, np.cumsum(inner) - 1
+                     - (np.cumsum(n_cols) - n_cols)[star], -1)
+    # each star cell's slots as columns of its star's [pairing | mass]: the
+    # velocity slots (the components in turn) at their place, -1 off the
+    # interior, then the pressure slots after the star's velocity columns
+    slot_col = np.hstack([place[key_at].reshape(len(cells), -1),
+                          n_cols[cell_star, None] + local])
+    del keys, key_at, held, star, cols, place
+
     shapes, group = np.unique(np.column_stack([n_rows, n_cols]), axis=0,
                               return_inverse=True)
     out = [None] * n_stars
@@ -144,15 +136,19 @@ def _star_oracles(mesh, combo):
         members = np.flatnonzero(group == g)
         m = len(members)
         R = ids[row_start[members, None] + np.arange(r)]
-        C = cols[col_start[members, None] + np.arange(c)]
-        pos = _lookup(op.keys, R[:, :, None] * n + C[:, None, :])
-        P = np.where(pos >= 0, op.values[pos], 0.0)
-        sel = group[cell_star] == g
-        li = local[sel]
-        rank = np.searchsorted(members, cell_star[sel])
-        flat = (rank[:, None, None] * r + li[:, :, None]) * r + li[:, None, :]
-        Mp = np.bincount(flat.ravel(), op.p_mass[cells[sel]].ravel(),
-                         minlength=m * r * r).reshape(m, r, r)
+        at, slot = np.nonzero((slot_col >= 0)
+                              & (group[cell_star] == g)[:, None])
+        # the place of each kept slot's entries in the (m, r, c + r) sums,
+        # formed in place: a lower peak
+        flat = local[at]
+        flat += r * np.searchsorted(members, cell_star[at])[:, None]
+        flat *= c + r
+        flat += slot_col[at, slot][:, None]
+        PM = np.bincount(flat.ravel(), blocks[cells[at], :, slot].ravel(),
+                         minlength=m * r * (c + r)).reshape(m, r, c + r)
+        # the pairing is kept with the results, and the mass is not
+        P, Mp = PM[:, :, :c].copy(), PM[:, :, c:]
+        del flat, at, slot
         # the last r - 1 columns of the Householder reflector that maps
         # Mp 1 onto the first axis: an orthonormal basis of pressures
         # Mp-orthogonal to the constant

@@ -104,14 +104,6 @@ def operator_matrix(mesh, row_dm, col_dm, kind, qdeg, deriv_axis=None):
                     (row_dm.n_dofs, col_dm.n_dofs))
 
 
-def _divergence_matrix(mesh, p_dm, vel_dms):
-    """B = (q, d_k v_k), components in turn, on tets and rectangles too."""
-    qdeg = _QDEG[mesh.cell_kind]
-    return sp.hstack([operator_matrix(mesh, p_dm, dm, "deriv", qdeg,
-                                      deriv_axis=k)
-                      for k, dm in enumerate(vel_dms)], format="csr")
-
-
 @lru_cache(maxsize=None)
 def reference_tensor(row_space, col_space, cell_kind, kind, qdeg):
     """Quadrature sums of the reference shape functions, read-only and
@@ -219,8 +211,12 @@ class StokesSystem:
 
     @property
     def B(self):
-        return self._kept("B", lambda: _divergence_matrix(
-            self.mesh, self.p_dofmap, self.vel_dofmaps))
+        # (q, d_k v_k), components in turn
+        qdeg = _QDEG[self.mesh.cell_kind]
+        return self._kept("B", lambda: sp.hstack(
+            [operator_matrix(self.mesh, self.p_dofmap, dm, "deriv", qdeg,
+                             deriv_axis=k)
+             for k, dm in enumerate(self.vel_dofmaps)], format="csr"))
 
     @property
     def Mp(self):

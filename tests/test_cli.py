@@ -62,8 +62,10 @@ def test_solve_cavity_cli(tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "cavity.vtk").exists()
-    assert re.search(r"saddle LU: \d+ unknowns, L\+U fill \d+, "
-                     r"\d+ refinements\n", capsys.readouterr().out)
+    # the p1b bubbles of the first component, one per cell
+    assert re.search(r"saddle LU: \d+ unknowns, 128 bubbles condensed, "
+                     r"L\+U fill \d+, \d+ refinements\n",
+                     capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
@@ -91,13 +93,16 @@ def test_gen_rejects_an_amplitude_it_cannot_draw(tmp_path, capsys, amplitude):
 @pytest.mark.parametrize("argv, bad", [
     (["gen", "--kind", "perturbed-zigzag", "--seed", "-3", "--out", "z.msh"],
      -3),
+    # a kind that draws nothing checks the seed too
+    (["gen", "--kind", "structured", "--seed", "-3", "--out", "z.msh"], -3),
     # test3's levels draw with the seed plus the level, and the error names
     # the seed typed
     (["run", "test3", "--seed", "-50", "--out-dir", "."], -50),
     (["run", "test3", "--seed", "-1", "--levels", "2", "--out-dir", "."], -1),
     # test5 draws nothing
     (["run", "test5", "--seed", "-7", "--out-dir", "."], -7),
-], ids=["gen", "run-test3", "run-test3-minus-1", "run-test5"])
+], ids=["gen", "gen-structured", "run-test3", "run-test3-minus-1",
+        "run-test5"])
 def test_negative_seed_is_clean_error(tmp_path, capsys, monkeypatch, argv,
                                       bad):
     monkeypatch.chdir(tmp_path)

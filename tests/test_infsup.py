@@ -573,6 +573,21 @@ def test_infsup_scatters_only_the_condensed_matrix_and_the_mass(
     assert shapes == [(n_p, n_p), (n + 1, n + 1)]
 
 
+def test_local_oracle_scatters_no_global_operator(monkeypatch):
+    # every star's pairing and mass are summed from the cell blocks, so a
+    # sweep of the local oracle assembles no global matrix
+    import stokestab.stokes as stokes
+    scatter, shapes = stokes._scatter, []
+    monkeypatch.setattr(stokes, "_scatter", lambda rows, cols, vals, shape: (
+        shapes.append(shape) or scatter(rows, cols, vals, shape)))
+    for mesh in (gen_zigzag(8, 8), ORACLE_MESHES["extruded-tet"](),
+                 gen_quad_macro()):
+        for combo in _combos(mesh.cell_kind):
+            for macro in build_macroelements(mesh):
+                local_nullspace(macro, combo)
+    assert shapes == []
+
+
 def test_infsup_unconverged_eigensolve_is_data(monkeypatch):
     # one restart of the smallest Krylov space ARPACK accepts
     eigsh = spla.eigsh
