@@ -7,8 +7,8 @@ import os
 import sys
 
 from .fespace import FECombo
-from .infsup import infsup_constant, local_nullspace
-from .macroelement import build_macroelements, structure_report
+from .infsup import infsup_constant, oracle_report
+from .macroelement import structure_report
 from .mesh import (StokestabError, _check_seed, gen_extruded_tet,
                    gen_perturbed, gen_quad_macro, gen_structured_cube,
                    gen_structured_tri, gen_zigzag, load_msh, save_msh,
@@ -48,26 +48,14 @@ def cmd_gen(args):
 
 def cmd_analyze(args):
     mesh = load_msh(args.mesh)
-    combos = _combo_list(args.combo)
-    header, rows = structure_report(mesh, combos)
-    agree = 0
-    if args.oracle:
-        verdicts = [header.index(f"verdict_{combo}") for combo in combos]
-        for combo in combos:
-            header.append(f"dim_{combo}")
-            header.append(f"agree_{combo}")
-        for macro, row in zip(build_macroelements(mesh), rows):
-            all_agree = True
-            for combo, col in zip(combos, verdicts):
-                dim = local_nullspace(macro, combo).dim
-                same = (row[col] == "regular") == (dim == 0)
-                row += [dim, int(same)]
-                all_agree &= same
-            agree += all_agree
+    report = oracle_report if args.oracle else structure_report
+    header, rows = report(mesh, _combo_list(args.combo))
     write_csv(args.out, header, rows)
     n = len(rows)
     print(f"analyzed {n} macro-elements -> {args.out}")
     if args.oracle and n:
+        cols = [i for i, h in enumerate(header) if h.startswith("agree_")]
+        agree = sum(all(row[i] for i in cols) for row in rows)
         print(f"oracle agreement on {agree}/{n} macro-elements")
         if agree != n:
             return 1
@@ -189,9 +177,11 @@ def build_parser():
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 
-    a = sub.add_parser("analyze", help="per-macro structure and verdicts")
+    a = sub.add_parser("analyze", help="per-macro structure and verdicts "
+                       "on a triangle or tet mesh (2D or 3D flag columns)")
     a.add_argument("mesh")
-    a.add_argument("--combo", default="p1b-p1:p1,p1-p1b:p1,p2-p1:p1")
+    a.add_argument("--combo", default="p1b-p1:p1,p1-p1b:p1,p2-p1:p1",
+                   help="comma-separated; a tet mesh takes 3D combos")
     a.add_argument("--oracle", action="store_true",
                    help="add numeric nullspace dimensions")
     a.add_argument("--out", default="analysis.csv")

@@ -34,8 +34,9 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .fespace import FECombo, FESpaceError, build_dofmap, P1, Q1, Q2
-from .macroelement import (_REASONS, _SPLITS, _combo, _segment_sums, _star,
-                           _star_splits, _stars, _verdicts)
+from .macroelement import (_REASONS, _SINGULAR, _SPLITS, _combo,
+                           _segment_sums, _star, _star_splits, _stars,
+                           _verdicts, structure_report)
 from .mesh import QUADRILATERAL, _frozen
 from .stokes import (SaddleFactorization, assemble, element_matrices,
                      StokesError, _QDEG)
@@ -125,7 +126,7 @@ def _star_oracles(mesh, combo):
     # each star cell's slots as columns of its star's [pairing | mass]: the
     # velocity slots (the components in turn) at their place, -1 off the
     # interior, then the pressure slots after the star's velocity columns
-    slot_col = np.hstack([place[key_at].reshape(len(cells), -1),
+    slot_col = np.hstack([place[key_at].reshape(-1, cell_cols.shape[1]),
                           n_cols[cell_star, None] + local])
     del keys, key_at, held, star, cols, place
 
@@ -193,9 +194,28 @@ def local_nullspace(macro, combo):
     if combo.pressure not in (P1, Q1):
         raise FESpaceError(f"the local oracle needs a vertex pressure (p1 or "
                            f"q1), got {combo.pressure}")
-    s = _star(macro)
-    return mesh.derived(("oracle", combo),
-                        lambda: _star_oracles(mesh, combo))[s]
+    return _oracles(mesh, combo)[_star(macro)]
+
+
+def _oracles(mesh, combo):
+    """`_star_oracles`, computed on the first ask and kept on the mesh."""
+    return mesh.derived(("oracle", combo), lambda: _star_oracles(mesh, combo))
+
+
+def oracle_report(mesh, combos):
+    """`structure_report` with, after its verdict columns, the local
+    nullspace dimension of every star for each combination and whether it
+    agrees with the verdict (1: singular exactly when the dimension is
+    positive)."""
+    combos = [FECombo.parse(c) for c in combos]
+    header, rows = structure_report(mesh, combos)
+    for combo in combos:
+        dims = np.array([ns.dim for ns in _oracles(mesh, combo)], dtype=int)
+        agree = _SINGULAR[_verdicts(mesh, combo)] == (dims > 0)
+        header += [f"dim_{combo}", f"agree_{combo}"]
+        for row, d, a in zip(rows, dims.tolist(), agree.tolist()):
+            row += [d, int(a)]
+    return header, rows
 
 
 def nullspace_residual(ns, p):

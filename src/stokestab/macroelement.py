@@ -28,9 +28,9 @@ without one, evaluates S and its scale.  In 3D one pass per axis labels the
 components of a graph of (star, cell) nodes and (star, interior face) edges
 for each star's plane split and splitting semi-planes.  One pass per
 combination turns those into every star's verdict, a row of the one reason
-table `_REASONS`, in 2D and 3D alike.  All are read-only arrays indexed like
-the star table, which the predicates, `classify_2d`, `classify_3d` and
-`structure_report` only read.  Alignment is to 1e-9 of the star diameter.
+table `_REASONS`.  All are read-only arrays indexed like the star table,
+which the predicates, `classify_2d`, `classify_3d` and `structure_report`
+only read, in 2D and 3D alike.  Alignment is to 1e-9 of the star diameter.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fespace import FECombo, FESpaceError
-from .mesh import MeshError, TRIANGLE, _frozen, _lookup, _padded
+from .mesh import MeshError, QUADRILATERAL, TRIANGLE, _frozen, _lookup, _padded
 
 _ALIGN_TOL = 1e-9   # alignment, relative to the star diameter
 _S_TOL = 1e-10      # |S| against zero, relative to sum(1/area)
@@ -442,26 +442,33 @@ def predict_regularity(macro, combo):
 def structure_report(mesh, combos=()):
     """Per-interior-vertex structure table.
 
-    Returns (header, rows) with the geometric flags, the uniformity
-    constants, the normalized alternating sum where defined, and one verdict
-    column per requested combination.  Meant to be written as CSV.
+    Returns (header, rows) with the geometric flags and one verdict column
+    per requested combination.  On a triangle mesh the flags come with the
+    uniformity constants and the normalized alternating sum where defined;
+    on a tet mesh they are the axis-plane splits and the vertical semi-plane
+    count, as `classify_3d` gives them.  Meant to be written as CSV.
     """
-    if mesh.cell_kind != TRIANGLE:
-        raise MeshError("the structure report covers 2D triangular meshes")
-    combos = [_combo(mesh, c, 2) for c in combos]
-    header = ["vertex", "n_v", "x_structured", "y_structured",
-              "aligned_x", "aligned_y", "min_sin", "min_cos", "abs_s_scaled"]
-    header += [f"verdict_{c}" for c in combos]
+    if mesh.cell_kind == QUADRILATERAL:
+        raise MeshError("the structure report covers triangular and "
+                        "tetrahedral meshes")
+    combos = [_combo(mesh, c, mesh.dim) for c in combos]
+    header = ["vertex", "n_v", "x_structured", "y_structured"]
     t = _stars(mesh)
     size = np.diff(t.ring_offsets)
-    x, y = _axis_2d(mesh, 0), _axis_2d(mesh, 1)
-    plain = (x.aligned == 0) & (y.aligned == 0) & (size % 2 == 0)
-    s_scaled = [v if p else "" for v, p in
-                zip((np.abs(y.s) / y.scale).tolist(), plain.tolist())]
-    columns = [t.centers, size, (x.aligned >= 2).astype(int),
-               (y.aligned >= 2).astype(int), x.aligned, y.aligned, y.margin,
-               x.margin]
-    columns = [c.tolist() for c in columns] + [s_scaled]
+    if mesh.dim == 3:
+        x, y, z = (_star_splits(mesh, a) for a in range(3))
+        header += ["z_structured", "semi_planes"]
+        columns = [s.plane_split.astype(int) for s in (x, y, z)] + [z.count]
+    else:
+        x, y = _axis_2d(mesh, 0), _axis_2d(mesh, 1)
+        header += ["aligned_x", "aligned_y", "min_sin", "min_cos",
+                   "abs_s_scaled"]
+        s_scaled = (np.abs(y.s) / y.scale).astype(object)
+        s_scaled[(x.aligned > 0) | (y.aligned > 0) | (size % 2 == 1)] = ""
+        columns = [(x.aligned >= 2).astype(int), (y.aligned >= 2).astype(int),
+                   x.aligned, y.aligned, y.margin, x.margin, s_scaled]
+    header += [f"verdict_{c}" for c in combos]
+    columns = [c.tolist() for c in [t.centers, size, *columns]]
     columns += [np.where(_SINGULAR[_verdicts(mesh, c)], "singular",
                          "regular").tolist() for c in combos]
     return header, [list(row) for row in zip(*columns)]

@@ -178,7 +178,7 @@ class Mesh:
     `interior_waves` schedule; `padded_neighbours`, `edge_index` and
     `safe_move` read it.
     `derived(key, build)` keeps other data computed from the mesh, such as
-    the operators the local oracle slices.
+    the star table, the verdict arrays and the local oracle's answers.
     """
 
     def __init__(self, dim, cell_kind, vertices, cells, boundary_facets=None,

@@ -17,9 +17,9 @@ from importlib import resources
 
 import numpy as np
 
-from .infsup import infsup_constant, local_nullspace, nullspace_residual
-from .macroelement import (build_macroelements, classify_3d,
-                           predict_regularity_3d)
+from .infsup import (infsup_constant, local_nullspace, nullspace_residual,
+                     oracle_report)
+from .macroelement import build_macroelements
 from .mesh import (StokestabError, _check_seed, _jitter, gen_extruded_tet,
                    gen_perturbed, gen_quad_macro, gen_structured_cube,
                    gen_structured_tri, gen_zigzag, save_msh, save_vtk,
@@ -230,22 +230,16 @@ _CUBE_COMBOS = ["p1-p1b-p1b:p1", "p1b-p1-p1b:p1", "p1b-p1b-p1:p1",
 
 def _local_3d_table(mesh, combos, csv):
     """Closed-form verdict beside the numeric nullspace dimension for every
-    macro and combination, written to csv; returns the rows and the number
-    of macros."""
-    macros = build_macroelements(mesh)
-    rows = []
-    for m in macros:
-        flags = classify_3d(m)
-        for combo in combos:
-            v = predict_regularity_3d(m, combo)
-            dim = local_nullspace(m, combo).dim
-            rows.append([int(m.center), combo, int(flags.x_structured),
-                         int(flags.y_structured), int(flags.z_structured),
-                         flags.semi_plane_count, v.predicted, dim,
-                         int(v.regular == (dim == 0))])
+    macro and combination, one row each read from the oracle report, written
+    to csv; returns the rows and the number of macros."""
+    header, report = oracle_report(mesh, combos)
+    at = {h: i for i, h in enumerate(header)}
+    rows = [[r[0], combo, *r[2:6]]
+            + [r[at[f"{h}_{combo}"]] for h in ("verdict", "dim", "agree")]
+            for r in report for combo in combos]
     write_csv(csv, ["vertex", "combo", "x_str", "y_str", "z_str",
                     "semi_planes", "predicted", "numeric_dim", "agree"], rows)
-    return rows, len(macros)
+    return rows, len(report)
 
 
 def run_test5(out_dir, seed=42):

@@ -77,23 +77,36 @@ def predict_regularity(macro, combo):
 
 def structure_report(mesh, combos=()):
     combos = [FECombo.parse(c) for c in combos]
-    header = ["vertex", "n_v", "x_structured", "y_structured",
-              "aligned_x", "aligned_y", "min_sin", "min_cos", "abs_s_scaled"]
+    header = ["vertex", "n_v", "x_structured", "y_structured"]
+    if mesh.dim == 3:
+        header += ["z_structured", "semi_planes"]
+    else:
+        header += ["aligned_x", "aligned_y", "min_sin", "min_cos",
+                   "abs_s_scaled"]
     header += [f"verdict_{c}" for c in combos]
     rows = []
     for macro in build_macroelements(mesh):
-        flags = classify_2d(macro)
-        if flags.aligned_count_x == 0 and flags.aligned_count_y == 0 \
-                and macro.n_v % 2 == 0:
-            s_scaled = (abs(alternating_sum(macro.angles, macro.areas))
-                        / float(np.sum(1.0 / macro.areas)))
+        if mesh.dim == 3:
+            flags = classify_3d(macro)
+            row = [int(macro.center), macro.n_v, int(flags.x_structured),
+                   int(flags.y_structured), int(flags.z_structured),
+                   flags.semi_plane_count]
+            predict = predict_regularity_3d
         else:
-            s_scaled = ""
-        row = [int(macro.center), macro.n_v, int(flags.x_structured),
-               int(flags.y_structured), flags.aligned_count_x,
-               flags.aligned_count_y, flags.min_sin, flags.min_cos, s_scaled]
+            flags = classify_2d(macro)
+            if flags.aligned_count_x == 0 and flags.aligned_count_y == 0 \
+                    and macro.n_v % 2 == 0:
+                s_scaled = (abs(alternating_sum(macro.angles, macro.areas))
+                            / float(np.sum(1.0 / macro.areas)))
+            else:
+                s_scaled = ""
+            row = [int(macro.center), macro.n_v, int(flags.x_structured),
+                   int(flags.y_structured), flags.aligned_count_x,
+                   flags.aligned_count_y, flags.min_sin, flags.min_cos,
+                   s_scaled]
+            predict = predict_regularity
         for c in combos:
-            row.append(predict_regularity(macro, c).predicted)
+            row.append(predict(macro, c).predicted)
         rows.append(row)
     return header, rows
 

@@ -6,7 +6,7 @@ import pytest
 
 from stokestab.cli import main
 from stokestab.mesh import (load_msh, gen_zigzag, save_msh, gen_structured_tri,
-                            gen_quad_macro)
+                            gen_quad_macro, gen_extruded_tet)
 
 
 def test_gen_and_reload(tmp_path):
@@ -195,21 +195,50 @@ def test_bad_mesh_path_is_clean_error(capsys):
 
 def test_analyze_empty_interior_mesh(tmp_path):
     from stokestab.mesh import Mesh
-    mesh = Mesh(2, "triangle", [(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    mesh_path = tmp_path / "t.msh"
-    save_msh(mesh, mesh_path)
+    triangle = Mesh(2, "triangle", [(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    tet = Mesh(3, "tetrahedron", np.vstack([np.zeros(3), np.eye(3)]),
+               [(0, 1, 2, 3)])
+    for mesh, combo in ((triangle, []), (tet, ["--combo", "p1b-p1-p1:p1"])):
+        mesh_path = tmp_path / "t.msh"
+        save_msh(mesh, mesh_path)
+        for oracle in ([], ["--oracle"]):
+            out = tmp_path / "a.csv"
+            with pytest.warns(UserWarning, match="interior"):
+                rc = main(["analyze", str(mesh_path), "--out", str(out)]
+                          + combo + oracle)
+            assert rc == 0
+            lines = out.read_text().splitlines()
+            assert len(lines) == 1  # header only
+            assert ("dim_" in lines[0]) == bool(oracle)
+
+
+def test_analyze_tet_mesh(tmp_path, capsys):
+    mesh_path = tmp_path / "ext.msh"
+    save_msh(gen_extruded_tet(gen_zigzag(4, 4), 2), mesh_path)
     out = tmp_path / "a.csv"
-    with pytest.warns(UserWarning, match="interior"):
-        rc = main(["analyze", str(mesh_path), "--out", str(out)])
-    assert rc == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 1  # header only
+    # the default combinations are 2D
+    assert main(["analyze", str(mesh_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: unsupported combo p1b-p1:p1 for 3D prediction\n"
+    assert main(["analyze", str(mesh_path), "--combo",
+                 "p1b-p1-p1:p1,p1b-p1b-p1:p1", "--oracle",
+                 "--out", str(out)]) == 0
+    assert "oracle agreement on 9/9 macro-elements" in capsys.readouterr().out
+    header, *rows = out.read_text().splitlines()
+    assert header.split(",") == [
+        "vertex", "n_v", "x_structured", "y_structured", "z_structured",
+        "semi_planes", "verdict_p1b-p1-p1:p1", "verdict_p1b-p1b-p1:p1",
+        "dim_p1b-p1-p1:p1", "agree_p1b-p1-p1:p1", "dim_p1b-p1b-p1:p1",
+        "agree_p1b-p1b-p1:p1"]
+    assert len(rows) == 9
 
 
 @pytest.mark.parametrize("argv", [
     ["infsup", "{mesh}", "--combo", "p1b-p1:p1"],
     ["unstructure", "{mesh}", "{out}", "--r", "0.2"],
-], ids=["infsup", "unstructure"])
+    ["analyze", "{mesh}"],
+    ["analyze", "{mesh}", "--oracle"],
+], ids=["infsup", "unstructure", "analyze", "analyze-oracle"])
 def test_quad_mesh_is_clean_error(tmp_path, capsys, argv):
     mesh_path = tmp_path / "quad.msh"
     save_msh(gen_quad_macro(), mesh_path)
@@ -219,25 +248,34 @@ def test_quad_mesh_is_clean_error(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "triangular" in err
 
 
-def test_analyze_oracle_builds_macros_once(tmp_path, monkeypatch):
+def test_analyze_oracle_and_test5_read_the_star_passes(tmp_path,
+                                                       monkeypatch):
+    # no MacroElement list is built, and each (mesh, combination) runs the
+    # oracle pass once
+    import stokestab.infsup as infsup
     import stokestab.macroelement as me
-    builds = []
-    original = me._build_macroelements
+    builds, oracles = [], []
+    build, oracle = me._build_macroelements, infsup._star_oracles
 
-    def counting(mesh):
+    def counting_build(mesh):
         builds.append(mesh)
-        return original(mesh)
+        return build(mesh)
 
-    monkeypatch.setattr(me, "_build_macroelements", counting)
+    def counting_oracle(mesh, combo):
+        oracles.append((mesh, combo))  # kept alive: ids stay unique
+        return oracle(mesh, combo)
+
+    monkeypatch.setattr(me, "_build_macroelements", counting_build)
+    monkeypatch.setattr(infsup, "_star_oracles", counting_oracle)
     mesh_path = tmp_path / "m.msh"
     save_msh(gen_zigzag(4, 4), mesh_path)
     out = tmp_path / "a.csv"
     assert main(["analyze", str(mesh_path), "--oracle", "--out",
                  str(out)]) == 0
-    assert len(builds) == 1
-    assert main(["analyze", str(mesh_path), "--oracle", "--out",
-                 str(out)]) == 0
-    assert len(builds) == 2
+    assert len({(id(m), c) for m, c in oracles}) == len(oracles) == 3
+    assert main(["run", "test5", "--out-dir", str(tmp_path)]) == 0
+    assert len({(id(m), c) for m, c in oracles}) == len(oracles) == 3 + 6
+    assert builds == []
 
 
 @pytest.mark.parametrize("scenario", ["test2", "test9"])

@@ -12,7 +12,8 @@ import stokestab.infsup as infsup
 import stokestab.macroelement as macroelement
 from stokestab.fespace import FECombo, FESpaceError
 from stokestab.infsup import (analytic_singular_pressure, global_counterexample,
-                              local_nullspace, nullspace_residual)
+                              local_nullspace, nullspace_residual,
+                              oracle_report)
 from stokestab.macroelement import (build_macroelements, classify_2d,
                                     classify_3d, predict_regularity,
                                     predict_regularity_3d, structure_report)
@@ -71,11 +72,10 @@ def test_passes_match_the_per_macro_reference():
     reasons, witnesses, four_rings = set(), set(), 0
     for mesh in _meshes_2d() + _meshes_3d():
         macros = build_macroelements(mesh)
-        if mesh.dim == 2:
-            assert structure_report(mesh, SPLIT_2D) == \
-                per_macro.structure_report(mesh, SPLIT_2D)
-        for macro, combo in itertools.product(
-                macros, SPLIT_2D if mesh.dim == 2 else SPLIT_3D):
+        combos = SPLIT_2D if mesh.dim == 2 else SPLIT_3D
+        assert structure_report(mesh, combos) == \
+            per_macro.structure_report(mesh, combos)
+        for macro, combo in itertools.product(macros, combos):
             if mesh.dim == 2:
                 assert classify_2d(macro) == per_macro.classify_2d(macro)
                 got = predict_regularity(macro, combo)
@@ -113,6 +113,40 @@ def test_passes_match_the_per_macro_reference():
         macro, = build_macroelements(mesh)
         assert _same(analytic_singular_pressure(macro, "q2-q1:q1"),
                      per_macro.analytic_singular_pressure(macro, "q2-q1:q1"))
+
+
+@pytest.mark.parametrize("make, combos", [
+    (lambda: gen_structured_cube(3, 3, 3), SPLIT_3D),
+    (lambda: gen_extruded_tet(unstructured_family_mesh(3, 1), 2), SPLIT_3D),
+    (lambda: _repaired(0), SPLIT_2D)], ids=["kuhn", "extruded", "repaired"])
+def test_oracle_report_matches_the_per_macro_views(make, combos):
+    # the join reads the same verdicts and oracle dims as the per-macro
+    # views, star by star, after the structure report's columns
+    mesh = make()
+    header, rows = oracle_report(mesh, combos)
+    base, base_rows = structure_report(mesh, combos)
+    assert header == base + [f"{h}_{c}" for c in combos
+                             for h in ("dim", "agree")]
+    assert [row[:len(base)] for row in rows] == base_rows
+    predict = predict_regularity if mesh.dim == 2 else predict_regularity_3d
+    ref = []
+    for macro in build_macroelements(mesh):
+        row = {}
+        if mesh.dim == 3:
+            f = classify_3d(macro)
+            row = {"vertex": macro.center, "n_v": macro.n_v,
+                   "x_structured": int(f.x_structured),
+                   "y_structured": int(f.y_structured),
+                   "z_structured": int(f.z_structured),
+                   "semi_planes": f.semi_plane_count}
+        for c in combos:
+            v, dim = predict(macro, c), local_nullspace(macro, c).dim
+            row |= {f"verdict_{c}": v.predicted, f"dim_{c}": dim,
+                    f"agree_{c}": int(v.regular == (dim == 0))}
+        ref.append(row)
+    assert [{h: r[header.index(h)] for h in want}
+            for r, want in zip(rows, ref)] == ref
+    assert len(rows) == len(ref)
 
 
 @pytest.mark.parametrize("make", [
