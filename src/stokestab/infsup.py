@@ -19,16 +19,20 @@ deflated (the numerical inf-sup test of Chapelle & Bathe).  S = B A^-1 B^T
 is never formed, and neither are A and B: the pivot-free factorization of
 the penalized saddle matrix that the saddle solve uses, scattered once from
 the cell blocks with the P1b bubbles condensed out cell by cell, applies
-(S + delta*Mp)^-1 in one unrefined solve, and shift-invert Lanczos returns
-the smallest eigenvalues.  Mp, the pencil's other matrix, is the only
-global matrix assembled besides.  The pencil's spectrum lies in [0, 1], so
-the shift and the beta = 0 floor are absolute.
+(S + delta*Mp)^-1 in one unrefined solve.  Mp, the pencil's other matrix,
+is not assembled either: it is factored cell by cell as G^T G, and Lanczos
+on the symmetric operator G (S + delta*Mp)^-1 G^T, with the constant
+deflated, returns its largest eigenvalues mu; the pencil's smallest are
+1/mu - delta.  The pencil's spectrum lies in [0, 1], so the shift and the
+beta = 0 floor are absolute.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -38,8 +42,8 @@ from .macroelement import (_REASONS, _SINGULAR, _SPLITS, _combo,
                            _segment_sums, _star, _star_splits, _stars,
                            _verdicts, structure_report)
 from .mesh import QUADRILATERAL, _frozen
-from .stokes import (SaddleFactorization, assemble, element_matrices,
-                     StokesError, _QDEG)
+from .stokes import (SaddleFactorization, assemble, cell_geometry,
+                     element_matrices, reference_tensor, StokesError, _QDEG)
 
 
 @dataclass
@@ -438,6 +442,32 @@ def global_counterexample(mesh, combo):
 # spurious modes; at 1e-8 only to about 5e-10.
 _SHIFT = 1e-6
 _FLOOR = 1e-12
+# ARPACK stops at this relative Ritz residual.  A symmetric operator's Ritz
+# values are accurate to the square of their residual (Parlett, The
+# Symmetric Eigenvalue Problem), far below the 1e-11 accuracy of the
+# unrefined solve the operator applies.  A looser residual costs
+# multiplicity instead: Lanczos finds a second copy of a multiple
+# eigenvalue only as rounding grows it, so the fewer its steps, the more
+# copies it misses.  Against the dense Schur reference on 1400 (mesh,
+# combination, k) cases, with the ncv below, 1e-8 lost 5 eigenvalues and
+# 1e-9 lost 3, all double ones of p1b-p1b:p1 on square grids, and no zero
+# mode; 1e-10 lost none but took 30% more solves at k = 3.
+_TOL = 1e-9
+# ARPACK keeps ncv = max(4k + 1, _NCV) Lanczos vectors.  With tol = 1e-8 and
+# 2k + 1 of them Lanczos finds only 4 of the 5 zero modes of p1-p1:p1 on
+# gen_zigzag(8, 8) at k = 5, and with max(2k + 1, 12) one of the two
+# eigenvalues 0.15 of p1b-p1b:p1 on gen_structured_tri(6, 6).  Below 12,
+# k = 1 and 2 restart more often: 5 vectors took 165 solves on 8 calls
+# where 12 took 152.
+_NCV = 12
+
+
+@lru_cache(maxsize=None)
+def _mass_factor(space, cell_kind):
+    """C, lower triangular, with C C^T the reference mass tensor of the
+    space (a fraction of the cell measure), read-only."""
+    M = reference_tensor(space, space, cell_kind, "mass", _QDEG[cell_kind])
+    return _frozen(np.linalg.cholesky(M))
 
 
 def infsup_constant(mesh, combo, k=5):
@@ -448,51 +478,65 @@ def infsup_constant(mesh, combo, k=5):
     the penalized saddle matrix K = [[A, -B^T], [-B, -delta*Mp]] leaves the
     pressure block -(S + delta*Mp), S = B A^-1 B^T, so one
     `SaddleFactorization` of K (scattered from the cell blocks, P1b bubbles
-    condensed cell by cell, no pivoting) applies
-    (S + delta*Mp)^-1 without forming S, and shift-invert Lanczos at
-    sigma = -delta returns the k smallest eigenvalues.  The constant is
-    deflated by the pair of Mp-projectors around that solve.  An eigenvalue
-    at or below 1e-12 is an exact spurious mode and gives beta = 0.
+    condensed cell by cell, no pivoting) applies X = (S + delta*Mp)^-1
+    without forming S.  The mass is factored cell by cell, Mp = G^T G with
+    G = sqrt(|K|) C^T on the pressure dofs of each cell K and C C^T the
+    reference mass (`_mass_factor`), so the pencil's eigenvalues are
+    lambda = 1/mu - delta for the nonzero eigenvalues mu of the symmetric
+    operator T = Q G X G^T Q, of order (local pressure dofs) x (cells),
+    where Q removes G 1, the image of the constant.  Lanczos in ARPACK's
+    standard mode returns the k largest mu, to a relative Ritz residual of
+    1e-9, with one solve per step and no global Mp.  An eigenvalue at or
+    below 1e-12 is an exact spurious mode and gives beta = 0.
     """
-    if k < 1:
-        raise StokesError(f"k, the number of eigenvalues, must be >= 1, "
-                          f"got {k}")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise StokesError(f"k, the number of eigenvalues, must be an integer "
+                          f">= 1, got {k}")
     combo = FECombo.parse(combo)
     sys = assemble(mesh, combo)
-    Mp = sys.Mp
-    n_p = Mp.shape[0]
-    # the constant is deflated, so eigsh's 0 < k < n_p leaves k <= n_p - 2
+    n_p = sys.p_dofmap.n_dofs
+    # T has n_p - 1 nonzero eigenvalues, and k stays below that count
     if n_p < 3:
         raise StokesError(f"the inf-sup constant needs at least 3 pressure "
                           f"dofs, got n_p = {n_p}")
     fact = SaddleFactorization(sys, _SHIFT)
-    k = min(k, n_p - 2)
-    mp1 = Mp @ np.ones(n_p)
+    k = min(int(k), n_p - 2)
+    dofs = sys.p_dofmap.cell_dofs
+    C = _mass_factor(sys.p_dofmap.space, mesh.cell_kind)
+    root = np.sqrt(cell_geometry(mesh)[2])[:, None]
+    m = dofs.size
+
+    def G(q):
+        return (root * (q[dofs] @ C)).ravel()
+
+    def Gt(y):
+        vals = root * (y.reshape(dofs.shape) @ C.T)
+        return np.bincount(dofs.ravel(), vals.ravel(), minlength=n_p)
+
+    mp1 = Gt(G(np.ones(n_p)))
     m11 = float(mp1.sum())
 
-    def op_inv(b):
-        # pressure part of K^-1 [0; -b], i.e. (S + delta*Mp)^-1 b, with the
-        # constant taken out of b (Mp-orthogonal side) and of the result
+    def apply_T(y):
+        # G^T Q y is G^T y less mp1 times its share of the constant, and X
+        # of it the pressure part of K^-1 [0; -G^T Q y]; Q G x is G of x
+        # less its constant
+        b = Gt(y)
         x = fact.solve_pressure(mp1 * (b.sum() / m11) - b)
-        return x - (mp1 @ x) / m11
+        return G(x - (mp1 @ x) / m11)
 
-    def never(x):
-        raise AssertionError("shift-invert mode does not apply S")
-
-    # eigsh reads only the shape and dtype of S in shift-invert mode;
-    # float operators keep its precision check quiet
-    S = spla.LinearOperator((n_p, n_p), matvec=never, dtype=float)
-    op = spla.LinearOperator((n_p, n_p), matvec=op_inv, dtype=float)
+    # float operators keep eigsh's precision check quiet
+    T = spla.LinearOperator((m, m), matvec=apply_T, dtype=float)
     # a fixed start vector: ARPACK's own is random and changes the trailing
     # digits from one call to the next
-    v0 = np.random.default_rng(0).standard_normal(n_p)
+    v0 = np.random.default_rng(0).standard_normal(m)
     converged = True
     try:
-        vals = spla.eigsh(S, k=k, M=Mp, sigma=-_SHIFT, OPinv=op, v0=v0,
-                          which="LM", return_eigenvectors=False)
+        mu = spla.eigsh(T, k=k, which="LM", v0=v0, tol=_TOL,
+                        ncv=min(max(4 * k + 1, _NCV), m),
+                        return_eigenvectors=False)
     except spla.ArpackNoConvergence as exc:
-        vals, converged = exc.eigenvalues, False
-    vals = np.sort(vals)
+        mu, converged = exc.eigenvalues, False
+    vals = np.sort(1.0 / mu - _SHIFT)
     lam_min = float(vals[0]) if len(vals) else np.nan
     beta = 0.0 if lam_min <= _FLOOR else math.sqrt(lam_min)
     return InfSupResult(beta=beta, spectrum=vals, converged=converged,

@@ -1,9 +1,12 @@
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import stokestab
 from stokestab.cli import main
 from stokestab.mesh import (load_msh, gen_zigzag, save_msh, gen_structured_tri,
                             gen_quad_macro, gen_extruded_tet)
@@ -131,7 +134,7 @@ def test_infsup_cli_rejects_k_below_one(tmp_path, capsys, k):
     save_msh(gen_zigzag(4, 4), mesh_path)
     assert main(["infsup", str(mesh_path), "-k", k]) == 2
     assert capsys.readouterr().err == "error: k, the number of eigenvalues, " \
-        f"must be >= 1, got {k}\n"
+        f"must be an integer >= 1, got {k}\n"
 
 
 def test_infsup_cli_rejects_fewer_than_three_pressures(tmp_path, capsys):
@@ -362,3 +365,14 @@ def test_analyze_orphan_node_is_clean_error(tmp_path, capsys):
     assert main(["analyze", str(mesh_path), "--out",
                  str(tmp_path / "a.csv")]) == 2
     assert capsys.readouterr().err == "error: vertex 4 belongs to no cell\n"
+
+
+def test_python_m_stokestab_runs_the_cli():
+    # a checkout runs the command line with only src on the path
+    src = os.path.dirname(os.path.dirname(stokestab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "stokestab", "run", "--help"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: ")
