@@ -106,10 +106,8 @@ def cmd_convergence(args):
     rep.to_csv(path)
     print(f"combo={combo} levels={levels} seed={args.seed}")
     for o in rep.orders():
-        print("  h=%.4g  orders: L2_u=%.3f H1_u=%.3f L2_v=%.3f H1_v=%.3f "
-              "L2_p=%.3f" % (o["h"], o["order_L2_u"], o["order_H1_u"],
-                             o["order_L2_v"], o["order_H1_v"],
-                             o["order_L2_p"]))
+        print(f"  h={o.pop('h'):.4g}  orders: " + " ".join(
+            f"{k.removeprefix('order_')}={v:.3f}" for k, v in o.items()))
     print(f"wrote {path}")
     return 0
 

@@ -18,6 +18,10 @@ factor's order.  That order takes the unknowns mesh location by mesh
 location (the u, v and p of a vertex together), the locations in
 minimum-degree order.  The global A, B and Mp of a `StokesSystem` are
 scattered only when a caller reads them.
+
+A manufactured solution is two callables on points, `load` (the forcing)
+and `fields` (velocity, gradient, pressure); a convergence study calls each
+once per mesh and reports the errors of every velocity component.
 """
 
 from __future__ import annotations
@@ -693,62 +697,57 @@ def solve_penalized(sys, eps=1e-10):
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    u: callable
-    v: callable
-    p: callable
-    grad_u: callable
-    grad_v: callable
-    f: callable
+    """An exact Stokes solution, evaluated at an (n, d) array of points x.
+
+    load(x): the forcing -lap u + grad p, (n, d).
+    fields(x): the velocity (n, d), its gradient (n, d, d) with row k the
+    gradient of component k, and the pressure (n,).
+    """
+    load: callable
+    fields: callable
 
 
 def trig_solution():
-    """Divergence-free benchmark with zero velocity trace on the unit square."""
+    """Divergence-free benchmark with zero velocity trace on the unit square.
+    Each call takes the sine and cosine of 2 pi x and 2 pi y once."""
     tp = 2 * np.pi
 
-    def u(x):
-        return np.cos(tp * x[:, 0]) * np.sin(tp * x[:, 1]) - np.sin(tp * x[:, 1])
+    def sincos(x):
+        return (np.sin(tp * x[:, 0]), np.cos(tp * x[:, 0]),
+                np.sin(tp * x[:, 1]), np.cos(tp * x[:, 1]))
 
-    def v(x):
-        return -np.cos(tp * x[:, 1]) * np.sin(tp * x[:, 0]) + np.sin(tp * x[:, 0])
-
-    def p(x):
-        return tp * (np.cos(tp * x[:, 1]) - np.cos(tp * x[:, 0]))
-
-    def grad_u(x):
-        gx = -tp * np.sin(tp * x[:, 0]) * np.sin(tp * x[:, 1])
-        gy = tp * np.cos(tp * x[:, 1]) * (np.cos(tp * x[:, 0]) - 1.0)
-        return np.stack([gx, gy], axis=1)
-
-    def grad_v(x):
-        gx = -tp * np.cos(tp * x[:, 0]) * (np.cos(tp * x[:, 1]) - 1.0)
-        gy = tp * np.sin(tp * x[:, 1]) * np.sin(tp * x[:, 0])
-        return np.stack([gx, gy], axis=1)
-
-    def f(x):
-        s0, c0 = np.sin(tp * x[:, 0]), np.cos(tp * x[:, 0])
-        s1, c1 = np.sin(tp * x[:, 1]), np.cos(tp * x[:, 1])
+    def load(x):
+        s0, c0, s1, c1 = sincos(x)
         f1 = 2 * tp ** 2 * c0 * s1 - tp ** 2 * s1 + tp ** 2 * s0
         f2 = -2 * tp ** 2 * c1 * s0 + tp ** 2 * s0 - tp ** 2 * s1
         return np.stack([f1, f2], axis=1)
 
-    return ManufacturedSolution(u, v, p, grad_u, grad_v, f)
+    def fields(x):
+        s0, c0, s1, c1 = sincos(x)
+        velocity = np.stack([c0 * s1 - s1, -c1 * s0 + s0], axis=1)
+        grad = np.array([[-tp * s0 * s1, tp * c1 * (c0 - 1.0)],
+                         [-tp * c0 * (c1 - 1.0), tp * s1 * s0]])
+        return velocity, grad.transpose(2, 0, 1), tp * (c1 - c0)
+
+    return ManufacturedSolution(load, fields)
 
 
-def _field_errors(mesh, dm, dofs, exact, exact_grad):
+def _field_errors(mesh, dm, dofs, exact, exact_grad=None):
+    """L2 and H1-seminorm errors (None without exact_grad) of dofs in dm,
+    against exact values (n,) and gradients (n, d) at `_data_points`."""
     rule = quadrature(mesh.cell_kind, _DATA_QDEG)
     _, invJT, meas = cell_geometry(mesh)
-    flat = _data_points(mesh)
     vals, grads = eval_basis(dm.space, mesh.cell_kind, rule.points)
     cd = dofs[dm.cell_dofs]
     uh = np.einsum("qi,ci->cq", vals, cd, optimize=True)
-    err2 = (uh - exact(flat).reshape(uh.shape)) ** 2
+    err2 = (uh - exact.reshape(uh.shape)) ** 2
     l2 = float(np.einsum("q,cq,c->", rule.weights, err2, meas, optimize=True))
     h1 = None
     if exact_grad is not None:
         # one contraction, so the (cells, points, dofs, dim) physical
         # gradients of the basis are never formed
         guh = np.einsum("ckd,qid,ci->cqk", invJT, grads, cd, optimize=True)
-        gerr = guh - exact_grad(flat).reshape(guh.shape)
+        gerr = guh - exact_grad.reshape(guh.shape)
         h1 = float(np.einsum("q,cqk,c->", rule.weights, gerr ** 2, meas,
                              optimize=True))
     return np.sqrt(l2), (np.sqrt(h1) if h1 is not None else None)
@@ -757,79 +756,80 @@ def _field_errors(mesh, dm, dofs, exact, exact_grad):
 @dataclass
 class ErrorReport:
     combo: FECombo
-    rows: list                # dicts: h, eL2_u, eH1_u, eL2_v, eH1_v, eL2_p
+    rows: list                # dicts: h, eL2_u, eH1_u, eL2_v, ..., eL2_p
 
     def orders(self):
-        """Convergence orders between consecutive refinements."""
+        """Convergence orders between consecutive refinements: order_L2_u
+        and so on, one per error of the rows."""
         out = []
-        keys = ["eL2_u", "eH1_u", "eL2_v", "eH1_v", "eL2_p"]
         for a, b in zip(self.rows, self.rows[1:]):
-            o = {"h": b["h"]}
-            for k in keys:
-                o["order_" + k[1:]] = (np.log(b[k] / a[k])
-                                       / np.log(b["h"] / a["h"]))
-            out.append(o)
+            dh = np.log(b["h"] / a["h"])
+            out.append({"h": b["h"], **{
+                "order_" + k[1:]: np.log(b[k] / a[k]) / dh
+                for k in b if k != "h"}})
         return out
 
     def to_csv(self, path):
-        keys = ["h", "eL2_u", "eH1_u", "eL2_v", "eH1_v", "eL2_p"]
-        okeys = ["order_L2_u", "order_H1_u", "order_L2_v", "order_H1_v",
-                 "order_L2_p"]
-        orders = self.orders()
-        rows = []
-        for i, r in enumerate(self.rows):
-            row = [r[k] for k in keys]
-            if i == 0:
-                row += [""] * len(okeys)
-            else:
-                row += [orders[i - 1][k] for k in okeys]
-            rows.append(row)
-        write_csv(path, keys + okeys, rows)
+        keys = list(self.rows[0]) if self.rows else ["h"]
+        okeys = ["order_" + k[1:] for k in keys if k != "h"]
+        orders = [dict.fromkeys(okeys, "")] + self.orders()
+        write_csv(path, keys + okeys, [[r[k] for k in keys]
+                                       + [o[k] for k in okeys]
+                                       for r, o in zip(self.rows, orders)])
 
 
 def convergence_study(combo, meshes, exact=None, eps=1e-10):
     """Solve on each mesh and report errors and orders.
 
-    The exact solution must be divergence-free with zero boundary trace;
-    this is spot-checked on the first mesh before any solve, and a failed
-    check raises StokesError.
+    The meshes must have distinct sizes h.  The exact solution must be
+    divergence-free with zero boundary trace; this is spot-checked on the
+    first mesh.  Either failure raises StokesError before any solve.
     """
     combo = FECombo.parse(combo)
     if not meshes:
         raise StokesError("a convergence study needs at least one mesh")
     if exact is None:
         exact = trig_solution()
+    hs = [mesh.metrics().h for mesh in meshes]
+    for j, h in enumerate(hs):
+        if h in hs[:j]:
+            raise StokesError(f"meshes {hs.index(h)} and {j} have the same "
+                              f"size h = {h:.6g}")
 
     m0 = meshes[0]
-    bnd = m0.vertices[m0.boundary_vertex_mask()]
-    trace = np.abs(np.concatenate([exact.u(bnd), exact.v(bnd)])).max()
+    trace = np.abs(exact.fields(
+        m0.vertices[m0.boundary_vertex_mask()])[0]).max()
     # written so that nan fails too
     if not trace < 1e-12:
         raise StokesError(f"the exact velocity must vanish on the boundary; "
                           f"it reaches {trace:.3g} there")
-    pts = np.random.default_rng(0).uniform(0.1, 0.9, size=(50, 2))
-    div = np.abs(exact.grad_u(pts)[:, 0] + exact.grad_v(pts)[:, 1]).max()
+    pts = np.random.default_rng(0).uniform(0.1, 0.9, size=(50, m0.dim))
+    div = np.abs(np.trace(exact.fields(pts)[1], axis1=1, axis2=2)).max()
     if not div < 1e-10:
         raise StokesError(f"the exact velocity must be divergence-free; its "
                           f"divergence reaches {div:.3g}")
 
-    rows = []
-    for mesh in meshes:
-        sys = assemble(mesh, combo)
-        f = exact.f(_data_points(mesh))
-        for k, dm in enumerate(sys.vel_dofmaps):
-            sys.rhs[sys.offsets[k]:sys.offsets[k + 1]] = _project(
-                mesh, dm, f[:, k])
-        del f  # not held through the solve
-        sol = solve_penalized(sys, eps)
-        ul2, uh1 = _field_errors(mesh, sys.vel_dofmaps[0], sol.velocity[0],
-                                 exact.u, exact.grad_u)
-        vl2, vh1 = _field_errors(mesh, sys.vel_dofmaps[1], sol.velocity[1],
-                                 exact.v, exact.grad_v)
-        # align the pressure mean with the zero-mean exact pressure
-        area = mesh.cell_measures().sum()
-        pshift = sol.pressure - sol.diagnostics["int_p"] / area
-        pl2, _ = _field_errors(mesh, sys.p_dofmap, pshift, exact.p, None)
-        rows.append({"h": mesh.metrics().h, "eL2_u": ul2, "eH1_u": uh1,
-                     "eL2_v": vl2, "eH1_v": vh1, "eL2_p": pl2})
-    return ErrorReport(combo, rows)
+    return ErrorReport(combo, [_study_row(mesh, h, combo, exact, eps)
+                               for mesh, h in zip(meshes, hs)])
+
+
+def _study_row(mesh, h, combo, exact, eps):
+    """One row of `convergence_study`: the load is evaluated before the
+    solve and the fields after it, and neither outlives its phase."""
+    sys = assemble(mesh, combo)
+    f = exact.load(_data_points(mesh))
+    for k, dm in enumerate(sys.vel_dofmaps):
+        sys.rhs[sys.offsets[k]:sys.offsets[k + 1]] = _project(mesh, dm,
+                                                              f[:, k])
+    del f  # not held through the solve
+    sol = solve_penalized(sys, eps)
+    w, grad, p = exact.fields(_data_points(mesh))
+    row = {"h": h}
+    for k, (dm, name) in enumerate(zip(sys.vel_dofmaps, "uvw")):
+        row["eL2_" + name], row["eH1_" + name] = _field_errors(
+            mesh, dm, sol.velocity[k], w[:, k], grad[:, k])
+    # align the pressure mean with the zero-mean exact pressure
+    area = mesh.cell_measures().sum()
+    pshift = sol.pressure - sol.diagnostics["int_p"] / area
+    row["eL2_p"] = _field_errors(mesh, sys.p_dofmap, pshift, p)[0]
+    return row

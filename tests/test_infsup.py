@@ -243,11 +243,17 @@ def test_local_nullspace_matches_the_null_space_of_the_pairing(name):
             "kuhn-cube": lambda: gen_structured_cube(3, 3, 3),
             "valence-3": lambda: star_macro_2d(
                 [(1.0, 0.1), (-0.4, 0.9), (-0.6, -0.8)]).mesh}[name]()
+    # The cut of null_space is stated, and sits in a real gap: on these
+    # meshes the rounding noise reaches 4.4e-16 of the largest singular
+    # value (the default cut is about 4.6e-16) and the smallest nonzero one
+    # is 0.17 of it
     structural = 0
     for combo in _combos(mesh.cell_kind):
         for macro in build_macroelements(mesh):
             ns = local_nullspace(macro, combo)
-            null = sla.null_space(ns.matrix.T)
+            s = sla.svdvals(ns.matrix.T)
+            assert not np.any((s > 1e-14 * s[0]) & (s < 0.1 * s[0]))
+            null = sla.null_space(ns.matrix.T, rcond=1e-12)
             assert ns.dim == null.shape[1] - 1, (macro.center, str(combo))
             span = np.column_stack([np.ones(len(null)), ns.basis.T])
             assert sla.subspace_angles(null, span).max() <= 1e-9
@@ -531,10 +537,27 @@ INFSUP_PARITY = (
        for k in (5, 8)])
 
 
-@pytest.mark.parametrize("make,combo,k,singular",
-                         [case[1:] for case in INFSUP_PARITY],
-                         ids=[f"{name}-{combo}" + (f"-k{k}" if k != 5 else "")
-                              for name, _, combo, k, _ in INFSUP_PARITY])
+# FOUND 92: Lanczos returns one copy of the double eigenvalue 0.15 of
+# p1b-p1b:p1 on these structured grids, where the dense reference has two
+# (on 10x10 it gives 0.0986, 0.1003, 0.15, 0.1565, 0.1571 against 0.0986,
+# 0.1003, 0.15, 0.15, 0.1565).  A multiplicity check that does not rest on
+# rounding (ROADMAP item 14) turns these into passes.
+INFSUP_MISSED_COPY = [
+    (name, lambda n=n: gen_structured_tri(n, n), "p1b-p1b:p1", k, False)
+    for name, n, k in [("structured10", 10, 5), ("structured12", 12, 4)]]
+
+
+def _parity_param(name, make, combo, k, singular, marks=()):
+    return pytest.param(make, combo, k, singular, marks=marks,
+                        id=f"{name}-{combo}" + (f"-k{k}" if k != 5 else ""))
+
+
+@pytest.mark.parametrize(
+    "make,combo,k,singular",
+    [_parity_param(*case) for case in INFSUP_PARITY]
+    + [_parity_param(*case, marks=pytest.mark.xfail(
+        strict=True, reason="FOUND 92; ROADMAP item 14"))
+       for case in INFSUP_MISSED_COPY])
 def test_infsup_matches_dense_schur_reference(make, combo, k, singular):
     mesh = make()
     with warnings.catch_warnings():

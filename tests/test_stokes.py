@@ -1,15 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import stokestab.stokes as stokes
+
 from stokestab.mesh import (Mesh, TRIANGLE, gen_structured_tri, gen_zigzag,
                             gen_extruded_tet, gen_quad_macro)
-from stokestab.scenarios import unstructured_family_mesh
+from stokestab.scenarios import run_scenario, unstructured_family_mesh
 from stokestab.fespace import build_dofmap, eval_basis, quadrature
 from stokestab.stokes import (
     SaddleFactorization, StokesError, assemble, cavity_problem,
     solve_penalized, operator_matrix, trig_solution, convergence_study,
-    cell_geometry, element_matrices, reference_tensor, _data_points, _project,
+    cell_geometry, element_matrices, reference_tensor, ManufacturedSolution,
+    _data_points, _field_errors, _project,
 )
 
 
@@ -74,9 +79,8 @@ def test_bubble_divergence_entries_match_integration_by_parts():
 def test_divergence_balance_and_galerkin_residual():
     mesh = gen_zigzag(6, 6)
     combo = "p1b-p1:p1"
-    exact = trig_solution()
     sys = assemble(mesh, combo)
-    f = exact.f(_data_points(mesh))
+    f = trig_solution().load(_data_points(mesh))
     for k, dm in enumerate(sys.vel_dofmaps):
         sys.rhs[sys.offsets[k]:sys.offsets[k + 1]] = _project(mesh, dm,
                                                               f[:, k])
@@ -180,9 +184,9 @@ def test_manufactured_interpolation_error_orders():
     for n in [8, 16, 32]:
         mesh = gen_structured_tri(n, n)
         dm = build_dofmap(mesh, "p1")
-        dofs = exact.u(dm.coords)     # P1: the nodal values
-        from stokestab.stokes import _field_errors
-        l2, h1 = _field_errors(mesh, dm, dofs, exact.u, exact.grad_u)
+        dofs = exact.fields(dm.coords)[0][:, 0]     # P1: the nodal values
+        w, grad, _ = exact.fields(_data_points(mesh))
+        l2, h1 = _field_errors(mesh, dm, dofs, w[:, 0], grad[:, 0])
         errs.append((l2, h1))
         hs.append(mesh.metrics().h)
     r_l2 = np.log(errs[2][0] / errs[1][0]) / np.log(hs[2] / hs[1])
@@ -192,27 +196,59 @@ def test_manufactured_interpolation_error_orders():
 
 
 def test_convergence_study_evaluates_the_forcing_once_per_mesh():
-    import dataclasses
+    # per mesh: the load once before the solve, the fields once after it,
+    # each on the mesh's quadrature points (the first call of fields is the
+    # boundary trace check and the second the divergence check)
     exact = trig_solution()
     calls = []
-    counted = dataclasses.replace(
-        exact, f=lambda x: calls.append(len(x)) or exact.f(x))
+
+    def counted(name, fn):
+        return lambda x: calls.append((name, len(x))) or fn(x)
+
     meshes = [gen_zigzag(4, 4), gen_zigzag(6, 6)]
-    convergence_study("p2-p1:p1", meshes, exact=counted)
-    assert len(calls) == len(meshes)
+    convergence_study("p2-p1:p1", meshes, exact=ManufacturedSolution(
+        counted("load", exact.load), counted("fields", exact.fields)))
+    points = [len(_data_points(m)) for m in meshes]
+    assert calls[2:] == [(name, n) for n in points
+                         for name in ("load", "fields")]
+    assert [name for name, _ in calls[:2]] == ["fields", "fields"]
 
 
 def test_convergence_study_rejects_an_exact_solution_it_cannot_use():
     import dataclasses
     exact = trig_solution()
     mesh = gen_zigzag(4, 4)
-    lifted = dataclasses.replace(exact, u=lambda x: exact.u(x) + 1.0)
+
+    def changed(velocity=0.0, grad=0.0):
+        def fields(x):
+            w, g, p = exact.fields(x)
+            return w + velocity, g + grad, p
+        return dataclasses.replace(exact, fields=fields)
+
     with pytest.raises(StokesError, match="boundary; it reaches 1 there$"):
-        convergence_study("p1b-p1:p1", [mesh], exact=lifted)
-    sheared = dataclasses.replace(
-        exact, grad_u=lambda x: exact.grad_u(x) + [2.0, 0.0])
+        convergence_study("p1b-p1:p1", [mesh], exact=changed(velocity=[1, 0]))
     with pytest.raises(StokesError, match="divergence reaches 2$"):
-        convergence_study("p1b-p1:p1", [mesh], exact=sheared)
+        convergence_study("p1b-p1:p1", [mesh],
+                          exact=changed(grad=[[2.0, 0.0], [0.0, 0.0]]))
+
+
+def test_convergence_study_rejects_repeated_mesh_sizes(monkeypatch):
+    # equal sizes give an order of log(e2/e1)/0; caught before any solve
+    def forbidden(*args, **kwargs):
+        pytest.fail("the study assembled or solved")
+
+    monkeypatch.setattr(stokes, "assemble", forbidden)
+    monkeypatch.setattr(stokes, "solve_penalized", forbidden)
+    meshes = [gen_zigzag(4, 4), gen_zigzag(6, 6), gen_zigzag(4, 4)]
+    h = meshes[0].metrics().h
+    with pytest.raises(StokesError, match=re.escape(
+            f"meshes 0 and 2 have the same size h = {h:.6g}") + "$"):
+        convergence_study("p1b-p1:p1", meshes)
+
+
+def test_convergence_scenario_rejects_a_repeated_level(tmp_path):
+    with pytest.raises(StokesError, match="^meshes 0 and 1 have the same "):
+        run_scenario("test3", out_dir=str(tmp_path), levels=[3, 3])
 
 
 def test_solver_reproduces_interpolation_scale_errors():
@@ -348,7 +384,7 @@ def test_condensed_solve_matches_uncondensed_reference(mesh_kind, combo,
     mesh = _MESHES[mesh_kind]()
     sys = cavity_problem(mesh, combo, variant)
     # a body force, so that the bubbles carry a load of their own
-    f = trig_solution().f(_data_points(mesh))
+    f = trig_solution().load(_data_points(mesh))
     for k, dm in enumerate(sys.vel_dofmaps):
         sys.rhs[sys.offsets[k]:sys.offsets[k + 1]] += _project(mesh, dm,
                                                                f[:, k])
@@ -605,7 +641,6 @@ def test_nonpositive_bubble_block_is_rejected(monkeypatch):
     # the guard reads the cell blocks the factorization is built from: with
     # the stiffness factors of every cell negated, each bubble's diagonal
     # entry is negative
-    import stokestab.stokes as stokes
     sys = assemble(gen_zigzag(3, 3), "p1b-p1:p1")
     geometry = stokes._saddle_geometry
 
