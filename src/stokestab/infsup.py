@@ -41,9 +41,9 @@ from .fespace import FECombo, FESpaceError, build_dofmap, P1, Q1, Q2
 from .macroelement import (_REASONS, _SINGULAR, _SPLITS, _combo,
                            _segment_sums, _star, _star_splits, _stars,
                            _verdicts, structure_report)
-from .mesh import QUADRILATERAL, _frozen
+from .mesh import QUADRILATERAL, _frozen, kept_on_mesh
 from .stokes import (SaddleFactorization, assemble, cell_geometry,
-                     element_matrices, reference_tensor, StokesError, _QDEG)
+                     element_matrices, reference_tensor, StokesError)
 
 
 @dataclass
@@ -75,8 +75,10 @@ class InfSupResult:
 _LOCAL_FLOOR = 1e-10
 
 
-def _star_oracles(mesh, combo):
-    """local_nullspace of every star of the mesh, in star table order.
+@kept_on_mesh
+def _oracles(mesh, combo):
+    """local_nullspace of every star of the mesh, in star table order,
+    computed on the first ask and kept on the mesh.
 
     A velocity dof is interior to a star when it is off the domain boundary
     and every cell holding it is a star cell.  A star's pairing and its
@@ -89,13 +91,12 @@ def _star_oracles(mesh, combo):
     """
     t = _stars(mesh)
     n_stars, cells = len(t.centers), t.cells
-    qdeg = _QDEG[mesh.cell_kind]
     vel = [build_dofmap(mesh, tag) for tag in combo.velocity]
     blocks = np.concatenate(
-        [element_matrices(mesh, combo.pressure, dm.space, "deriv", qdeg, k)
+        [element_matrices(mesh, combo.pressure, dm.space, "deriv", k)
          for k, dm in enumerate(vel)]
-        + [element_matrices(mesh, combo.pressure, combo.pressure, "mass",
-                            qdeg)], axis=2)
+        + [element_matrices(mesh, combo.pressure, combo.pressure, "mass")],
+        axis=2)
     cell_star = np.repeat(np.arange(n_stars), np.diff(t.cell_offsets))
 
     # each star's vertices, center first then ring order
@@ -199,11 +200,6 @@ def local_nullspace(macro, combo):
         raise FESpaceError(f"the local oracle needs a vertex pressure (p1 or "
                            f"q1), got {combo.pressure}")
     return _oracles(mesh, combo)[_star(macro)]
-
-
-def _oracles(mesh, combo):
-    """`_star_oracles`, computed on the first ask and kept on the mesh."""
-    return mesh.derived(("oracle", combo), lambda: _star_oracles(mesh, combo))
 
 
 def oracle_report(mesh, combos):
@@ -324,9 +320,11 @@ _SPLIT_ROWS = [_REASONS.index((reason, True)) for reason in (
 _S_ZERO_ROW = _REASONS.index(("even-nV-S-zero", True))
 
 
+@kept_on_mesh
 def _star_witnesses(mesh, combo):
     """analytic_singular_pressure of every star of the mesh, in star table
-    order, None for a star without one: one pass over the singular stars."""
+    order, None for a star without one: one pass over the singular stars,
+    computed on the first ask and kept on the mesh."""
     n = len(_stars(mesh).centers)
     out = [None] * n
     if mesh.cell_kind == QUADRILATERAL:
@@ -376,9 +374,7 @@ def analytic_singular_pressure(macro, combo):
             raise FESpaceError(f"unsupported quad combo {combo}")
     else:
         combo = _combo(mesh, combo, mesh.dim)
-    witnesses = mesh.derived(("witness", combo),
-                             lambda: _star_witnesses(mesh, combo))
-    return witnesses[_star(macro)]
+    return _star_witnesses(mesh, combo)[_star(macro)]
 
 
 # ----------------------------------------------------------------------
@@ -466,7 +462,7 @@ _NCV = 12
 def _mass_factor(space, cell_kind):
     """C, lower triangular, with C C^T the reference mass tensor of the
     space (a fraction of the cell measure), read-only."""
-    M = reference_tensor(space, space, cell_kind, "mass", _QDEG[cell_kind])
+    M = reference_tensor(space, space, cell_kind, "mass")
     return _frozen(np.linalg.cholesky(M))
 
 

@@ -21,7 +21,7 @@ orthogonal to every local divergence:
 * MINI (p1b-p1b:p1) is regular and P1-P1 singular on every 2D star.
 
 Every question is answered for all stars of a mesh at once, on the first
-ask, and kept on the mesh (`Mesh.derived`), so a single query on a large
+ask, and kept on the mesh (`kept_on_mesh`), so a single query on a large
 mesh computes all of its stars, as the local oracle does.  In 2D one pass
 per axis counts each star's aligned ring vertices and, for even rings
 without one, evaluates S and its scale.  In 3D one pass per axis labels the
@@ -43,7 +43,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fespace import FECombo, FESpaceError
-from .mesh import MeshError, QUADRILATERAL, TRIANGLE, _frozen, _lookup, _padded
+from .mesh import (MeshError, QUADRILATERAL, TRIANGLE, _frozen, _lookup,
+                   _padded, kept_on_mesh)
 
 _ALIGN_TOL = 1e-9   # alignment, relative to the star diameter
 _S_TOL = 1e-10      # |S| against zero, relative to sum(1/area)
@@ -119,20 +120,16 @@ class RegularityVerdict:
         return self.predicted == "regular"
 
 
+@kept_on_mesh
 def build_macroelements(mesh):
     """One MacroElement per interior vertex.
 
-    The list is built once per mesh and kept on it (`Mesh.derived`), so
-    every caller on the same mesh shares it.  Its macros are read-only
-    views of the mesh's star table.  Building also checks that every cell
-    touches at least one interior vertex; cells that do not are reported
-    with a warning because such meshes cannot be covered by vertex-centered
-    macro-elements.
+    The list is built once per mesh and kept on it, so every caller on the
+    same mesh shares it.  Its macros are read-only views of the mesh's star
+    table.  Building also checks that every cell touches at least one
+    interior vertex; cells that do not are reported with a warning because
+    such meshes cannot be covered by vertex-centered macro-elements.
     """
-    return mesh.derived("macroelements", lambda: _build_macroelements(mesh))
-
-
-def _build_macroelements(mesh):
     t = _stars(mesh)
     r, c = t.ring_offsets.tolist(), t.cell_offsets.tolist()
     return [MacroElement(mesh, q0, t.ring[r[s]:r[s + 1]],
@@ -152,11 +149,6 @@ _Stars = namedtuple("_Stars", "centers star_of ring_offsets ring angles "
                     "cell_offsets cells areas diameters")
 
 
-def _stars(mesh):
-    """The star table of `mesh`, built once and kept on it."""
-    return mesh.derived("stars", lambda: _build_stars(mesh))
-
-
 def _star(macro):
     """The row of the macro's star in the star table of its mesh."""
     s = _stars(macro.mesh).star_of[macro.center]
@@ -166,7 +158,9 @@ def _star(macro):
     return s
 
 
-def _build_stars(mesh):
+@kept_on_mesh
+def _stars(mesh):
+    """The star table of `mesh`, built once and kept on it."""
     inner = ~mesh.boundary_vertex_mask()
     covered = inner[mesh.cells].any(axis=1)
     if not covered.all():
@@ -274,13 +268,10 @@ def _alternating_sums(angles, areas, size, axis):
 _Axis2D = namedtuple("_Axis2D", "aligned margin s scale")
 
 
+@kept_on_mesh
 def _axis_2d(mesh, axis):
     """The 2D answers about `axis` for every star of a triangle mesh,
     computed on the first ask and kept on the mesh, read-only."""
-    return mesh.derived(("axis_2d", axis), lambda: _find_axis_2d(mesh, axis))
-
-
-def _find_axis_2d(mesh, axis):
     t = _stars(mesh)
     n, offsets = len(t.centers), t.ring_offsets
     size = np.diff(offsets)
@@ -331,15 +322,11 @@ def _combo(mesh, combo, dim):
     return combo
 
 
+@kept_on_mesh
 def _verdicts(mesh, combo):
     """The verdict of every star for a combination `_combo` accepted, as its
     row of _REASONS, indexed like the star table; computed on the first ask
     and kept on the mesh, read-only."""
-    return mesh.derived(("verdicts", combo),
-                        lambda: _find_verdicts(mesh, combo))
-
-
-def _find_verdicts(mesh, combo):
     kind, axis = _SPLITS[combo]
     size = np.diff(_stars(mesh).ring_offsets)
     first = _FIRST_ROW[kind]
@@ -486,15 +473,12 @@ _Splits3D = namedtuple("_Splits3D", "plane_split count aligned dir_offsets "
                        "dirs")
 
 
+@kept_on_mesh
 def _star_splits(mesh, axis):
     """Both 3D split questions about `axis` for every star of the mesh,
-    computed on the first ask and kept on the mesh, read-only."""
-    return mesh.derived(("star_splits", axis),
-                        lambda: _find_star_splits(mesh, axis))
+    computed on the first ask and kept on the mesh, read-only.
 
-
-def _find_star_splits(mesh, axis):
-    """All stars as one graph: a node per (star, cell) and an edge per
+    All stars are one graph: a node per (star, cell) and an edge per
     (star, interior face).  A face shared by two tets of a star contains
     the star's center, so the edges are the interior facets times those of
     their vertices that are star centers.

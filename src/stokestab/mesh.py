@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import chain
 
 import numpy as np
@@ -177,8 +177,9 @@ class Mesh:
     CSR incidences `vertex_cells`, `vertex_neighbours` and the
     `interior_waves` schedule; `padded_neighbours`, `edge_index` and
     `safe_move` read it.
-    `derived(key, build)` keeps other data computed from the mesh, such as
-    the star table, the verdict arrays and the local oracle's answers.
+    Other data computed from the mesh alone, such as the cell geometry, the
+    star table, the verdict arrays and the local oracle's answers, is kept
+    on it by the passes that compute it (`kept_on_mesh`).
     """
 
     def __init__(self, dim, cell_kind, vertices, cells, boundary_facets=None,
@@ -356,15 +357,6 @@ class Mesh:
         scale[todo] = 0.0
         return scale
 
-    def derived(self, key, build):
-        """build(), computed once per key and kept on this mesh like the
-        topology above: for data that depends on the mesh alone, such as
-        operators assembled on it."""
-        store = self.__dict__.setdefault("_derived", {})
-        if key not in store:
-            store[key] = build()
-        return store[key]
-
     def boundary_vertex_mask(self):
         mask = np.zeros(self.num_vertices, dtype=bool)
         mask[self.boundary_facets] = True
@@ -487,6 +479,24 @@ class Mesh:
                     f"{int(order[i])} and {int(order[i + 1])}")
 
 
+def kept_on_mesh(build):
+    """Decorator for a pass build(mesh, *args) over data that depends on the
+    mesh alone: each (pass, args) is built on its first call and kept on the
+    mesh like the topology, so later calls return the same object.  A mesh
+    from `replace_vertices` starts with none kept, and a build that raises
+    keeps nothing.  The undecorated pass is the `build` attribute of the
+    decorated one, which calls it from there."""
+    def kept(mesh, *args):
+        store = mesh.__dict__.setdefault("_kept", {})
+        key = (kept, *args)
+        if key not in store:
+            store[key] = kept.build(mesh, *args)
+        return store[key]
+
+    kept.build = build
+    return wraps(build)(kept)
+
+
 @dataclass(frozen=True)
 class MeshMetrics:
     h: float
@@ -596,6 +606,8 @@ def load_msh(path):
     while i < len(lines):
         tok = lines[i].strip()
         if tok == "$MeshFormat":
+            if i + 1 == len(lines):
+                raise err(i, "missing MSH version after $MeshFormat")
             parts = lines[i + 1].split()
             if not parts or not parts[0].startswith("2.2"):
                 raise err(i + 1, f"unsupported MSH version {parts[:1]}; "
@@ -839,20 +851,19 @@ def _check_seed(seed):
         raise MeshError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def gen_perturbed(base, amplitude, seed):
-    """Displace interior vertices in x by uniform(-amplitude, amplitude).
+def gen_perturbed(base, amplitude, seed, axis=0):
+    """Displace interior vertices along the axis index `axis` (0, x, or 1,
+    y) by uniform(-amplitude, amplitude).
 
     Boundary vertices are fixed.  A displacement that would shrink any
     incident cell below 10% of its measure is halved until the mesh stays
     valid (Mesh.safe_move), so the result is always positively oriented.
     Deterministic for a given seed, which must be a non-negative integer.
     """
-    return _jitter(base, 0, amplitude, seed)
-
-
-def _jitter(base, axis, amplitude, seed):
-    """gen_perturbed along the axis index `axis`."""
     require_triangles(base, "gen_perturbed")
+    if (isinstance(axis, bool) or not isinstance(axis, (int, np.integer))
+            or axis not in (0, 1)):
+        raise MeshError(f"axis must be 0 (x) or 1 (y), got {axis!r}")
     # the draw needs the width 2 * amplitude to be a finite float; nan
     # fails both comparisons
     if not 0 <= amplitude <= np.finfo(float).max / 2:

@@ -20,7 +20,7 @@ import numpy as np
 from .infsup import (infsup_constant, local_nullspace, nullspace_residual,
                      oracle_report)
 from .macroelement import build_macroelements
-from .mesh import (StokestabError, _check_seed, _jitter, gen_extruded_tet,
+from .mesh import (StokestabError, _check_seed, gen_extruded_tet,
                    gen_perturbed, gen_quad_macro, gen_structured_cube,
                    gen_structured_tri, gen_zigzag, save_msh, save_vtk,
                    write_csv)
@@ -103,7 +103,7 @@ def decay_family_mesh(level, seed=10):
     base = gen_structured_tri(n, n)
     if amp == 0.0:
         return base
-    return _jitter(base, 1, amp / n, seed + level)
+    return gen_perturbed(base, amp / n, seed + level, axis=1)
 
 
 # ----------------------------------------------------------------------

@@ -37,10 +37,11 @@ import scipy.sparse.linalg as spla
 from .fespace import (FECombo, DofMap, build_dofmap, eval_basis, quadrature,
                       P1B, P2)
 from .mesh import (Mesh, StokestabError, TRIANGLE, TETRAHEDRON,
-                   QUADRILATERAL, TOP, _frozen, write_csv)
+                   QUADRILATERAL, TOP, _frozen, kept_on_mesh, write_csv)
 
 
-# quadrature degree of the assembled blocks (P1b stiffness is degree 6 on tets)
+# quadrature degree of the assembled blocks, read by reference_tensor alone
+# (P1b stiffness is degree 6 on tets)
 _QDEG = {TRIANGLE: 5, TETRAHEDRON: 6, QUADRILATERAL: 5}
 _DATA_QDEG = 7   # of load vectors and error integrals of smooth data
 
@@ -53,15 +54,11 @@ class StokesError(StokestabError):
 # vectorized cell operators
 # ----------------------------------------------------------------------
 
+@kept_on_mesh
 def cell_geometry(mesh):
     """Affine map data per cell: Jacobian, transposed inverse, measure.
 
-    Computed once per mesh and kept on it (`Mesh.derived`), read-only."""
-    return mesh.derived("cell_geometry",
-                        lambda: _frozen(*_cell_geometry(mesh)))
-
-
-def _cell_geometry(mesh):
+    Computed once per mesh and kept on it, read-only."""
     v = mesh.vertices
     c = mesh.cells
     if mesh.cell_kind in (TRIANGLE, TETRAHEDRON):
@@ -70,7 +67,7 @@ def _cell_geometry(mesh):
         detJ = np.linalg.det(J)
         invJT = np.linalg.inv(J).transpose(0, 2, 1)
         ref_vol = 0.5 if d == 2 else 1.0 / 6.0
-        return J, invJT, np.abs(detJ) * ref_vol
+        return _frozen(J, invJT, np.abs(detJ) * ref_vol)
     # axis-aligned rectangles with reference square [0, 1]^2
     e1 = v[c[:, 1]] - v[c[:, 0]]
     e3 = v[c[:, 3]] - v[c[:, 0]]
@@ -83,7 +80,7 @@ def _cell_geometry(mesh):
     invJT = np.zeros_like(J)
     invJT[:, 0, 0] = 1.0 / e1[:, 0]
     invJT[:, 1, 1] = 1.0 / e3[:, 1]
-    return J, invJT, e1[:, 0] * e3[:, 1]
+    return _frozen(J, invJT, e1[:, 0] * e3[:, 1])
 
 
 def _scatter(rows, cols, vals, shape):
@@ -93,14 +90,14 @@ def _scatter(rows, cols, vals, shape):
                          shape=shape)
 
 
-def operator_matrix(mesh, row_dm, col_dm, kind, qdeg, deriv_axis=None):
+def operator_matrix(mesh, row_dm, col_dm, kind, deriv_axis=None):
     """Assemble mass / stiffness / divergence-column blocks.
 
     kind 'mass': (phi_row, phi_col); 'stiffness': (grad phi_row, grad phi_col)
     on the same space; 'deriv': (phi_row, d_axis phi_col), the pressure-row /
     velocity-column divergence block.
     """
-    elmats = element_matrices(mesh, row_dm.space, col_dm.space, kind, qdeg,
+    elmats = element_matrices(mesh, row_dm.space, col_dm.space, kind,
                               deriv_axis)
     _, nr, nc = elmats.shape
     return _scatter(np.repeat(row_dm.cell_dofs, nc, axis=1),
@@ -109,14 +106,14 @@ def operator_matrix(mesh, row_dm, col_dm, kind, qdeg, deriv_axis=None):
 
 
 @lru_cache(maxsize=None)
-def reference_tensor(row_space, col_space, cell_kind, kind, qdeg):
+def reference_tensor(row_space, col_space, cell_kind, kind):
     """Quadrature sums of the reference shape functions, read-only and
     computed once per argument tuple: 'mass' [i, j] = sum_q w_q phi_i psi_j,
     'deriv' [d, i, j] = sum_q w_q phi_i d_d psi_j and 'stiffness'
     [d, e, i, j] = sum_q w_q d_d phi_i d_e psi_j, phi of the row space and
-    psi of the column space, with the weights of quadrature(cell_kind, qdeg)
-    (fractions of the cell measure)."""
-    rule = quadrature(cell_kind, qdeg)
+    psi of the column space, with the weights of the cell kind's rule of
+    degree _QDEG (fractions of the cell measure)."""
+    rule = quadrature(cell_kind, _QDEG[cell_kind])
     rv, rg = eval_basis(row_space, cell_kind, rule.points)
     cv, cg = eval_basis(col_space, cell_kind, rule.points)
     w = rule.weights
@@ -131,7 +128,7 @@ def reference_tensor(row_space, col_space, cell_kind, kind, qdeg):
     return _frozen(ref)
 
 
-def element_matrices(mesh, row_space, col_space, kind, qdeg, deriv_axis=None):
+def element_matrices(mesh, row_space, col_space, kind, deriv_axis=None):
     """(cells, row local dofs, col local dofs) blocks of operator_matrix.
 
     Every cell map the library supports is affine: triangles and tets, and
@@ -146,7 +143,7 @@ def element_matrices(mesh, row_space, col_space, kind, qdeg, deriv_axis=None):
                   gradient components
     """
     _, invJT, meas = cell_geometry(mesh)
-    ref = reference_tensor(row_space, col_space, mesh.cell_kind, kind, qdeg)
+    ref = reference_tensor(row_space, col_space, mesh.cell_kind, kind)
     if kind == "mass":
         return meas[:, None, None] * ref
     geo = (invJT[:, deriv_axis] if kind == "deriv"
@@ -208,17 +205,15 @@ class StokesSystem:
 
     @property
     def A(self):
-        qdeg = _QDEG[self.mesh.cell_kind]
         return self._kept("A", lambda: sp.block_diag(
-            [operator_matrix(self.mesh, dm, dm, "stiffness", qdeg)
+            [operator_matrix(self.mesh, dm, dm, "stiffness")
              for dm in self.vel_dofmaps], format="csr"))
 
     @property
     def B(self):
         # (q, d_k v_k), components in turn
-        qdeg = _QDEG[self.mesh.cell_kind]
         return self._kept("B", lambda: sp.hstack(
-            [operator_matrix(self.mesh, self.p_dofmap, dm, "deriv", qdeg,
+            [operator_matrix(self.mesh, self.p_dofmap, dm, "deriv",
                              deriv_axis=k)
              for k, dm in enumerate(self.vel_dofmaps)], format="csr"))
 
@@ -226,7 +221,7 @@ class StokesSystem:
     def Mp(self):
         dm = self.p_dofmap
         return self._kept("Mp", lambda: operator_matrix(
-            self.mesh, dm, dm, "mass", _QDEG[self.mesh.cell_kind]))
+            self.mesh, dm, dm, "mass"))
 
     @property
     def offsets(self):
@@ -392,7 +387,7 @@ def _location_order(mesh, loc):
 
 
 @lru_cache(maxsize=None)
-def _saddle_reference(vel_spaces, p_space, cell_kind, qdeg):
+def _saddle_reference(vel_spaces, p_space, cell_kind):
     """The reference tensors of the cell saddle block, read-only: R of shape
     (2 d^2 + 1, local, local) such that each cell's block
     [[A_e, -B_e^T], [-B_e, -delta*Mp_e]] is sum_q geo[c, q] R[q], with geo
@@ -400,11 +395,9 @@ def _saddle_reference(vel_spaces, p_space, cell_kind, qdeg):
     velocity component in turn, then the pressure's, each in `eval_basis`
     order."""
     d = len(vel_spaces)
-    S = [reference_tensor(s, s, cell_kind, "stiffness", qdeg)
-         for s in vel_spaces]
-    D = [reference_tensor(p_space, s, cell_kind, "deriv", qdeg)
-         for s in vel_spaces]
-    M = reference_tensor(p_space, p_space, cell_kind, "mass", qdeg)
+    S = [reference_tensor(s, s, cell_kind, "stiffness") for s in vel_spaces]
+    D = [reference_tensor(p_space, s, cell_kind, "deriv") for s in vel_spaces]
+    M = reference_tensor(p_space, p_space, cell_kind, "mass")
     at = np.cumsum([0] + [t.shape[-1] for t in S] + [len(M)])
     R = np.zeros((2 * d * d + 1, at[-1], at[-1]))
     p = slice(at[-2], at[-1])
@@ -540,8 +533,7 @@ class SaddleFactorization:
         # of its entries for every cell, C-ordered as the scatter reads them
         geo = _saddle_geometry(sys.mesh, delta)
         R = _saddle_reference(tuple(dm.space for dm in sys.vel_dofmaps),
-                              sys.p_dofmap.space, sys.mesh.cell_kind,
-                              _QDEG[sys.mesh.cell_kind])
+                              sys.p_dofmap.space, sys.mesh.cell_kind)
         nl = R.shape[1]
         R = R.reshape(len(R), nl * nl)
         # the Dirichlet lift, -K_e g_e, on the cells that hold a Dirichlet

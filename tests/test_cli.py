@@ -258,7 +258,7 @@ def test_analyze_oracle_and_test5_read_the_star_passes(tmp_path,
     import stokestab.infsup as infsup
     import stokestab.macroelement as me
     builds, oracles = [], []
-    build, oracle = me._build_macroelements, infsup._star_oracles
+    build, oracle = me.build_macroelements.build, infsup._oracles.build
 
     def counting_build(mesh):
         builds.append(mesh)
@@ -268,8 +268,8 @@ def test_analyze_oracle_and_test5_read_the_star_passes(tmp_path,
         oracles.append((mesh, combo))  # kept alive: ids stay unique
         return oracle(mesh, combo)
 
-    monkeypatch.setattr(me, "_build_macroelements", counting_build)
-    monkeypatch.setattr(infsup, "_star_oracles", counting_oracle)
+    monkeypatch.setattr(me.build_macroelements, "build", counting_build)
+    monkeypatch.setattr(infsup._oracles, "build", counting_oracle)
     mesh_path = tmp_path / "m.msh"
     save_msh(gen_zigzag(4, 4), mesh_path)
     out = tmp_path / "a.csv"
@@ -365,6 +365,16 @@ def test_analyze_orphan_node_is_clean_error(tmp_path, capsys):
     assert main(["analyze", str(mesh_path), "--out",
                  str(tmp_path / "a.csv")]) == 2
     assert capsys.readouterr().err == "error: vertex 4 belongs to no cell\n"
+
+
+def test_analyze_truncated_msh_is_clean_error(tmp_path, capsys):
+    # the file ends right after the format marker
+    mesh_path = tmp_path / "cut.msh"
+    mesh_path.write_text("$MeshFormat\n")
+    assert main(["analyze", str(mesh_path), "--out",
+                 str(tmp_path / "a.csv")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {mesh_path}:1: missing MSH version after $MeshFormat\n"
 
 
 def test_python_m_stokestab_runs_the_cli():

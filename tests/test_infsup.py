@@ -153,16 +153,14 @@ def reference_star_oracle(macro, combo):
     local[ids] = np.arange(len(ids))
     star = Mesh(mesh.dim, mesh.cell_kind, mesh.vertices[ids],
                 local[mesh.cells[macro.cells]])
-    qdeg = {"triangle": 5, "tetrahedron": 6, "quadrilateral": 5}[
-        mesh.cell_kind]
     p_dm = build_dofmap(star, combo.pressure)
     blocks = []
     for k, tag in enumerate(combo.velocity):
         dm = build_dofmap(star, tag)
-        Bk = operator_matrix(star, p_dm, dm, "deriv", qdeg, deriv_axis=k)
+        Bk = operator_matrix(star, p_dm, dm, "deriv", deriv_axis=k)
         blocks.append(Bk[:, ~dm.boundary_mask])
     B = sp.hstack(blocks, format="csr")
-    Mp = operator_matrix(star, p_dm, p_dm, "mass", qdeg).toarray()
+    Mp = operator_matrix(star, p_dm, p_dm, "mass").toarray()
     n_p = len(ids)
     q, _ = np.linalg.qr(np.column_stack([Mp.sum(axis=1),
                                          np.eye(n_p)[:, :-1]]))
@@ -273,13 +271,13 @@ def test_oracle_meshes_span_several_shape_groups():
 
 def test_local_oracle_pass_runs_once_per_mesh_combo_floor(monkeypatch):
     calls = []
-    batch = infsup._star_oracles
+    batch = infsup._oracles.build
 
     def counted(mesh, combo):
         calls.append(str(combo))
         return batch(mesh, combo)
 
-    monkeypatch.setattr(infsup, "_star_oracles", counted)
+    monkeypatch.setattr(infsup._oracles, "build", counted)
     mesh = mixed_diagonal_mesh(4, seed=2)
     macros = build_macroelements(mesh)
     for _ in range(2):

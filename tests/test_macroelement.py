@@ -334,7 +334,7 @@ def test_meridian_three_semiplanes_singular():
     assert v.predicted == "singular" and v.reason == "3d-semiplane-case-3"
 
 
-def test_single_semiplane_is_a_regular_reason_without_warning():
+def test_single_semiplane_is_a_regular_reason_without_warning(monkeypatch):
     # only a tolerance problem gives one splitting semi-plane, and no mesh
     # here does: the verdict pass reads a hand-made split record instead
     import stokestab.macroelement as macroelement
@@ -343,7 +343,11 @@ def test_single_semiplane_is_a_regular_reason_without_warning():
     record = macroelement._Splits3D(np.array([False]), np.array([1]),
                                     np.array([False]), np.array([0, 1]),
                                     np.array([0.3]))
-    assert macro.mesh.derived(("star_splits", 2), lambda: record) is record
+    splits = macroelement._star_splits
+    build = splits.build
+    monkeypatch.setattr(splits, "build", lambda mesh, axis:
+                        record if axis == 2 else build(mesh, axis))
+    assert splits(macro.mesh, 2) is record
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = predict_regularity_3d(macro, "p1-p1-p1b:p1")
@@ -406,7 +410,7 @@ def test_3d_star_analysis_is_shared(monkeypatch):
     assert again[2].tobytes() == witness.tobytes()
     for axis in range(3):
         cached = macroelement._star_splits(macro.mesh, axis)
-        fresh = macroelement._find_star_splits(macro.mesh, axis)
+        fresh = macroelement._star_splits.build(macro.mesh, axis)
         for a, b in zip(cached, fresh):
             assert a.dtype == b.dtype and np.array_equal(a, b)
             assert not a.flags.writeable

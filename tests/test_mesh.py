@@ -9,6 +9,7 @@ from stokestab.mesh import (
     load_msh, save_msh, save_vtk,
     gen_structured_tri, gen_zigzag, gen_perturbed,
     gen_extruded_tet, gen_structured_cube, gen_quad_macro, _tag_rectangle,
+    kept_on_mesh,
 )
 from stokestab.scenarios import decay_family_mesh, unstructured_family_mesh
 from stokestab.unstructure import UnstructureConfig, apply_algorithm1
@@ -58,6 +59,17 @@ def test_load_msh_rejects_other_versions(tmp_path):
     p = tmp_path / "bad.msh"
     p.write_text("$MeshFormat\n4.1 0 8\n$EndMeshFormat\n")
     with pytest.raises(MeshError, match="2.2"):
+        load_msh(p)
+
+
+@pytest.mark.parametrize("text", ["$MeshFormat\n", "$MeshFormat",
+                                  "\n\n$MeshFormat\n"])
+def test_load_msh_file_ending_after_the_format_marker(tmp_path, text):
+    p = tmp_path / "cut.msh"
+    p.write_text(text)
+    line = text.count("\n", 0, text.index("$MeshFormat")) + 1
+    with pytest.raises(MeshError, match=rf"cut.msh:{line}: missing MSH "
+                       r"version after \$MeshFormat$"):
         load_msh(p)
 
 
@@ -360,6 +372,25 @@ def test_perturbed_rejects_amplitudes_it_cannot_draw(amplitude):
         gen_perturbed(gen_zigzag(4, 4), amplitude, seed=1)
 
 
+def test_perturbed_moves_interior_vertices_along_the_axis_it_is_given():
+    base = gen_structured_tri(6, 6)
+    iv = base.interior_vertices()
+    x = gen_perturbed(base, 0.05, 42)
+    assert gen_perturbed(base, 0.05, 42, axis=0).vertices.tobytes() == \
+        x.vertices.tobytes()
+    y = gen_perturbed(base, 0.05, 42, axis=1)
+    bnd = base.boundary_vertex_mask()
+    assert np.array_equal(y.vertices[:, 0], base.vertices[:, 0])
+    assert np.array_equal(y.vertices[bnd], base.vertices[bnd])
+    assert np.any(y.vertices[iv, 1] != base.vertices[iv, 1])
+
+
+@pytest.mark.parametrize("axis", [2, -1, 1.0, True, "y", None])
+def test_perturbed_rejects_an_axis_other_than_0_or_1(axis):
+    with pytest.raises(MeshError, match=re.escape(f"got {axis!r}") + "$"):
+        gen_perturbed(gen_zigzag(4, 4), 0.05, 1, axis=axis)
+
+
 @pytest.mark.parametrize("seed", [-3, -1, 2.5, 2.0, None, True, "7"])
 def test_perturbed_rejects_seeds_that_are_not_non_negative_integers(seed):
     with pytest.raises(MeshError, match=re.escape(f"got {seed!r}") + "$"):
@@ -643,19 +674,72 @@ def test_given_facets_only_tag_the_derived_boundary(tmp_path_factory, data):
     assert np.array_equal(back.boundary_tags, out.boundary_tags)
 
 
-def test_derived_data_is_built_once_per_mesh():
-    mesh = gen_structured_tri(2, 2)
-    calls = []
-
-    def build():
-        calls.append(1)
+def _counting_passes(calls):
+    """Two kept passes that record each build and return their count."""
+    @kept_on_mesh
+    def first(mesh, key):
+        calls.append(("first", key))
         return len(calls)
 
-    assert mesh.derived("k", build) == 1
-    assert mesh.derived("k", build) == 1
-    assert mesh.derived("other", build) == 2
-    moved = mesh.replace_vertices(mesh.vertices * 2.0)
-    assert moved.derived("k", build) == 3
+    @kept_on_mesh
+    def second(mesh, key):
+        calls.append(("second", key))
+        return len(calls)
+
+    return first, second
+
+
+def test_derived_data_is_built_once_per_mesh():
+    calls = []
+    first, _ = _counting_passes(calls)
+    mesh = gen_structured_tri(2, 2)
+    assert first(mesh, "k") == 1
+    assert first(mesh, "k") == 1
+    assert first(mesh, "other") == 2
+    assert first(gen_structured_tri(2, 2), "k") == 3  # an equal mesh
+    assert calls == [("first", "k"), ("first", "other"), ("first", "k")]
+    assert first.__name__ == "first" and first.build is not first
+
+
+def test_kept_passes_with_equal_arguments_keep_separate_entries():
+    calls = []
+    first, second = _counting_passes(calls)
+    mesh = gen_structured_tri(2, 2)
+    assert (first(mesh, 0), second(mesh, 0)) == (1, 2)
+    assert (first(mesh, 0), second(mesh, 0)) == (1, 2)
+    assert calls == [("first", 0), ("second", 0)]
+
+
+def test_a_replaced_mesh_starts_with_nothing_kept():
+    calls = []
+    first, _ = _counting_passes(calls)
+    mesh = gen_structured_tri(2, 2)
+    assert first(mesh, "k") == 1
+    # the same cells, and (mirrored) cells turned over and built anew
+    for coords in (mesh.vertices * 2.0, mesh.vertices * [-1.0, 1.0]):
+        moved = mesh.replace_vertices(coords)
+        assert first(moved, "k") == len(calls)
+        assert first(moved, "k") == len(calls)
+    assert calls == [("first", "k")] * 3
+    assert first(mesh, "k") == 1
+
+
+def test_a_build_that_raises_is_retried_on_the_next_call():
+    calls = []
+
+    @kept_on_mesh
+    def flaky(mesh):
+        calls.append(1)
+        if len(calls) == 1:
+            raise MeshError("first build fails")
+        return len(calls)
+
+    mesh = gen_structured_tri(2, 2)
+    with pytest.raises(MeshError, match="first build fails"):
+        flaky(mesh)
+    assert flaky(mesh) == 2
+    assert flaky(mesh) == 2
+    assert len(calls) == 2
 
 
 def test_ragged_boundary_facet_is_a_mesh_error():

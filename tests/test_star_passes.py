@@ -172,15 +172,15 @@ def test_mini_is_regular_and_p1_p1_singular_on_every_star(make):
 def test_each_pass_runs_once_per_mesh_and_combo(monkeypatch):
     calls = []
 
-    def counting(module, name):
-        run = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda mesh, key: calls.append(
+    def counting(kept):
+        run, name = kept.build, kept.__name__
+        monkeypatch.setattr(kept, "build", lambda mesh, key: calls.append(
             (name, str(key))) or run(mesh, key))
 
-    counting(macroelement, "_find_axis_2d")
-    counting(macroelement, "_find_star_splits")
-    counting(macroelement, "_find_verdicts")
-    counting(infsup, "_star_witnesses")
+    counting(macroelement._axis_2d)
+    counting(macroelement._star_splits)
+    counting(macroelement._verdicts)
+    counting(infsup._star_witnesses)
     mesh, twin = gen_structured_tri(5, 5), gen_structured_tri(5, 5)
     combos = ("p1b-p1:p1", "p2-p1:p1", "p1-p2:p1")
     for _ in range(2):
@@ -191,14 +191,14 @@ def test_each_pass_runs_once_per_mesh_and_combo(monkeypatch):
                 predict_regularity(macro, combo)
                 assert analytic_singular_pressure(macro, combo) is not None
     assert sorted(calls) == sorted(
-        [("_find_axis_2d", "0"), ("_find_axis_2d", "1")]
+        [("_axis_2d", "0"), ("_axis_2d", "1")]
         + [(name, c) for c in combos
-           for name in ("_find_verdicts", "_star_witnesses")])
+           for name in ("_verdicts", "_star_witnesses")])
     analytic_singular_pressure(build_macroelements(twin)[0], "p2-p1:p1")
     # a new mesh is a new pass: axis, verdicts, witnesses
     assert sorted(calls[len(calls) - 3:]) == [
-        ("_find_axis_2d", "1"), ("_find_verdicts", "p2-p1:p1"),
-        ("_star_witnesses", "p2-p1:p1")]
+        ("_axis_2d", "1"), ("_star_witnesses", "p2-p1:p1"),
+        ("_verdicts", "p2-p1:p1")]
     # in 3D, one split pass per axis, whichever combinations and flags ask
     del calls[:]
     cube = gen_structured_cube(3, 3, 3)
@@ -212,9 +212,9 @@ def test_each_pass_runs_once_per_mesh_and_combo(monkeypatch):
                 predict_regularity_3d(macro, combo)
                 analytic_singular_pressure(macro, combo)
     assert sorted(calls) == sorted(
-        [("_find_star_splits", str(axis)) for axis in range(3)]
+        [("_star_splits", str(axis)) for axis in range(3)]
         + [(name, c) for c in combos
-           for name in ("_find_verdicts", "_star_witnesses")])
+           for name in ("_verdicts", "_star_witnesses")])
 
 
 def test_every_view_rejects_a_vertex_that_centers_no_star():
